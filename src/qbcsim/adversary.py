@@ -20,24 +20,22 @@ blind schedules, evaluated empirically.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import rng as streams
-from .channel import flip_bit
+from .kernel import run_trials
 from .protocol import (
     Commitment,
     Decision,
     DecisionPolicy,
     ErrorMask,
     MeasurementRecord,
-    SessionConfig,
     Unveil,
     raw_correlations,
-    run_commit_phase,
-    score_and_decide,
 )
 
 
@@ -75,6 +73,18 @@ class RebindStrategy:
         if self.kind is RebindKind.RANDOM_LIES:
             return f"random-lies:{self.lie_probability:g}"
         return self.kind.value
+
+    def lie(self, bases: np.ndarray, rng: Callable[[], np.random.Generator]) -> np.ndarray:
+        """The basis list this schedule unveils for the true ``bases``.
+
+        Only random-lies draws (one uniform per basis); ``rng`` is called
+        for its generator then and only then.
+        """
+        if self.kind is RebindKind.HONEST_BASES:
+            return bases.copy()
+        if self.kind is RebindKind.FLIP_ALL_BASES:
+            return bases ^ 1
+        return bases ^ (rng().random(len(bases)) < self.lie_probability)
 
     @classmethod
     def parse(cls, text: str) -> "RebindStrategy":
@@ -199,41 +209,27 @@ def alice_rebind_attack(
     """
     if original_bit not in (0, 1):
         raise ValueError("original_bit must be 0 or 1")
-    bases = record.bases
-    if strategy.kind is RebindKind.HONEST_BASES:
-        lied = bases.copy()
-    elif strategy.kind is RebindKind.FLIP_ALL_BASES:
-        lied = (bases ^ 1).astype(np.uint8)
-    else:
-        lies = (rng.random(len(bases)) < strategy.lie_probability).astype(np.uint8)
-        lied = (bases ^ lies).astype(np.uint8)
-    return Unveil(bases=lied)
+    return Unveil(bases=strategy.lie(record.bases, lambda: rng))
 
 
-def run_preunveil_trial(
+def _trial_seeds(seed: int, trials: int) -> Iterator[int]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return (streams.derive_seed(seed, t) for t in range(trials))
+
+
+def count_preunveil_hits(
     n: int,
     error_fraction: float,
+    trials: int,
     seed: int,
     noise_rate: float = 0.0,
-) -> tuple[int, PreUnveilGuess]:
-    """One seeded session up to commitment, then the early-recovery guess.
-
-    The committed bit is drawn uniformly from its own substream; returns
-    (committed_bit, guess).
-    """
-    bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
-    config = SessionConfig(
-        n=n,
-        committed_bit=bit,
-        error_fraction=error_fraction,
-        noise_rate=noise_rate,
-        seed=seed,
+) -> int:
+    """Number of seeded trials where the early guess hits the committed bit."""
+    hits, _tallies = run_trials(
+        _trial_seeds(seed, trials), n, error_fraction, noise_rate, "preunveil"
     )
-    seq, _record, _mask, commitment = run_commit_phase(config)
-    guess = bob_preunveil_guess(
-        seq.bits, commitment, streams.substream(seed, streams.ADVERSARY)
-    )
-    return bit, guess
+    return hits
 
 
 def estimate_preunveil_success(
@@ -244,44 +240,7 @@ def estimate_preunveil_success(
     noise_rate: float = 0.0,
 ) -> float:
     """Fraction of seeded trials where the early guess hits the committed bit."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    hits = 0
-    for t in range(trials):
-        bit, guess = run_preunveil_trial(
-            n, error_fraction, streams.derive_seed(seed, t), noise_rate=noise_rate
-        )
-        hits += guess.guessed_bit == bit
-    return hits / trials
-
-
-def run_rebind_trial(
-    n: int,
-    error_fraction: float,
-    strategy: RebindStrategy,
-    seed: int,
-    policy: DecisionPolicy | None = None,
-    noise_rate: float = 0.0,
-) -> tuple[int, Decision]:
-    """One seeded rebind attempt: honest commit, lying unveil, receiver decode.
-
-    Returns (original_bit, the receiver's decision against the lying bases).
-    """
-    policy = policy or DecisionPolicy()
-    bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
-    config = SessionConfig(
-        n=n,
-        committed_bit=bit,
-        error_fraction=error_fraction,
-        noise_rate=noise_rate,
-        seed=seed,
-    )
-    seq, record, mask, commitment = run_commit_phase(config)
-    lying = alice_rebind_attack(
-        record, mask, commitment, bit, strategy, streams.substream(seed, streams.ADVERSARY)
-    )
-    _score, decision = score_and_decide(seq, commitment, lying, policy)
-    return bit, decision
+    return count_preunveil_hits(n, error_fraction, trials, seed, noise_rate) / trials
 
 
 def evaluate_binding(
@@ -298,28 +257,10 @@ def evaluate_binding(
     A trial succeeds for the committer only when the receiver cleanly
     decodes the flipped bit.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    policy = policy or DecisionPolicy()
-    success = detection = ambiguous = original = 0
-    for t in range(trials):
-        bit, decision = run_rebind_trial(
-            n,
-            error_fraction,
-            strategy,
-            streams.derive_seed(seed, t),
-            policy=policy,
-            noise_rate=noise_rate,
-        )
-        target = Decision.BIT1 if flip_bit(bit) == 1 else Decision.BIT0
-        if decision is Decision.CHEAT_SUSPECTED:
-            detection += 1
-        elif decision is Decision.AMBIGUOUS:
-            ambiguous += 1
-        elif decision is target:
-            success += 1
-        else:
-            original += 1
+    success, tallies = run_trials(
+        _trial_seeds(seed, trials), n, error_fraction, noise_rate, "binding",
+        strategy, policy or DecisionPolicy(),
+    )
     return AttackReport(
         n=n,
         error_fraction=error_fraction,
@@ -328,7 +269,7 @@ def evaluate_binding(
         trials=trials,
         seed=seed,
         success_count=success,
-        detection_count=detection,
-        ambiguous_count=ambiguous,
-        decoded_original_count=original,
+        detection_count=tallies[Decision.CHEAT_SUSPECTED],
+        ambiguous_count=tallies[Decision.AMBIGUOUS],
+        decoded_original_count=tallies[Decision.BIT0] + tallies[Decision.BIT1] - success,
     )

@@ -127,10 +127,14 @@ def prepare_random_sequence(n: int, rng: np.random.Generator) -> PreparedSequenc
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    codes = rng.integers(0, 4, size=n)
-    return PreparedSequence(
-        bases=(codes >> 1).astype(np.uint8), bits=(codes & 1).astype(np.uint8)
-    )
+    bases, bits = draw_states(n, rng)
+    return PreparedSequence(bases=bases, bits=bits)
+
+
+def draw_states(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``prepare_random_sequence``, unvalidated: (bases, bits)."""
+    codes = rng.integers(0, 4, size=n).astype(np.uint8)
+    return codes >> 1, codes & 1
 
 
 def measure_photon(state: PhotonState, basis: Basis, rng: np.random.Generator) -> int:
@@ -167,9 +171,18 @@ def transmit_and_measure(
         )
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
-    n = len(seq)
+    return measure_states(seq.bases, seq.bits, bases, noise_rate, rng)
+
+
+def measure_states(
+    prep_bases: np.ndarray, prep_bits: np.ndarray, bases: np.ndarray,
+    noise_rate: float, rng: np.random.Generator,
+) -> np.ndarray:
+    """The draws of ``transmit_and_measure`` on uint8 code arrays, unvalidated."""
+    n = len(bases)
     coins = rng.integers(0, 2, size=n).astype(np.uint8)
-    outcomes = np.where(bases == seq.bases, seq.bits, coins).astype(np.uint8)
-    flips = rng.random(n) < noise_rate
-    outcomes ^= flips.astype(np.uint8)
+    # The prepared bit where the bases match, the coin elsewhere (a bitwise
+    # select: several times faster than np.where on uint8).
+    outcomes = coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
+    outcomes ^= rng.random(n) < noise_rate
     return outcomes

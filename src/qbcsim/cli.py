@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .adversary import RebindStrategy, estimate_preunveil_success, evaluate_binding
+from .adversary import RebindStrategy, count_preunveil_hits, evaluate_binding
 from .harness import SweepMode, SweepSpec, run_sweep, write_report
 from .protocol import DecisionPolicy, SessionConfig, run_honest_session
 from .referee import DEFAULT_TRANSCRIPT, party_run, referee_serve
@@ -173,11 +173,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     if args.attack_kind == "preunveil":
-        rate = estimate_preunveil_success(
+        hits = count_preunveil_hits(
             args.n, args.error_fraction, args.trials, args.seed,
             noise_rate=args.noise_rate,
         )
-        ci = binomial_ci(round(rate * args.trials), args.trials, 0.95)
+        rate = hits / args.trials
+        ci = binomial_ci(hits, args.trials, 0.95)
         result = {
             "n": args.n,
             "error_fraction": args.error_fraction,

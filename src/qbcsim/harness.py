@@ -32,8 +32,9 @@ from pathlib import Path
 
 from . import __version__
 from . import rng as streams
-from .adversary import RebindStrategy, run_preunveil_trial, run_rebind_trial
-from .protocol import Decision, DecisionPolicy, SessionConfig, run_honest_session
+from .adversary import RebindStrategy
+from .kernel import run_trials
+from .protocol import Decision, DecisionPolicy
 from .stats import binomial_ci
 
 CSV_COLUMNS = (
@@ -81,6 +82,12 @@ class SweepSpec:
         )
         if not self.n_values or not self.error_fractions or not self.noise_rates:
             raise ValueError("sweep axes must be nonempty")
+        if min(self.n_values) < 0:
+            raise ValueError(f"n_values must be >= 0, got {self.n_values}")
+        for axis in ("error_fractions", "noise_rates"):
+            values = getattr(self, axis)
+            if not all(0.0 <= v <= 1.0 for v in values):
+                raise ValueError(f"{axis} must lie in [0, 1], got {values}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
 
@@ -115,57 +122,16 @@ class SweepReport:
     timestamp: str
 
 
-def _tally(counts: dict[Decision, int], decision: Decision) -> None:
-    counts[decision] = counts.get(decision, 0) + 1
-
-
 def _run_cell(
     spec: SweepSpec, cell_index: int, n: int, e: float, noise: float
 ) -> SweepRow:
     trials = spec.trials_per_cell
-    counts: dict[Decision, int] = {}
-    successes = 0
-    denominator = trials
-
-    if spec.mode is SweepMode.HONEST:
-        # Pool match counts over every revealed position of every trial.
-        denominator = trials * n
-        for t in range(trials):
-            seed = streams.derive_seed(spec.master_seed, cell_index, t)
-            bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
-            report = run_honest_session(
-                SessionConfig(
-                    n=n,
-                    committed_bit=bit,
-                    error_fraction=e,
-                    noise_rate=noise,
-                    seed=seed,
-                    policy=spec.policy,
-                )
-            )
-            correct_raw = (
-                report.raw_direct_correlation
-                if bit == 0
-                else report.raw_reverse_correlation
-            )
-            successes += round(correct_raw * n)
-            _tally(counts, report.decision)
-    elif spec.mode is SweepMode.PREUNVEIL:
-        for t in range(trials):
-            seed = streams.derive_seed(spec.master_seed, cell_index, t)
-            bit, guess = run_preunveil_trial(n, e, seed, noise_rate=noise)
-            successes += guess.guessed_bit == bit
-            _tally(counts, Decision.BIT0 if guess.guessed_bit == 0 else Decision.BIT1)
-    else:
-        for t in range(trials):
-            seed = streams.derive_seed(spec.master_seed, cell_index, t)
-            bit, decision = run_rebind_trial(
-                n, e, spec.strategy, seed, policy=spec.policy, noise_rate=noise
-            )
-            flipped = Decision.BIT1 if bit == 0 else Decision.BIT0
-            successes += decision is flipped
-            _tally(counts, decision)
-
+    seeds = (streams.derive_seed(spec.master_seed, cell_index, t) for t in range(trials))
+    successes, counts = run_trials(
+        seeds, n, e, noise, spec.mode.value, spec.strategy, spec.policy
+    )
+    # Honest pools match counts over every revealed position of every trial.
+    denominator = trials * n if spec.mode is SweepMode.HONEST else trials
     if denominator > 0:
         ci = binomial_ci(successes, denominator, 0.95)
         mean, low, high = successes / denominator, ci.low, ci.high
@@ -180,10 +146,10 @@ def _run_cell(
         statistic_mean=round(mean, 6),
         ci_low=round(low, 6),
         ci_high=round(high, 6),
-        decide_bit0=counts.get(Decision.BIT0, 0),
-        decide_bit1=counts.get(Decision.BIT1, 0),
-        ambiguous=counts.get(Decision.AMBIGUOUS, 0),
-        cheat_suspected=counts.get(Decision.CHEAT_SUSPECTED, 0),
+        decide_bit0=counts[Decision.BIT0],
+        decide_bit1=counts[Decision.BIT1],
+        ambiguous=counts[Decision.AMBIGUOUS],
+        cheat_suspected=counts[Decision.CHEAT_SUSPECTED],
     )
 
 

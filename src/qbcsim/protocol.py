@@ -114,7 +114,8 @@ class ErrorMask:
         object.__setattr__(self, "values", as_bit_array(self.values))
         if len(positions) != len(self.values):
             raise ValueError("mask positions and values differ in length")
-        if len(np.unique(positions)) != len(positions):
+        ordered = np.sort(positions)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("mask positions must be distinct")
         self.randomized.setflags(write=False)
         self.values.setflags(write=False)
@@ -253,7 +254,7 @@ def choose_random_bases(n: int, rng: np.random.Generator) -> np.ndarray:
 def inject_errors(
     outcomes,
     error_fraction: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     mode: str = "randomize",
 ) -> tuple[np.ndarray, ErrorMask]:
     """Mask a fraction of results before they are revealed.
@@ -263,22 +264,35 @@ def inject_errors(
     is replaced by an independent fair coin (which may equal the original);
     in "flip" mode it is inverted.  Consumes the position draw first, then
     (in randomize mode only) one replacement draw per chosen position.
+    Nothing is drawn when no position is chosen, so ``rng`` may then be None.
     """
     outcomes = as_bit_array(outcomes)
     if not 0.0 <= error_fraction <= 1.0:
         raise ValueError(f"error_fraction must be in [0, 1], got {error_fraction}")
     if mode not in ERROR_MODES:
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
-    n = len(outcomes)
-    k = int(round(error_fraction * n))
-    positions = np.sort(rng.choice(n, size=k, replace=False)) if k else np.empty(0, dtype=np.int64)
+    k = masked_count(error_fraction, len(outcomes))
+    positions, values = draw_mask(outcomes, k, rng, mode)
     masked = outcomes.copy()
-    if mode == "randomize":
-        values = rng.integers(0, 2, size=k).astype(np.uint8)
-    else:
-        values = outcomes[positions] ^ 1
     masked[positions] = values
     return masked, ErrorMask(randomized=positions, values=values)
+
+
+def masked_count(error_fraction: float, n: int) -> int:
+    """How many of n results ``inject_errors`` masks."""
+    return int(round(error_fraction * n))
+
+
+def draw_mask(
+    outcomes: np.ndarray, k: int, rng: np.random.Generator | None, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``inject_errors``, unvalidated: (sorted positions, values)."""
+    if not k:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    positions = np.sort(rng.choice(len(outcomes), size=k, replace=False))
+    if mode == "randomize":
+        return positions, rng.integers(0, 2, size=k).astype(np.uint8)
+    return positions, outcomes[positions] ^ 1
 
 
 def commit(outcomes, bit: int) -> Commitment:
@@ -345,11 +359,15 @@ def decode(score: AlignmentScore, policy: DecisionPolicy) -> Decision:
     separation test between the two rates.  Rates exactly at a threshold
     count as meeting it.
     """
-    s = score.sift_size
+    return decide(score.sift_size, score.direct_matches, score.reverse_matches, policy)
+
+
+def decide(s: int, direct: int, reverse: int, policy: DecisionPolicy) -> Decision:
+    """``decode`` on plain counts: sift size, direct and reverse matches."""
     if s == 0 or s < policy.min_sift:
         return Decision.AMBIGUOUS
-    d = score.direct_matches / s
-    r = score.reverse_matches / s
+    d = direct / s
+    r = reverse / s
     if max(d, r) < policy.plausibility_floor - _RATE_EPS:
         return Decision.CHEAT_SUSPECTED
     if d - r >= policy.separation_delta - _RATE_EPS:
@@ -394,10 +412,11 @@ def run_commit_phase(
     outcomes = transmit_and_measure(
         seq, bases, config.noise_rate, streams.substream(config.seed, streams.MEASURE)
     )
+    masks_any = masked_count(config.error_fraction, config.n) > 0
     masked, mask = inject_errors(
         outcomes,
         config.error_fraction,
-        streams.substream(config.seed, streams.ERROR),
+        streams.substream(config.seed, streams.ERROR) if masks_any else None,
         mode=config.error_mode,
     )
     record = MeasurementRecord(bases=bases, outcomes=outcomes)

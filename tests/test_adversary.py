@@ -15,7 +15,6 @@ from qbcsim.adversary import (
     bob_preunveil_guess,
     estimate_preunveil_success,
     evaluate_binding,
-    run_preunveil_trial,
 )
 from qbcsim.protocol import (
     Commitment,
@@ -149,8 +148,12 @@ def test_error_injection_lowers_the_margin():
     for e in (0.0, 0.5):
         total = 0.0
         for t in range(trials):
-            _bit, guess = run_preunveil_trial(
-                64, e, streams.derive_seed(76, e, t)
+            seed = streams.derive_seed(76, e, t)
+            bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
+            config = SessionConfig(n=64, committed_bit=bit, error_fraction=e, seed=seed)
+            seq, _rec, _mask, commitment = run_commit_phase(config)
+            guess = bob_preunveil_guess(
+                seq.bits, commitment, streams.substream(seed, streams.ADVERSARY)
             )
             total += max(guess.direct_raw, guess.reverse_raw)
         margins[e] = total / trials

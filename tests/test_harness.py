@@ -107,6 +107,14 @@ def test_spec_validation():
         SweepSpec(n_values=(), error_fractions=(0.0,))
     with pytest.raises(ValueError):
         SweepSpec(n_values=(4,), error_fractions=(0.0,), trials_per_cell=0)
+    # A bad axis value fails when the spec is built, before any cell runs.
+    for axes, name in (
+        (dict(n_values=(4, -1), error_fractions=(0.0,)), "n_values"),
+        (dict(n_values=(4,), error_fractions=(0.0, 1.5)), "error_fractions"),
+        (dict(n_values=(4,), error_fractions=(0.0,), noise_rates=(-0.1,)), "noise_rates"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            SweepSpec(**axes)
 
 
 def test_csv_header_and_fixed_column_order(tmp_path):

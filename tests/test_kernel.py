@@ -1,0 +1,108 @@
+"""The trial kernel: draw-for-draw agreement with the role functions, and the
+frozen stream contract of sweep reports."""
+
+import hashlib
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from qbcsim import rng as streams
+from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
+from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
+from qbcsim.kernel import run_trials
+from qbcsim.protocol import (
+    Decision,
+    DecisionPolicy,
+    SessionConfig,
+    run_commit_phase,
+    run_honest_session,
+    score_and_decide,
+)
+
+POLICIES = {"default": DecisionPolicy(), "min_sift3": DecisionPolicy(min_sift=3)}
+MODES = (
+    ("honest", None),
+    ("preunveil", None),
+    ("binding", "honest-bases"),
+    ("binding", "flip-all-bases"),
+    ("binding", "random-lies:0.1"),
+    ("binding", "random-lies:0.5"),
+)
+
+
+def _role_functions(seeds, n, e, noise, mode, strategy, policy):
+    """The kernel's trials, composed from the public role functions."""
+    successes = 0
+    tallies = Counter()
+    for seed in seeds:
+        bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
+        config = SessionConfig(n=n, committed_bit=bit, error_fraction=e,
+                               noise_rate=noise, seed=seed, policy=policy)
+        if mode == "honest":
+            report = run_honest_session(config)
+            correct = report.raw_direct_correlation if bit == 0 else report.raw_reverse_correlation
+            successes += round(correct * n)
+            tallies[report.decision] += 1
+            continue
+        seq, record, mask, commitment = run_commit_phase(config)
+        adversary = streams.substream(seed, streams.ADVERSARY)
+        if mode == "preunveil":
+            guess = bob_preunveil_guess(seq.bits, commitment, adversary)
+            successes += guess.guessed_bit == bit
+            tallies[Decision.BIT1 if guess.guessed_bit else Decision.BIT0] += 1
+            continue
+        lying = alice_rebind_attack(record, mask, commitment, bit, strategy, adversary)
+        _score, decision = score_and_decide(seq, commitment, lying, policy)
+        successes += decision is (Decision.BIT1 if bit == 0 else Decision.BIT0)
+        tallies[decision] += 1
+    return successes, tallies
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("mode,strategy", MODES)
+def test_kernel_tallies_equal_the_role_functions(mode, strategy, policy):
+    strategy = strategy and RebindStrategy.parse(strategy)
+    for cell, (n, e, noise) in enumerate(product((0, 1, 17, 256), (0.0, 0.3, 1.0), (0.0, 0.1))):
+        seeds = [streams.derive_seed(2718, cell, t) for t in range(8)]
+        args = (n, e, noise, mode, strategy, POLICIES[policy])
+        assert run_trials(seeds, *args) == _role_functions(seeds, *args), (n, e, noise)
+
+
+def test_kernel_validates_its_inputs():
+    for bad in (dict(n=-1), dict(error_fraction=1.5), dict(noise_rate=-0.1)):
+        args = dict(n=4, error_fraction=0.0, noise_rate=0.0, mode="honest") | bad
+        with pytest.raises(ValueError):
+            run_trials([1], **args)
+
+
+#: SHA-256 of the CSV report of each sweep below, computed before the
+#: kernel existed.  A mismatch means the random streams changed: that must
+#: be deliberate, versioned in the report schema and noted in CHANGES.md.
+FROZEN_CSV_SHA256 = {
+    "honest": "74757148739f51e9151adf1725c9de298bab49de19b0250509107e8e0321ed36",
+    "preunveil": "bd497c6ae01f8b28c6ec334efddc70511808421395b4ecf9f187fa0f257bc5f3",
+    "binding:flip-all-bases":
+        "830c10ee3ac8133f98d63c7f542c8ca43610acaa944d5c58519cdbab625359b3",
+    "binding:random-lies:0.5":
+        "63f443ffa93871e7ec0c31bd714d951ede1f6f7fba777161b51f14e79f144e9d",
+}
+
+
+@pytest.mark.parametrize("label", sorted(FROZEN_CSV_SHA256))
+def test_sweep_reports_keep_the_frozen_streams(label, tmp_path):
+    mode, _, strategy = label.partition(":")
+    spec = SweepSpec(
+        n_values=(0, 1, 17, 64),
+        error_fractions=(0.0, 0.3, 1.0),
+        noise_rates=(0.0, 0.1),
+        trials_per_cell=20,
+        master_seed=2024,
+        mode=SweepMode(mode),
+        strategy=RebindStrategy.parse(strategy or "honest-bases"),
+        policy=DecisionPolicy(min_sift=3) if label in ("honest", "binding:random-lies:0.5")
+        else DecisionPolicy(),
+    )
+    path = tmp_path / "report.csv"
+    write_report(run_sweep(spec), "csv", path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_CSV_SHA256[label]

@@ -13,6 +13,7 @@ from qbcsim.protocol import (
     Commitment,
     Decision,
     DecisionPolicy,
+    ErrorMask,
     MeasurementRecord,
     SessionConfig,
     alignment_scores,
@@ -85,6 +86,12 @@ def test_inject_flip_mode_inverts_selected_positions():
     masked, mask = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
     assert np.array_equal(masked[mask.randomized], outcomes[mask.randomized] ^ 1)
     assert len(mask) == 100
+
+
+def test_error_mask_rejects_duplicate_positions_in_any_order():
+    ErrorMask(randomized=[5, 0, 3], values=[1, 0, 1])
+    with pytest.raises(ValueError, match="distinct"):
+        ErrorMask(randomized=[5, 0, 3, 0], values=[1, 0, 1, 1])
 
 
 def test_inject_rejects_bad_inputs():
