@@ -69,6 +69,11 @@ class RebindStrategy:
         return cls(RebindKind.RANDOM_LIES, lie_probability=p)
 
     @property
+    def draws(self) -> bool:
+        """Whether ``lie`` asks for its generator (random-lies only)."""
+        return self.kind is RebindKind.RANDOM_LIES
+
+    @property
     def label(self) -> str:
         if self.kind is RebindKind.RANDOM_LIES:
             return f"random-lies:{self.lie_probability:g}"

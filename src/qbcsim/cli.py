@@ -111,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ref = sub.add_parser("referee", help="serve one wire session")
     ref.add_argument("--listen", required=True, help="HOST:PORT to bind")
     ref.add_argument("--seed", type=int, default=0)
+    ref.add_argument("--noise-rate", type=float, default=0.0)
     ref.add_argument("--transcript", default=DEFAULT_TRANSCRIPT,
                      help="transcript log path")
     ref.add_argument("--timeout", type=float, default=30.0)
@@ -216,6 +217,7 @@ def _cmd_referee(args: argparse.Namespace) -> int:
     transcript = referee_serve(
         args.listen,
         seed=args.seed,
+        noise_rate=args.noise_rate,
         transcript_path=args.transcript,
         timeout=args.timeout,
     )

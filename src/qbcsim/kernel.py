@@ -5,13 +5,16 @@ A trial makes the draws of ``run_commit_phase`` followed by
 in the same order on the same substreams, so its tallies equal theirs.  It
 skips the per-trial dataclasses and their validation, and the generators
 that would draw nothing: ERROR when no position is masked, ADVERSARY except
-on a preunveil tie or for random-lies.
+on a preunveil tie or for random-lies.  Trials run in blocks of
+``BLOCK_TRIALS``; each block's generators are seeded in one vectorised pass
+(``rng.SubstreamBatch``), with the same states as ``rng.substream``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +33,9 @@ from .protocol import (
 
 if TYPE_CHECKING:
     from .adversary import RebindStrategy
+
+#: Trials per seeding pass: bounds the pass's arrays whatever the trial count.
+BLOCK_TRIALS = 1024
 
 
 def run_trials(
@@ -56,43 +62,51 @@ def run_trials(
     k = masked_count(error_fraction, n)
     successes = 0
     tallies: Counter[Decision] = Counter()
-    for seed in seeds:
-        bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
-        sent_bases, sent_bits = draw_states(n, streams.substream(seed, streams.PREPARE))
-        bases = choose_random_bases(n, streams.substream(seed, streams.BASES))
-        results = measure_states(sent_bases, sent_bits, bases, noise_rate,
-                                 streams.substream(seed, streams.MEASURE))
-        if k:
-            positions, values = draw_mask(results, k, streams.substream(seed, streams.ERROR),
-                                          "randomize")
-            results[positions] = values
-        # Bit 0 reveals the results in order, bit 1 reversed, so the direct
-        # pairing compares the sent bits with `aligned` for bit 0 and with
-        # `crossed` for bit 1, and the reverse pairing the other way round.
-        aligned = results == sent_bits
-        crossed = results[::-1] == sent_bits
-        if mode == "preunveil":
-            margin = np.count_nonzero(aligned) - np.count_nonzero(crossed)
-            if margin:
-                guess = bit if margin > 0 else 1 - bit
+    labels = [streams.COMMITTED_BIT, streams.PREPARE, streams.BASES, streams.MEASURE]
+    if k:
+        labels.append(streams.ERROR)
+    if mode == "binding" and strategy.draws:
+        labels.append(streams.ADVERSARY)
+    seeds = iter(seeds)
+    while block := list(islice(seeds, BLOCK_TRIALS)):
+        substreams = streams.SubstreamBatch(block, labels)
+        for t in range(len(block)):
+            bit = int(substreams(t, streams.COMMITTED_BIT).integers(0, 2))
+            sent_bases, sent_bits = draw_states(n, substreams(t, streams.PREPARE))
+            bases = choose_random_bases(n, substreams(t, streams.BASES))
+            results = measure_states(sent_bases, sent_bits, bases, noise_rate,
+                                     substreams(t, streams.MEASURE))
+            if k:
+                positions, values = draw_mask(results, k, substreams(t, streams.ERROR),
+                                              "randomize")
+                results[positions] = values
+            # Bit 0 reveals the results in order, bit 1 reversed, so the direct
+            # pairing compares the sent bits with `aligned` for bit 0 and with
+            # `crossed` for bit 1, and the reverse pairing the other way round.
+            aligned = results == sent_bits
+            crossed = results[::-1] == sent_bits
+            if mode == "preunveil":
+                margin = np.count_nonzero(aligned) - np.count_nonzero(crossed)
+                if margin:
+                    guess = bit if margin > 0 else 1 - bit
+                else:
+                    guess = int(substreams(t, streams.ADVERSARY).integers(0, 2))
+                successes += guess == bit
+                tallies[Decision.BIT1 if guess else Decision.BIT0] += 1
+                continue
+            if mode == "honest":
+                successes += np.count_nonzero(aligned)
+                unveiled = bases
             else:
-                guess = int(streams.substream(seed, streams.ADVERSARY).integers(0, 2))
-            successes += guess == bit
-            tallies[Decision.BIT1 if guess else Decision.BIT0] += 1
-            continue
-        if mode == "honest":
-            successes += np.count_nonzero(aligned)
-            unveiled = bases
-        else:
-            unveiled = strategy.lie(
-                bases, lambda: streams.substream(seed, streams.ADVERSARY))
-        sifted = sent_bases == unveiled
-        direct = int(np.count_nonzero(aligned & sifted))
-        reverse = int(np.count_nonzero(crossed & sifted))
-        if bit:
-            direct, reverse = reverse, direct
-        decision = decide(int(np.count_nonzero(sifted)), direct, reverse, policy)
-        if mode == "binding":
-            successes += decision is (Decision.BIT1 if bit == 0 else Decision.BIT0)
-        tallies[decision] += 1
+                unveiled = strategy.lie(
+                    bases, lambda: substreams(t, streams.ADVERSARY))
+            sifted = sent_bases == unveiled
+            direct = int(np.count_nonzero(aligned & sifted))
+            reverse = int(np.count_nonzero(crossed & sifted))
+            if bit:
+                direct, reverse = reverse, direct
+            decision = decide(int(np.count_nonzero(sifted)), direct, reverse, policy)
+            if mode == "binding":
+                successes += decision is (Decision.BIT1 if bit == 0 else Decision.BIT0)
+            tallies[decision] += 1
     return int(successes), tallies

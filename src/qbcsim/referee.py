@@ -372,6 +372,14 @@ def referee_serve(
             done = session.handle_message(conn, msg)
     finally:
         accepting.clear()
+        # Wake the accept thread out of its poll so that the listener, and
+        # with it the port, is released before this call returns.
+        try:
+            listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        acceptor.join(timeout=5.0)
+        assert not acceptor.is_alive(), "referee accept thread did not stop"
         try:
             listener.close()
         except OSError:

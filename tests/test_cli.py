@@ -3,9 +3,12 @@
 import json
 import socket
 import threading
+import time
 
 from qbcsim.cli import cli_main
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
+from qbcsim.protocol import SessionConfig, run_honest_session
+from qbcsim.referee import party_run
 
 
 def test_simulate_json_output(capsys):
@@ -178,6 +181,32 @@ def test_referee_and_party_subcommands(capsys, tmp_path):
     assert transcript.exists()
     out = capsys.readouterr().out
     assert '"decision"' in out and "session complete" in out
+
+
+def test_referee_noise_rate_reproduces_simulate(tmp_path):
+    addr = f"127.0.0.1:{_free_port()}"
+    codes = {}
+    referee = threading.Thread(
+        target=lambda: codes.setdefault("referee", cli_main(
+            ["referee", "--listen", addr, "--seed", "78", "--noise-rate", "0.1",
+             "--transcript", str(tmp_path / "t.jsonl"), "--timeout", "10"])),
+    )
+    referee.start()
+    time.sleep(0.2)
+    results = {}
+    bob = threading.Thread(
+        target=lambda: results.setdefault("bob", party_run("bob", addr, n=256, seed=78,
+                                                           timeout=10)))
+    bob.start()
+    results["alice"] = party_run("alice", addr, n=256, bit=1, error_fraction=0.25,
+                                 seed=78, timeout=10)
+    for t in (bob, referee):
+        t.join(15)
+    inproc = run_honest_session(SessionConfig(n=256, committed_bit=1, error_fraction=0.25,
+                                              noise_rate=0.1, seed=78))
+    assert codes == {"referee": 0}
+    assert results["bob"].alignment == inproc.alignment
+    assert results["bob"].raw_direct == inproc.raw_direct_correlation
 
 
 def test_party_connection_refused_exit_one(capsys):

@@ -10,7 +10,7 @@ import pytest
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
-from qbcsim.kernel import run_trials
+from qbcsim.kernel import BLOCK_TRIALS, run_trials
 from qbcsim.protocol import (
     Decision,
     DecisionPolicy,
@@ -67,6 +67,17 @@ def test_kernel_tallies_equal_the_role_functions(mode, strategy, policy):
         seeds = [streams.derive_seed(2718, cell, t) for t in range(8)]
         args = (n, e, noise, mode, strategy, POLICIES[policy])
         assert run_trials(seeds, *args) == _role_functions(seeds, *args), (n, e, noise)
+
+
+@pytest.mark.parametrize("mode,strategy", (("preunveil", None),
+                                           ("binding", "random-lies:0.5")))
+def test_kernel_equals_the_role_functions_across_seeding_blocks(mode, strategy):
+    # More trials than one seeding block, with an uneven last block.
+    strategy = strategy and RebindStrategy.parse(strategy)
+    seeds = [streams.derive_seed(1618, t) for t in range(BLOCK_TRIALS + 37)]
+    args = (8, 0.3, 0.1, mode, strategy, DecisionPolicy())
+    assert run_trials(seeds, *args) == _role_functions(seeds, *args)
+    assert run_trials(iter(seeds), *args) == run_trials(seeds, *args)
 
 
 def test_kernel_validates_its_inputs():

@@ -48,3 +48,41 @@ def test_substreams_are_independent_of_sibling_consumption():
     b_after = streams.substream(5, "b").integers(0, 2, size=50)
     b_fresh = streams.substream(5, "b").integers(0, 2, size=50)
     assert np.array_equal(b_after, b_fresh)
+
+
+LABELS = (streams.PREPARE, streams.BASES, streams.MEASURE, streams.ERROR,
+          streams.ADVERSARY, streams.COMMITTED_BIT)
+EDGE_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def _masters():
+    draws = np.random.default_rng(31337).integers(0, 2**64, size=200, dtype=np.uint64)
+    return list(EDGE_MASTERS) + [int(m) for m in draws]
+
+
+def test_seed_state_words_equal_seed_sequence():
+    seeds = [streams.derive_seed(m, label) for m in _masters() for label in LABELS]
+    seeds += list(EDGE_MASTERS)
+    words = streams.seed_state_words(np.array(seeds, dtype=np.uint64))
+    expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, np.array(expected))
+
+
+def test_substream_batch_equals_substream():
+    masters = _masters()
+    batch = streams.SubstreamBatch(masters, LABELS)
+    for t, master in enumerate(masters):
+        for label in LABELS:
+            got, want = batch(t, label), streams.substream(master, label)
+            assert got.bit_generator.state == want.bit_generator.state, (master, label)
+            assert np.array_equal(got.integers(0, 2, size=8), want.integers(0, 2, size=8))
+            assert np.array_equal(got.random(8), want.random(8))
+
+
+def test_substream_batch_falls_back_for_unlisted_labels():
+    masters = list(EDGE_MASTERS)
+    batch = streams.SubstreamBatch(masters, [streams.PREPARE])
+    for t, master in enumerate(masters):
+        assert (batch(t, streams.ADVERSARY).bit_generator.state
+                == streams.substream(master, streams.ADVERSARY).bit_generator.state)

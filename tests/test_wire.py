@@ -105,11 +105,12 @@ def _serve(addr, results, **kwargs):
     results["transcript"] = referee_serve(addr, **kwargs)
 
 
-def _start_referee(results, seed=0, timeout=10.0, transcript_path=None):
+def _start_referee(results, seed=0, timeout=10.0, transcript_path=None, noise_rate=0.0):
     addr = f"127.0.0.1:{_free_port()}"
     thread = threading.Thread(
         target=_serve, args=(addr, results),
-        kwargs=dict(seed=seed, timeout=timeout, transcript_path=transcript_path),
+        kwargs=dict(seed=seed, timeout=timeout, transcript_path=transcript_path,
+                    noise_rate=noise_rate),
         daemon=True,
     )
     thread.start()
@@ -210,6 +211,18 @@ def test_duplicate_role_is_rejected():
     assert results["transcript"].violated
 
 
+def test_referee_releases_its_port_on_return():
+    # The listener is gone when referee_serve returns, so the same port can
+    # be bound again at once (a fresh referee on a fixed port relies on it).
+    addr = f"127.0.0.1:{_free_port()}"
+    transcript = referee_serve(addr, timeout=0.3)
+    assert transcript.violated
+    with socket.socket() as again:
+        again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        again.bind(parse_address(addr))
+        again.listen(1)
+
+
 def test_party_without_referee_exits_one():
     result = party_run("bob", f"127.0.0.1:{_free_port()}", n=8, timeout=2)
     assert result.exit_code == 1
@@ -260,9 +273,10 @@ def test_mismatched_session_sizes_abort():
 
 def test_wire_equivalence_across_parameters():
     # includes the scripted error-free committed-1 session at n=256
-    for seed, n, bit, e in ((2, 256, 1, 0.0), (3, 128, 0, 0.25)):
+    for seed, n, bit, e, noise in ((2, 256, 1, 0.0, 0.0), (3, 128, 0, 0.25, 0.0),
+                                   (4, 256, 1, 0.25, 0.1)):
         results = {}
-        addr, ref_thread = _start_referee(results, seed=seed)
+        addr, ref_thread = _start_referee(results, seed=seed, noise_rate=noise)
         outcomes = {}
         threads = [
             threading.Thread(
@@ -286,10 +300,12 @@ def test_wire_equivalence_across_parameters():
             t.join(15)
         ref_thread.join(15)
         inproc = run_honest_session(
-            SessionConfig(n=n, committed_bit=bit, error_fraction=e, seed=seed)
+            SessionConfig(n=n, committed_bit=bit, error_fraction=e, noise_rate=noise,
+                          seed=seed)
         )
         assert outcomes["bob"].decision is inproc.decision
         assert outcomes["bob"].alignment == inproc.alignment
+        assert outcomes["bob"].raw_direct == inproc.raw_direct_correlation
         if (n, bit, e) == (256, 1, 0.0):
             assert outcomes["bob"].decision is Decision.BIT1
 
