@@ -18,8 +18,6 @@ from .channel import (
     Basis,
     PhotonState,
     PreparedSequence,
-    POLARIZATION_DEGREES,
-    flip_bit,
     measure_photon,
     prepare_random_sequence,
     transmit_and_measure,
@@ -34,14 +32,13 @@ from .protocol import (
     SessionConfig,
     TrialReport,
     Unveil,
-    alignment_scores,
     choose_random_bases,
     commit,
-    decode,
+    decide,
     inject_errors,
     raw_correlations,
     run_honest_session,
-    sift,
+    score_and_decide,
     unveil,
 )
 from .adversary import (
@@ -50,13 +47,12 @@ from .adversary import (
     RebindStrategy,
     alice_rebind_attack,
     bob_preunveil_guess,
-    estimate_preunveil_success,
+    count_preunveil_hits,
     evaluate_binding,
 )
 from .stats import (
     ConfidenceInterval,
     binomial_ci,
-    correlation,
     decode_error_bound,
     expected_raw_correlation,
     expected_sifted_correlation,

@@ -237,17 +237,6 @@ def count_preunveil_hits(
     return hits
 
 
-def estimate_preunveil_success(
-    n: int,
-    error_fraction: float,
-    trials: int,
-    seed: int,
-    noise_rate: float = 0.0,
-) -> float:
-    """Fraction of seeded trials where the early guess hits the committed bit."""
-    return count_preunveil_hits(n, error_fraction, trials, seed, noise_rate) / trials
-
-
 def evaluate_binding(
     n: int,
     error_fraction: float,

@@ -32,43 +32,14 @@ class Basis(IntEnum):
     RECTILINEAR = 0
     DIAGONAL = 1
 
-    @property
-    def other(self) -> "Basis":
-        """The conjugate basis."""
-        return Basis(1 - self.value)
-
-
-#: Polarization angle (degrees) for each (basis, bit) pair.
-POLARIZATION_DEGREES = {
-    (Basis.RECTILINEAR, 0): 0,
-    (Basis.RECTILINEAR, 1): 90,
-    (Basis.DIAGONAL, 0): 45,
-    (Basis.DIAGONAL, 1): 135,
-}
-
-
-def flip_bit(bit: int) -> int:
-    """The opposite bit value; flip(flip(b)) == b."""
-    return int(bit) ^ 1
-
 
 def as_bit_array(values) -> np.ndarray:
-    """Validate and convert a bit sequence to a uint8 array of 0/1."""
+    """Validate and convert bits or basis codes to a uint8 array of 0/1."""
     arr = np.asarray(values, dtype=np.uint8)
     if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d bit sequence, got shape {arr.shape}")
+        raise ValueError(f"expected a 1-d bit or basis sequence, got shape {arr.shape}")
     if arr.size and arr.max() > 1:
-        raise ValueError("bit values must be 0 or 1")
-    return arr
-
-
-def as_basis_array(values) -> np.ndarray:
-    """Validate and convert a basis sequence to a uint8 array of codes."""
-    arr = np.asarray(values, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d basis sequence, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
-        raise ValueError("basis codes must be 0 (rectilinear) or 1 (diagonal)")
+        raise ValueError("bit values and basis codes must be 0 or 1")
     return arr
 
 
@@ -84,10 +55,6 @@ class PhotonState:
             raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
         object.__setattr__(self, "basis", Basis(self.basis))
 
-    @property
-    def angle_degrees(self) -> int:
-        return POLARIZATION_DEGREES[(self.basis, self.bit)]
-
 
 @dataclass(frozen=True, eq=False)
 class PreparedSequence:
@@ -100,7 +67,7 @@ class PreparedSequence:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", as_basis_array(self.bases))
+        object.__setattr__(self, "bases", as_bit_array(self.bases))
         object.__setattr__(self, "bits", as_bit_array(self.bits))
         if len(self.bases) != len(self.bits):
             raise ValueError(
@@ -114,9 +81,6 @@ class PreparedSequence:
 
     def __getitem__(self, i: int) -> PhotonState:
         return PhotonState(Basis(int(self.bases[i])), int(self.bits[i]))
-
-    def states(self) -> list[PhotonState]:
-        return [self[i] for i in range(len(self))]
 
 
 def prepare_random_sequence(n: int, rng: np.random.Generator) -> PreparedSequence:
@@ -164,7 +128,7 @@ def transmit_and_measure(
     noise draws from ``rng`` (the noise draws are consumed even at rate 0,
     so changing the rate never shifts later draws).
     """
-    bases = as_basis_array(bases)
+    bases = as_bit_array(bases)
     if len(bases) != len(seq):
         raise ValueError(
             f"basis list length {len(bases)} != sequence length {len(seq)}"

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from . import rng as streams
@@ -36,21 +37,6 @@ from .adversary import RebindStrategy
 from .kernel import run_trials
 from .protocol import Decision, DecisionPolicy
 from .stats import binomial_ci
-
-CSV_COLUMNS = (
-    "n",
-    "error_fraction",
-    "noise_rate",
-    "mode",
-    "trials",
-    "statistic_mean",
-    "ci_low",
-    "ci_high",
-    "decide_bit0",
-    "decide_bit1",
-    "ambiguous",
-    "cheat_suspected",
-)
 
 JSON_SCHEMA_VERSION = 1
 
@@ -114,6 +100,11 @@ class SweepRow:
     cheat_suspected: int
 
 
+#: Report columns, in ``SweepRow`` field order, and the type of each.
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+_COLUMN_TYPES = get_type_hints(SweepRow)
+
+
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]
@@ -169,18 +160,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 
 def _row_record(row: SweepRow) -> dict:
     return {
-        "n": row.n,
-        "error_fraction": f"{row.error_fraction:.6f}",
-        "noise_rate": f"{row.noise_rate:.6f}",
-        "mode": row.mode,
-        "trials": row.trials,
-        "statistic_mean": f"{row.statistic_mean:.6f}",
-        "ci_low": f"{row.ci_low:.6f}",
-        "ci_high": f"{row.ci_high:.6f}",
-        "decide_bit0": row.decide_bit0,
-        "decide_bit1": row.decide_bit1,
-        "ambiguous": row.ambiguous,
-        "cheat_suspected": row.cheat_suspected,
+        name: f"{getattr(row, name):.6f}" if kind is float else getattr(row, name)
+        for name, kind in _COLUMN_TYPES.items()
     }
 
 
@@ -191,30 +172,26 @@ def write_report(report: SweepReport, format: str, path) -> None:
     byte-stable across platforms and reruns.
     """
     path = Path(path)
-    if format == "csv":
-        try:
-            handle = path.open("w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-        with handle:
-            writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for row in report.rows:
-                writer.writerow(_row_record(row))
-    elif format == "json":
-        doc = {
-            "schema_version": JSON_SCHEMA_VERSION,
-            "tool_version": report.tool_version,
-            "master_seed": report.master_seed,
-            "timestamp": report.timestamp,
-            "rows": [_row_record(row) for row in report.rows],
-        }
-        try:
-            path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-    else:
+    if format not in ("csv", "json"):
         raise ValueError(f"unknown report format {format!r}; expected csv or json")
+    records = [_row_record(row) for row in report.rows]
+    try:
+        if format == "csv":
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
+                writer.writeheader()
+                writer.writerows(records)
+        else:
+            doc = {
+                "schema_version": JSON_SCHEMA_VERSION,
+                "tool_version": report.tool_version,
+                "master_seed": report.master_seed,
+                "timestamp": report.timestamp,
+                "rows": records,
+            }
+            path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 def read_report(path) -> SweepReport:
@@ -223,20 +200,7 @@ def read_report(path) -> SweepReport:
     if doc.get("schema_version") != JSON_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     rows = tuple(
-        SweepRow(
-            n=int(r["n"]),
-            error_fraction=float(r["error_fraction"]),
-            noise_rate=float(r["noise_rate"]),
-            mode=r["mode"],
-            trials=int(r["trials"]),
-            statistic_mean=float(r["statistic_mean"]),
-            ci_low=float(r["ci_low"]),
-            ci_high=float(r["ci_high"]),
-            decide_bit0=int(r["decide_bit0"]),
-            decide_bit1=int(r["decide_bit1"]),
-            ambiguous=int(r["ambiguous"]),
-            cheat_suspected=int(r["cheat_suspected"]),
-        )
+        SweepRow(**{name: kind(r[name]) for name, kind in _COLUMN_TYPES.items()})
         for r in doc["rows"]
     )
     return SweepReport(

@@ -37,7 +37,6 @@ import numpy as np
 from . import rng as streams
 from .channel import (
     PreparedSequence,
-    as_basis_array,
     as_bit_array,
     prepare_random_sequence,
     transmit_and_measure,
@@ -67,7 +66,7 @@ class MeasurementRecord:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", as_basis_array(self.bases))
+        object.__setattr__(self, "bases", as_bit_array(self.bases))
         object.__setattr__(self, "outcomes", as_bit_array(self.outcomes))
         if len(self.bases) != len(self.outcomes):
             raise ValueError(
@@ -131,7 +130,7 @@ class Unveil:
     bases: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", as_basis_array(self.bases))
+        object.__setattr__(self, "bases", as_bit_array(self.bases))
         self.bases.setflags(write=False)
 
     def __len__(self) -> int:
@@ -310,60 +309,20 @@ def unveil(record: MeasurementRecord) -> Unveil:
     return Unveil(bases=record.bases.copy())
 
 
-def sift(bob_bases, alice_bases) -> np.ndarray:
-    """Indices where preparation and measurement bases agree."""
-    bob_bases = as_basis_array(bob_bases)
-    alice_bases = as_basis_array(alice_bases)
-    if len(bob_bases) != len(alice_bases):
-        raise ValueError(
-            f"basis list lengths differ: {len(bob_bases)} != {len(alice_bases)}"
-        )
-    return np.flatnonzero(bob_bases == alice_bases)
-
-
-def alignment_scores(sent_bits, commitment: Commitment, sift_set) -> AlignmentScore:
-    """Count sifted matches under the direct and the reversed pairing.
-
-    Direct pairs revealed[i] with sent[i]; reverse pairs revealed[n-1-i]
-    with sent[i].  (Reversing the sent bits instead gives identical counts:
-    the pairs are the same, enumerated backwards.)
-    """
-    sent_bits = as_bit_array(sent_bits)
-    n = len(sent_bits)
-    if len(commitment) != n:
-        raise ValueError(
-            f"commitment length {len(commitment)} != sent length {n}"
-        )
-    idx = np.asarray(sift_set, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError("sift index out of range")
-    revealed = commitment.revealed
-    direct = int(np.count_nonzero(revealed[idx] == sent_bits[idx]))
-    reverse = int(np.count_nonzero(revealed[n - 1 - idx] == sent_bits[idx]))
-    return AlignmentScore(
-        sift_size=int(idx.size), direct_matches=direct, reverse_matches=reverse
-    )
-
-
 #: Absorbs float representation error in rate comparisons at exact rule
 #: boundaries (e.g. 60/100 - 50/100 vs a 0.10 threshold); far below the
 #: 1/sift_size rate granularity of any feasible session.
 _RATE_EPS = 1e-12
 
 
-def decode(score: AlignmentScore, policy: DecisionPolicy) -> Decision:
-    """Turn sifted match rates into a verdict.
+def decide(s: int, direct: int, reverse: int, policy: DecisionPolicy) -> Decision:
+    """Turn sifted match counts (sift size, direct, reverse) into a verdict.
 
     Order matters: the sift-size guard first, then the plausibility floor
     (neither pairing looks honest -> cheating suspected), then the
     separation test between the two rates.  Rates exactly at a threshold
     count as meeting it.
     """
-    return decide(score.sift_size, score.direct_matches, score.reverse_matches, policy)
-
-
-def decide(s: int, direct: int, reverse: int, policy: DecisionPolicy) -> Decision:
-    """``decode`` on plain counts: sift size, direct and reverse matches."""
     if s == 0 or s < policy.min_sift:
         return Decision.AMBIGUOUS
     d = direct / s
@@ -430,10 +389,25 @@ def score_and_decide(
     unveiled: Unveil,
     policy: DecisionPolicy,
 ) -> tuple[AlignmentScore, Decision]:
-    """The receiver's post-unveil work: sift, score, decode."""
-    sift_set = sift(seq.bases, unveiled.bases)
-    score = alignment_scores(seq.bits, commitment, sift_set)
-    return score, decode(score, policy)
+    """The receiver's post-unveil work: sift, score, decide.
+
+    The sift is the positions where preparation and unveiled bases agree.
+    On it, direct pairs revealed[i] with sent[i] and reverse pairs
+    revealed[n-1-i] with sent[i].  (Reversing the sent bits instead gives
+    identical counts: the pairs are the same, enumerated backwards.)
+    """
+    n = len(seq)
+    if len(unveiled) != n:
+        raise ValueError(f"basis list lengths differ: {n} != {len(unveiled)}")
+    if len(commitment) != n:
+        raise ValueError(f"commitment length {len(commitment)} != sent length {n}")
+    sifted = seq.bases == unveiled.bases
+    revealed = commitment.revealed
+    s = int(np.count_nonzero(sifted))
+    direct = int(np.count_nonzero(sifted & (revealed == seq.bits)))
+    reverse = int(np.count_nonzero(sifted & (revealed[::-1] == seq.bits)))
+    score = AlignmentScore(sift_size=s, direct_matches=direct, reverse_matches=reverse)
+    return score, decide(s, direct, reverse, policy)
 
 
 def run_honest_session(config: SessionConfig) -> TrialReport:

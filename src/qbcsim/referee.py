@@ -43,6 +43,7 @@ from .protocol import (
     Commitment,
     Decision,
     DecisionPolicy,
+    SessionConfig,
     Unveil,
     choose_random_bases,
     commit,
@@ -51,6 +52,7 @@ from .protocol import (
     score_and_decide,
 )
 from .wire import (
+    SESSION_SCRIPT,
     SessionTranscript,
     WireProtocolError,
     decision_message,
@@ -66,6 +68,9 @@ from .wire import (
 )
 
 DEFAULT_TRANSCRIPT = "referee-transcript.jsonl"
+
+#: Session steps whose payload must have one entry per photon.
+_SIZED_PAYLOADS = {"measure": "bases", "commit": "bits", "unveil": "bases"}
 
 
 def parse_address(addr: str) -> tuple[str, int]:
@@ -138,16 +143,20 @@ class _RefereeSession:
     """State machine for exactly one commitment session."""
 
     def __init__(self, seed: int, noise_rate: float):
+        if not 0.0 <= noise_rate <= 1.0:
+            raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
         self.seed = seed
         self.noise_rate = noise_rate
         self.transcript = SessionTranscript()
         self.parties: dict[str, _Conn] = {}
         self.prepared: PreparedSequence | None = None
-        self.outcomes_sent = False
-        self.commit_relayed = False
-        self.unveil_relayed = False
-        self.decision_relayed = False
+        self.step = 0  # index into SESSION_SCRIPT of the next expected message
         self.violated = False
+
+    @property
+    def finished(self) -> bool:
+        """True once the decision has been relayed."""
+        return self.step == len(SESSION_SCRIPT)
 
     # -- transcript helpers -------------------------------------------------
 
@@ -158,9 +167,16 @@ class _RefereeSession:
         self.transcript.record(f"referee->{recipient}", msg)
         conn.send(msg)
 
-    def _violation(self, conn: _Conn, sender: str, reason: str) -> None:
+    def violation(self, conn: _Conn, sender: str, reason: str) -> None:
         self.violated = True
         self._send(conn, sender, error_message(reason))
+
+    def reject(self, conn: _Conn, reason: str) -> None:
+        """Turn away a connection that is not a party; the session goes on."""
+        reply = error_message(reason)
+        self.transcript.record("referee->unknown", reply)
+        conn.send(reply)
+        conn.close()
 
     # -- message handling ---------------------------------------------------
 
@@ -168,9 +184,7 @@ class _RefereeSession:
         role = msg["role"]
         if role not in ("alice", "bob") or role in self.parties:
             self._record_in("unknown", msg)
-            self.transcript.record("referee->unknown", error_message(f"role {role!r} rejected"))
-            conn.send(error_message(f"role {role!r} rejected"))
-            conn.close()
+            self.reject(conn, f"role {role!r} rejected")
             return
         conn.role = role
         self.parties[role] = conn
@@ -190,10 +204,21 @@ class _RefereeSession:
             self.violated = True
             return True
 
-        if sender == "bob" and mtype == "prepare":
-            if self.prepared is not None:
-                self._violation(conn, sender, "out-of-order: duplicate prepare")
-                return True
+        expected = None if self.finished else SESSION_SCRIPT[self.step]
+        if (sender, mtype) != expected:
+            want = "{1} from {0}".format(*expected) if expected else "nothing"
+            self.violation(
+                conn, sender, f"out-of-order: expected {want}, got {mtype} from {sender}"
+            )
+            return True
+        field = _SIZED_PAYLOADS.get(mtype)
+        if field and len(msg[field]) != len(self.prepared):
+            self.violation(conn, sender, f"size mismatch: {len(msg[field])} {field} "
+                                         f"for {len(self.prepared)} photons")
+            return True
+        self.step += 1
+
+        if mtype == "prepare":
             states = msg["states"]
             self.prepared = PreparedSequence(
                 bases=[s["basis"] for s in states], bits=[s["bit"] for s in states]
@@ -201,64 +226,19 @@ class _RefereeSession:
             alice = self.parties.get("alice")
             if alice is not None:
                 self._send(alice, "alice", hello_message("referee"))
-            return False
-
-        if sender == "alice" and mtype == "measure":
-            if self.prepared is None:
-                self._violation(conn, sender, "out-of-order: measure before prepare")
-                return True
-            if self.outcomes_sent:
-                self._violation(conn, sender, "out-of-order: duplicate measure")
-                return True
-            bases = msg["bases"]
-            if len(bases) != len(self.prepared):
-                self._violation(
-                    conn, sender,
-                    f"size mismatch: {len(bases)} bases for {len(self.prepared)} photons",
-                )
-                return True
+        elif mtype == "measure":
             outcomes = transmit_and_measure(
                 self.prepared,
-                np.asarray(bases, dtype=np.uint8),
+                np.asarray(msg["bases"], dtype=np.uint8),
                 self.noise_rate,
                 streams.substream(self.seed, streams.MEASURE),
             )
             self._send(conn, "alice", outcomes_message(outcomes))
-            self.outcomes_sent = True
-            return False
-
-        if sender == "alice" and mtype == "commit":
-            if not self.outcomes_sent or self.commit_relayed:
-                self._violation(conn, sender, "out-of-order: commit")
-                return True
-            if len(msg["bits"]) != len(self.prepared):
-                self._violation(conn, sender, "size mismatch: commit length")
-                return True
-            self._send(self.parties["bob"], "bob", msg)
-            self.commit_relayed = True
-            return False
-
-        if sender == "alice" and mtype == "unveil":
-            if not self.commit_relayed or self.unveil_relayed:
-                self._violation(conn, sender, "out-of-order: unveil")
-                return True
-            if len(msg["bases"]) != len(self.prepared):
-                self._violation(conn, sender, "size mismatch: unveil length")
-                return True
-            self._send(self.parties["bob"], "bob", msg)
-            self.unveil_relayed = True
-            return False
-
-        if sender == "bob" and mtype == "decision":
-            if not self.unveil_relayed:
-                self._violation(conn, sender, "out-of-order: decision")
-                return True
-            self._send(self.parties["alice"], "alice", msg)
-            self.decision_relayed = True
-            return True
-
-        self._violation(conn, sender, f"out-of-order: unexpected {mtype} from {sender}")
-        return True
+            self.step += 1
+        else:  # commit and unveil go to bob, the decision to alice
+            recipient = "alice" if sender == "bob" else "bob"
+            self._send(self.parties[recipient], recipient, msg)
+        return self.finished
 
 
 def referee_serve(
@@ -273,7 +253,8 @@ def referee_serve(
 
     Returns the transcript (also written to ``transcript_path`` when
     given).  The call ends when the decision has been relayed, a protocol
-    violation occurred, or the timeout expired.
+    violation occurred, or the timeout expired.  A bad address or noise
+    rate raises ``ValueError`` before the port is bound.
     """
     host, port = parse_address(listen)
     session = _RefereeSession(seed, noise_rate)
@@ -298,6 +279,7 @@ def referee_serve(
             except OSError:
                 return
             sock.settimeout(timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             events.put(("accept", sock, None))
 
     acceptor = threading.Thread(target=accept_loop, daemon=True)
@@ -330,7 +312,7 @@ def referee_serve(
             if conn is None or not conn.open:
                 continue
             if kind == "eof":
-                if conn.role in session.parties and not session.decision_relayed:
+                if conn.role in session.parties and not session.finished:
                     session.violated = True
                     session.transcript.record(
                         f"{conn.role}->referee",
@@ -342,27 +324,16 @@ def referee_serve(
             try:
                 msg = parse_message(payload)
             except WireProtocolError as exc:
-                reply = error_message(f"bad message: {exc}")
                 if conn.role is None:
-                    # Not a session participant yet: reject the connection
-                    # without aborting the session.
-                    session.transcript.record("referee->unknown", reply)
-                    conn.send(reply)
-                    conn.close()
+                    session.reject(conn, f"bad message: {exc}")
                     continue
-                session.violated = True
-                session.transcript.record(f"referee->{conn.role}", reply)
-                conn.send(reply)
+                session.violation(conn, conn.role, f"bad message: {exc}")
                 done = True
                 continue
 
             if conn.role is None:
                 if msg["type"] != "hello":
-                    session.transcript.record(
-                        "referee->unknown", error_message("expected hello first")
-                    )
-                    conn.send(error_message("expected hello first"))
-                    conn.close()
+                    session.reject(conn, "expected hello first")
                     continue
                 session.handle_hello(conn, msg)
                 if len(session.parties) == 2:
@@ -401,6 +372,9 @@ class _PartyLink:
         except OSError as exc:
             raise PartyError(f"connection to {addr} refused or failed: {exc}") from exc
         self.sock.settimeout(timeout)
+        # Messages are small and sent back to back: without this, each waits
+        # on the peer's delayed ACK.
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self.sock.makefile("r", encoding="utf-8", newline="\n")
 
     def send(self, msg: dict) -> None:
@@ -489,6 +463,8 @@ def party_run(
         raise ValueError(f"role must be alice or bob, got {role!r}")
     link = None
     try:
+        # Bad parameters fail here, before any connection is made.
+        SessionConfig(n=n, committed_bit=bit, error_fraction=error_fraction)
         link = _PartyLink(connect, timeout)
         if role == "alice":
             return _run_alice(link, n, bit, error_fraction, seed)

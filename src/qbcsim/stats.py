@@ -20,10 +20,6 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-import numpy as np
-
-from .channel import as_bit_array
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -54,17 +50,6 @@ def expected_sifted_correlation(error_fraction: float) -> float:
     """Expected correct-pairing agreement on sifted positions: 1 - e/2."""
     _check_fraction(error_fraction)
     return 1.0 - 0.5 * error_fraction
-
-
-def correlation(a, b) -> float:
-    """Match fraction between two equal-length, nonempty bit sequences."""
-    a = as_bit_array(a)
-    b = as_bit_array(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    if len(a) == 0:
-        raise ValueError("correlation of empty sequences is undefined")
-    return float(np.count_nonzero(a == b)) / len(a)
 
 
 def binomial_ci(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:

@@ -40,8 +40,19 @@ MESSAGE_TYPES = (
 
 ROLES = ("alice", "bob", "referee")
 
+#: The session-content steps, as (sender, message type), in the only order
+#: the referee accepts them (hello handshakes and errors are not steps).
+SESSION_SCRIPT = (
+    ("bob", "prepare"),
+    ("alice", "measure"),
+    ("referee", "outcomes"),
+    ("alice", "commit"),
+    ("alice", "unveil"),
+    ("bob", "decision"),
+)
+
 #: Required protocol order of the session-content message types.
-PROTOCOL_ORDER = ("prepare", "measure", "outcomes", "commit", "unveil", "decision")
+PROTOCOL_ORDER = tuple(mtype for _sender, mtype in SESSION_SCRIPT)
 
 
 class WireProtocolError(Exception):
@@ -53,13 +64,10 @@ def _require(condition: bool, message: str) -> None:
         raise WireProtocolError(message)
 
 
-def _check_code_list(values, what: str) -> list[int]:
+def _check_code_list(values, what: str) -> None:
     _require(isinstance(values, list), f"{what} must be a list")
-    out = []
-    for v in values:
-        _require(isinstance(v, int) and v in (0, 1), f"{what} entries must be 0 or 1")
-        out.append(v)
-    return out
+    _require(all(isinstance(v, int) and v in (0, 1) for v in values),
+             f"{what} entries must be 0 or 1")
 
 
 def validate_message(msg: dict) -> dict:
@@ -179,12 +187,18 @@ class SessionTranscript:
         return any(e.message.get("type") == "error" for e in self.entries)
 
     def check_ordering(self) -> bool:
-        """Session-content messages must appear in protocol order."""
+        """Session-content messages must appear in protocol order.
+
+        A message the referee refused, answering its sender at once with an
+        error, never entered the session and is not ranked.
+        """
         rank = {name: i for i, name in enumerate(PROTOCOL_ORDER)}
         last = -1
-        for entry in self.entries:
+        for entry, reply in zip(self.entries, self.entries[1:] + [None]):
             r = rank.get(entry.message.get("type"))
-            if r is None:
+            refused = reply is not None and reply.message.get("type") == "error" \
+                and reply.direction == f"referee->{entry.sender}"
+            if r is None or refused:
                 continue
             if r < last:
                 return False

@@ -13,21 +13,22 @@ import numpy as np
 from qbcsim import rng as streams
 from qbcsim.adversary import (
     RebindStrategy,
-    estimate_preunveil_success,
+    count_preunveil_hits,
     evaluate_binding,
 )
-from qbcsim.channel import Basis, PhotonState, measure_photon
+from qbcsim.channel import Basis, PhotonState, PreparedSequence, measure_photon
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
 from qbcsim.protocol import (
     Commitment,
+    DecisionPolicy,
     SessionConfig,
-    alignment_scores,
+    Unveil,
     commit,
     inject_errors,
     raw_correlations,
     run_commit_phase,
     run_honest_session,
-    sift,
+    score_and_decide,
 )
 from qbcsim.referee import party_run, referee_serve
 from qbcsim.stats import decode_error_bound
@@ -124,9 +125,9 @@ def test_criterion_06_concealment_breach():
     rates = {}
     for n in (16, 64, 256):
         for e in (0.0, 0.5):
-            rates[(n, e)] = estimate_preunveil_success(
+            rates[(n, e)] = count_preunveil_hits(
                 n, e, trials, streams.derive_seed(MASTER, "preunveil", n, e)
-            )
+            ) / trials
     above = all(rate > threshold for rate in rates.values())
     monotone = all(
         rates[(16, e)] <= rates[(64, e)] + sigma2 <= rates[(256, e)] + 2 * sigma2
@@ -273,8 +274,11 @@ def test_criterion_11_sweep_determinism(tmp_path):
 
 def test_sanity_sift_commit_helpers_used_by_criteria():
     # keep the acceptance module self-checking about its own imports
-    assert len(sift([0, 1], [0, 0])) == 1
+    score, _ = score_and_decide(
+        PreparedSequence(bases=[0, 1], bits=[1, 1]), Commitment(revealed=[1, 0]),
+        Unveil(bases=[0, 0]), DecisionPolicy(),
+    )
+    assert (score.sift_size, score.direct_matches) == (1, 1)
     assert commit([1, 0], 1).revealed.tolist() == [0, 1]
-    assert alignment_scores([1], Commitment(revealed=[1]), [0]).direct_matches == 1
     masked, mask = inject_errors([0, 0, 0, 0], 0.5, streams.substream(1, "e"))
     assert len(mask) == 2 and len(masked) == 4

@@ -13,7 +13,7 @@ from qbcsim.adversary import (
     RebindStrategy,
     alice_rebind_attack,
     bob_preunveil_guess,
-    estimate_preunveil_success,
+    count_preunveil_hits,
     evaluate_binding,
 )
 from qbcsim.protocol import (
@@ -107,14 +107,14 @@ def test_guess_rejects_length_mismatch():
 
 
 def test_preunveil_success_baseline_at_n_zero():
-    rate = estimate_preunveil_success(0, 0.0, 2000, seed=72)
+    rate = count_preunveil_hits(0, 0.0, 2000, seed=72) / 2000
     assert abs(rate - 0.5) < 3 * np.sqrt(0.25 / 2000)
 
 
 def test_preunveil_success_matches_independent_oracle():
     # Implementation and oracle use unrelated seeds; at n=256, e=0 both
     # sit essentially at certainty.
-    ours = estimate_preunveil_success(256, 0.0, 10000, seed=73)
+    ours = count_preunveil_hits(256, 0.0, 10000, seed=73) / 10000
     oracle = _oracle_preunveil_success(256, 0.0, 10000, np.random.default_rng(9090))
     assert ours > 0.99
     pooled = (ours + oracle) / 2
@@ -123,7 +123,7 @@ def test_preunveil_success_matches_independent_oracle():
 
 
 def test_preunveil_success_matches_oracle_at_half_errors():
-    ours = estimate_preunveil_success(256, 0.5, 10000, seed=74)
+    ours = count_preunveil_hits(256, 0.5, 10000, seed=74) / 10000
     oracle = _oracle_preunveil_success(256, 0.5, 10000, np.random.default_rng(9191))
     pooled = (ours + oracle) / 2
     sigma = np.sqrt(pooled * (1 - pooled) * 2 / 10000)
@@ -133,7 +133,7 @@ def test_preunveil_success_matches_oracle_at_half_errors():
 def test_preunveil_success_monotone_in_n():
     trials = 4000
     rates = [
-        estimate_preunveil_success(n, 0.5, trials, seed=75) for n in (16, 64, 256)
+        count_preunveil_hits(n, 0.5, trials, seed=75) / trials for n in (16, 64, 256)
     ]
     slack = 2 * np.sqrt(0.25 / trials)
     assert rates[0] <= rates[1] + slack

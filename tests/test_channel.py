@@ -1,4 +1,4 @@
-"""Channel laws: the four-state table, conjugate uniformity, noise knob."""
+"""Channel laws: matching-basis determinism, conjugate uniformity, noise knob."""
 
 import numpy as np
 import pytest
@@ -7,35 +7,10 @@ from qbcsim import rng as streams
 from qbcsim.channel import (
     Basis,
     PhotonState,
-    POLARIZATION_DEGREES,
-    flip_bit,
     measure_photon,
     prepare_random_sequence,
     transmit_and_measure,
 )
-
-
-def test_polarization_table_is_the_canonical_bijection():
-    assert POLARIZATION_DEGREES == {
-        (Basis.RECTILINEAR, 0): 0,
-        (Basis.RECTILINEAR, 1): 90,
-        (Basis.DIAGONAL, 0): 45,
-        (Basis.DIAGONAL, 1): 135,
-    }
-    angles = [PhotonState(b, v).angle_degrees for b in Basis for v in (0, 1)]
-    assert sorted(angles) == [0, 45, 90, 135]
-
-
-def test_basis_negation_is_total_and_involutive():
-    assert Basis.RECTILINEAR.other is Basis.DIAGONAL
-    assert Basis.DIAGONAL.other is Basis.RECTILINEAR
-    for b in Basis:
-        assert b.other.other is b
-
-
-def test_bit_flip_involution():
-    assert flip_bit(0) == 1 and flip_bit(1) == 0
-    assert flip_bit(flip_bit(0)) == 0
 
 
 def test_matching_basis_is_deterministic_exhaustively():

@@ -152,8 +152,9 @@ def test_json_round_trip_is_structurally_equal(tmp_path):
 def test_unwritable_path_error_names_the_path(tmp_path):
     report = run_sweep(_honest_spec(n_values=(16,)))
     bogus = tmp_path / "no-such-dir" / "r.csv"
-    with pytest.raises(OSError, match="no-such-dir"):
-        write_report(report, "csv", bogus)
+    for format in ("csv", "json"):
+        with pytest.raises(OSError, match="no-such-dir"):
+            write_report(report, format, bogus)
     with pytest.raises(ValueError, match="format"):
         write_report(report, "xml", tmp_path / "r.xml")
 

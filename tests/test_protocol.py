@@ -1,4 +1,4 @@
-"""Protocol operations: order encoding, sifting, scoring, decoding."""
+"""Protocol operations: order encoding, sifting, scoring, deciding."""
 
 from itertools import combinations, product
 
@@ -8,22 +8,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbcsim import rng as streams
+from qbcsim.channel import PreparedSequence
 from qbcsim.protocol import (
-    AlignmentScore,
     Commitment,
     Decision,
     DecisionPolicy,
     ErrorMask,
     MeasurementRecord,
     SessionConfig,
-    alignment_scores,
+    Unveil,
     choose_random_bases,
     commit,
-    decode,
+    decide,
     inject_errors,
     raw_correlations,
     run_honest_session,
-    sift,
+    score_and_decide,
     unveil,
 )
 
@@ -140,19 +140,42 @@ def test_unveil_is_always_direct_order():
     assert unveil(record).bases.tolist() == [1, 1, 0]
 
 
-# -- sifting -----------------------------------------------------------------
+# -- sifting and scoring (score_and_decide) ------------------------------------
+
+def _score(sent_bases, sent_bits, revealed, unveiled_bases):
+    """(sift size, direct matches, reverse matches) of one receiver's score."""
+    score, _decision = score_and_decide(
+        PreparedSequence(bases=sent_bases, bits=sent_bits),
+        Commitment(revealed=revealed),
+        Unveil(bases=unveiled_bases),
+        DecisionPolicy(),
+    )
+    return score.sift_size, score.direct_matches, score.reverse_matches
+
+
+def _unveiling(sent_bases, sift_set):
+    """Unveiled bases that agree with the sent ones exactly on ``sift_set``:
+    any subset of positions can be made the sift this way."""
+    return [b if i in sift_set else 1 - b for i, b in enumerate(sent_bases)]
+
 
 def test_sift_examples():
-    assert sift([0, 1, 0], [0, 0, 0]).tolist() == [0, 2]
-    assert sift([1] * 5, [1] * 5).tolist() == [0, 1, 2, 3, 4]
+    # Sift {0, 2}: all sent bits 1, revealed [1, 0, 0] -> 1 direct match
+    # (position 0), reverse pairs revealed[2 - i]: positions 0 and 2 see 0, 1.
+    assert _score([0, 1, 0], [1, 1, 1], [1, 0, 0], [0, 0, 0]) == (2, 1, 1)
+    assert _score([1] * 5, [0] * 5, [0] * 5, [1] * 5) == (5, 5, 5)
     with pytest.raises(ValueError, match="length"):
-        sift([0, 1], [0])
+        _score([0, 1], [0, 0], [0, 0], [0])
+    with pytest.raises(ValueError, match="length"):
+        _score([0, 1], [0, 0], [0], [0, 1])
 
 
 def test_sift_size_is_binomial_half():
-    bob = choose_random_bases(100000, streams.substream(5, "bob"))
-    alice = choose_random_bases(100000, streams.substream(5, "alice"))
-    assert abs(len(sift(bob, alice)) - 50000) <= 500
+    n = 100000
+    bob = choose_random_bases(n, streams.substream(5, "bob"))
+    alice = choose_random_bases(n, streams.substream(5, "alice"))
+    size, _direct, _reverse = _score(bob, np.zeros(n), np.zeros(n), alice)
+    assert abs(size - 50000) <= 500
 
 
 @given(
@@ -160,12 +183,12 @@ def test_sift_size_is_binomial_half():
     data=st.data(),
 )
 def test_sift_matches_brute_force(bob, data):
-    alice = data.draw(st.lists(st.integers(0, 1), min_size=len(bob), max_size=len(bob)))
-    expected = {i for i in range(len(bob)) if bob[i] == alice[i]}
-    assert set(sift(bob, alice).tolist()) == expected
+    n = len(bob)
+    equal_length = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    alice, sent, revealed = (data.draw(equal_length) for _ in range(3))
+    sift_set = {i for i in range(n) if bob[i] == alice[i]}
+    assert _score(bob, sent, revealed, alice) == _brute_force_scores(sent, revealed, sift_set)
 
-
-# -- alignment scoring -------------------------------------------------------
 
 def _brute_force_scores(sent, revealed, sift_set):
     n = len(sent)
@@ -175,22 +198,23 @@ def _brute_force_scores(sent, revealed, sift_set):
 
 
 def test_alignment_exhaustive_small_cases_and_reversal_symmetry():
-    # For every n <= 6, every sent/revealed pair and every sift subset:
-    # the implementation matches brute force, and reversing the receiver's
-    # bits instead of the committer's gives the identical count.
-    for n in range(0, 7):
+    # For every n <= 4, every sent/revealed pair and every sift subset
+    # (reached through the unveiled bases): the score matches brute force,
+    # and reversing the receiver's bits instead of the committer's gives
+    # the identical count.
+    for n in range(0, 5):
         positions = list(range(n))
+        sent_bases = [i % 2 for i in positions]
         for sent in product((0, 1), repeat=n):
             for revealed in product((0, 1), repeat=n):
-                commitment = Commitment(revealed=list(revealed))
                 for k in range(n + 1):
                     for subset in combinations(positions, k):
-                        score = alignment_scores(list(sent), commitment, list(subset))
-                        size, direct, reverse = _brute_force_scores(
+                        size, direct, reverse = _score(
+                            sent_bases, sent, revealed, _unveiling(sent_bases, subset)
+                        )
+                        assert (size, direct, reverse) == _brute_force_scores(
                             sent, revealed, subset
                         )
-                        assert (score.sift_size, score.direct_matches,
-                                score.reverse_matches) == (size, direct, reverse)
                         # reverse the other sequence: pair sent[n-1-i] with
                         # revealed[i], anchored on the mirrored sift set
                         mirrored = [n - 1 - i for i in subset]
@@ -198,30 +222,23 @@ def test_alignment_exhaustive_small_cases_and_reversal_symmetry():
                             1 for i in mirrored if revealed[i] == sent[n - 1 - i]
                         )
                         assert other_way == reverse
-        if n >= 4:  # keep the cross product tractable
-            break
     # n in {5, 6}: spot-check with random subsets instead of all of them
     rng = np.random.default_rng(77)
     for n in (5, 6):
         for _ in range(300):
+            sent_bases = rng.integers(0, 2, n)
             sent = rng.integers(0, 2, n)
             revealed = rng.integers(0, 2, n)
             k = int(rng.integers(0, n + 1))
-            subset = np.sort(rng.choice(n, size=k, replace=False))
-            commitment = Commitment(revealed=revealed)
-            score = alignment_scores(sent, commitment, subset)
-            assert (score.sift_size, score.direct_matches, score.reverse_matches) == \
-                _brute_force_scores(sent.tolist(), revealed.tolist(), subset.tolist())
+            subset = set(rng.choice(n, size=k, replace=False).tolist())
+            size, direct, reverse = _score(
+                sent_bases, sent, revealed, _unveiling(sent_bases.tolist(), subset)
+            )
+            assert (size, direct, reverse) == \
+                _brute_force_scores(sent.tolist(), revealed.tolist(), subset)
             mirrored = [n - 1 - i for i in subset]
             other_way = sum(1 for i in mirrored if revealed[i] == sent[n - 1 - i])
-            assert other_way == score.reverse_matches
-
-
-def test_alignment_rejects_out_of_range_indices():
-    with pytest.raises(ValueError):
-        alignment_scores([0, 1], Commitment(revealed=[0, 1]), [2])
-    with pytest.raises(ValueError, match="length"):
-        alignment_scores([0, 1], Commitment(revealed=[0]), [0])
+            assert other_way == reverse
 
 
 def test_honest_alignment_exactness_both_bits():
@@ -244,29 +261,29 @@ def test_honest_wrong_alignment_is_uninformative():
 def test_decode_rule_table():
     defaults = DecisionPolicy()
     cases = [
-        (AlignmentScore(100, 100, 50), Decision.BIT0),
-        (AlignmentScore(100, 50, 100), Decision.BIT1),
+        ((100, 100, 50), Decision.BIT0),
+        ((100, 50, 100), Decision.BIT1),
         # floor is checked before separation: max(0.52, 0.55) < 0.60
-        (AlignmentScore(100, 52, 55), Decision.CHEAT_SUSPECTED),
-        (AlignmentScore(100, 70, 65), Decision.AMBIGUOUS),
-        (AlignmentScore(4, 4, 0), Decision.AMBIGUOUS),  # below min_sift
-        (AlignmentScore(0, 0, 0), Decision.AMBIGUOUS),
+        ((100, 52, 55), Decision.CHEAT_SUSPECTED),
+        ((100, 70, 65), Decision.AMBIGUOUS),
+        ((4, 4, 0), Decision.AMBIGUOUS),  # below min_sift
+        ((0, 0, 0), Decision.AMBIGUOUS),
     ]
-    for score, expected in cases:
-        assert decode(score, defaults) is expected
+    for (s, direct, reverse), expected in cases:
+        assert decide(s, direct, reverse, defaults) is expected
 
 
 def test_decode_exact_threshold_edges():
     policy = DecisionPolicy(separation_delta=0.10, plausibility_floor=0.60, min_sift=8)
     # exactly at the floor: not below it
-    assert decode(AlignmentScore(100, 60, 50), policy) is Decision.BIT0
+    assert decide(100, 60, 50, policy) is Decision.BIT0
     # exactly at the separation delta counts as separated
-    assert decode(AlignmentScore(100, 70, 60), policy) is Decision.BIT0
+    assert decide(100, 70, 60, policy) is Decision.BIT0
     # just inside the band
-    assert decode(AlignmentScore(1000, 700, 609), policy) is Decision.AMBIGUOUS
+    assert decide(1000, 700, 609, policy) is Decision.AMBIGUOUS
     # min_sift boundary: s == min_sift is allowed
-    assert decode(AlignmentScore(8, 8, 4), policy) is Decision.BIT0
-    assert decode(AlignmentScore(7, 7, 0), policy) is Decision.AMBIGUOUS
+    assert decide(8, 8, 4, policy) is Decision.BIT0
+    assert decide(7, 7, 0, policy) is Decision.AMBIGUOUS
 
 
 # -- raw correlations --------------------------------------------------------
@@ -351,10 +368,13 @@ def test_direct_reverse_symmetry_under_bit_swap():
 def test_middle_element_pairs_with_itself_for_odd_n():
     # For odd n the center index contributes identically to both counts,
     # which is why independence assertions use even n.
-    sent = [1, 0, 1]
-    commitment = Commitment(revealed=[0, 0, 0])
-    score = alignment_scores(sent, commitment, [1])
-    assert score.direct_matches == score.reverse_matches
+    sent_bases = [0, 0, 0]
+    for sent in product((0, 1), repeat=3):
+        for revealed in product((0, 1), repeat=3):
+            size, direct, reverse = _score(
+                sent_bases, sent, revealed, _unveiling(sent_bases, {1})
+            )
+            assert size == 1 and direct == reverse
 
 
 def test_trial_report_serialization_round_trip_fields():

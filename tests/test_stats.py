@@ -12,7 +12,6 @@ from qbcsim import rng as streams
 from qbcsim.protocol import SessionConfig, run_honest_session
 from qbcsim.stats import (
     binomial_ci,
-    correlation,
     decode_error_bound,
     expected_raw_correlation,
     expected_sifted_correlation,
@@ -72,23 +71,6 @@ def test_analytic_empirical_agreement_both_laws():
         s = report.alignment.sift_size
         sifted_bound = 3 * math.sqrt(0.25 / s) + 0.002
         assert abs(report.alignment.direct_rate - expected_sifted_correlation(e)) < sifted_bound
-
-
-# -- match-fraction estimator ------------------------------------------------
-
-def test_correlation_examples():
-    assert correlation([1, 0, 1, 1, 0], [1, 0, 1, 1, 0]) == 1.0
-    assert correlation([1, 0, 1], [0, 1, 0]) == 0.0
-    a = streams.substream(1, "a").integers(0, 2, size=100000)
-    b = streams.substream(1, "b").integers(0, 2, size=100000)
-    assert abs(correlation(a, b) - 0.5) < 0.01
-
-
-def test_correlation_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        correlation([], [])
-    with pytest.raises(ValueError):
-        correlation([0, 1], [0])
 
 
 # -- Wilson intervals ----------------------------------------------------------

@@ -8,14 +8,24 @@ import time
 import numpy as np
 import pytest
 
+from qbcsim.channel import PreparedSequence
 from qbcsim.protocol import Decision, SessionConfig, run_honest_session
-from qbcsim.referee import parse_address, party_run, referee_serve
+from qbcsim.referee import _RefereeSession, parse_address, party_run, referee_serve
 from qbcsim.wire import (
+    MESSAGE_TYPES,
+    SESSION_SCRIPT,
     SessionTranscript,
     WireProtocolError,
+    commit_message,
+    decision_message,
     encode_message,
+    error_message,
     hello_message,
+    measure_message,
+    outcomes_message,
     parse_message,
+    prepare_message,
+    unveil_message,
 )
 
 
@@ -84,6 +94,22 @@ def test_transcript_ordering_checker():
     assert not bad.check_ordering()
 
 
+def test_transcript_ordering_checker_skips_refused_messages():
+    # A measure the referee refused (its error reply follows at once) never
+    # entered the session; one it let through out of order still fails.
+    refused = SessionTranscript()
+    for mtype in ("prepare", "measure", "outcomes"):
+        refused.record("x->referee", {"type": mtype})
+    refused.record("alice->referee", {"type": "measure", "bases": []})
+    refused.record("referee->alice", error_message("out-of-order"))
+    assert refused.check_ordering()
+    accepted = SessionTranscript()
+    for direction, mtype in (("bob->referee", "prepare"), ("alice->referee", "measure"),
+                             ("referee->alice", "outcomes"), ("alice->referee", "measure")):
+        accepted.record(direction, {"type": mtype})
+    assert not accepted.check_ordering()
+
+
 def test_transcript_visibility_checker():
     leak = SessionTranscript()
     leak.record("referee->alice", {"type": "prepare", "states": []})
@@ -91,6 +117,116 @@ def test_transcript_visibility_checker():
     leak2 = SessionTranscript()
     leak2.record("referee->bob", {"type": "measure", "bases": []})
     assert not leak2.check_visibility()
+
+
+# -- the session script, without sockets -------------------------------------------
+
+class _FakeConn:
+    """Stands in for a referee-side connection; keeps what it is sent."""
+
+    def __init__(self):
+        self.role = None
+        self.open = True
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+    def close(self):
+        self.open = False
+
+
+def _wire_message(mtype, n=4):
+    return {
+        "hello": hello_message("alice"),
+        "prepare": prepare_message(PreparedSequence(bases=[0] * n, bits=[1] * n)),
+        "measure": measure_message([0] * n),
+        "outcomes": outcomes_message([1] * n),
+        "commit": commit_message([1] * n),
+        "unveil": unveil_message([0] * n),
+        "decision": decision_message("bit0"),
+        "error": error_message("gave up"),
+    }[mtype]
+
+
+def _session_at(step):
+    """A session with both parties registered, driven through the script
+    up to (not including) ``step``."""
+    session = _RefereeSession(seed=3, noise_rate=0.0)
+    conns = {"bob": _FakeConn(), "alice": _FakeConn()}
+    for role, conn in conns.items():
+        session.handle_hello(conn, hello_message(role))
+    for index, (sender, mtype) in enumerate(SESSION_SCRIPT[:step]):
+        if sender != "referee":
+            ended = session.handle_message(conns[sender], _wire_message(mtype))
+            assert ended == (index == len(SESSION_SCRIPT) - 1)
+    assert session.step == step and not session.violated
+    return session, conns
+
+
+def _errors(conns):
+    return [m for conn in conns.values() for m in conn.sent if m["type"] == "error"]
+
+
+def test_session_script_refuses_every_other_message_at_every_step():
+    # Every step a party may be waited on, plus the finished session.
+    steps = [i for i, (sender, _t) in enumerate(SESSION_SCRIPT) if sender != "referee"]
+    for step in steps + [len(SESSION_SCRIPT)]:
+        expected = SESSION_SCRIPT[step] if step < len(SESSION_SCRIPT) else None
+        for sender in ("alice", "bob"):
+            for mtype in MESSAGE_TYPES:
+                if (sender, mtype) == expected or mtype == "error":
+                    continue
+                session, conns = _session_at(step)
+                ended = session.handle_message(conns[sender], _wire_message(mtype))
+                errors = _errors(conns)
+                assert ended and session.violated, (step, sender, mtype)
+                assert len(errors) == 1 and conns[sender].sent[-1] is errors[0]
+                assert errors[0]["message"].startswith("out-of-order: expected ")
+                assert f"got {mtype} from {sender}" in errors[0]["message"]
+                assert session.transcript.check_ordering(), (step, sender, mtype)
+                assert session.transcript.check_visibility()
+
+
+def test_session_script_ends_quietly_on_a_party_error():
+    for step in (0, 1, 3, 4, 5):
+        for sender in ("alice", "bob"):
+            session, conns = _session_at(step)
+            assert session.handle_message(conns[sender], _wire_message("error"))
+            assert session.violated and _errors(conns) == []
+            assert session.transcript.check_ordering()
+
+
+def test_session_script_checks_every_sized_payload():
+    for step, field in ((1, "bases"), (3, "bits"), (4, "bases")):
+        session, conns = _session_at(step)
+        sender, mtype = SESSION_SCRIPT[step]
+        msg = _wire_message(mtype, n=3)
+        assert session.handle_message(conns[sender], msg)
+        (error,) = _errors(conns)
+        assert error["message"] == f"size mismatch: 3 {field} for 4 photons"
+
+
+def test_referee_rejects_a_bad_noise_rate_before_binding():
+    addr = f"127.0.0.1:{_free_port()}"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="noise_rate"):
+        referee_serve(addr, noise_rate=1.5, timeout=5.0)
+    assert time.perf_counter() - start < 1.0  # no session was waited for
+    with socket.socket() as probe:
+        probe.bind(parse_address(addr))
+
+
+def test_party_with_bad_parameters_exits_one_before_connecting():
+    addr = f"127.0.0.1:{_free_port()}"  # nobody listens here
+    for role, kwargs, cause in (
+        ("bob", dict(n=-1), "n must be"),
+        ("alice", dict(n=8, bit=2), "committed_bit"),
+        ("alice", dict(n=8, error_fraction=1.5), "error_fraction"),
+    ):
+        result = party_run(role, addr, timeout=2, **kwargs)
+        assert result.exit_code == 1
+        assert cause in result.diagnostic, result.diagnostic
 
 
 # -- live sessions ----------------------------------------------------------------
@@ -343,3 +479,28 @@ def test_alice_commit_message_masks_a_quarter_of_her_outcomes(tmp_path):
     distance = int(np.sum(outcomes != committed))
     sigma = (n / 8) ** 0.5  # Binomial(n/2, 1/2) changes
     assert abs(distance - n / 4) <= 4 * sigma
+
+
+def test_small_sessions_do_not_wait_on_delayed_acks():
+    # A session at n = 256 is about a millisecond of work; with Nagle's
+    # algorithm on, back-to-back small writes stall on delayed ACKs and
+    # every session takes 40 ms or more.
+    walls = []
+    for seed in (31, 32, 33):
+        results, outcomes = {}, {}
+        addr, ref_thread = _start_referee(results, seed=seed)
+        threads = [
+            threading.Thread(target=lambda: outcomes.setdefault(
+                "bob", party_run("bob", addr, n=256, seed=seed, timeout=10))),
+            threading.Thread(target=lambda: outcomes.setdefault(
+                "alice", party_run("alice", addr, n=256, bit=1, seed=seed, timeout=10))),
+        ]
+        start = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(15)
+        walls.append(time.perf_counter() - start)
+        ref_thread.join(15)
+        assert outcomes["bob"].exit_code == 0 and outcomes["alice"].exit_code == 0
+    assert min(walls) < 0.025, walls
