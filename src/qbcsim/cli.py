@@ -19,7 +19,7 @@ import sys
 
 from .adversary import RebindStrategy, count_preunveil_hits, evaluate_binding
 from .harness import SweepMode, SweepSpec, run_sweep, write_report
-from .protocol import DecisionPolicy, SessionConfig, run_honest_session
+from .protocol import ERROR_MODES, DecisionPolicy, SessionConfig, run_honest_session
 from .referee import DEFAULT_TRANSCRIPT, party_run, referee_serve
 from .stats import binomial_ci
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--error-fraction", type=float, default=0.0)
     sim.add_argument("--noise-rate", type=float, default=0.0)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--error-mode", choices=("randomize", "flip"),
+    sim.add_argument("--error-mode", choices=ERROR_MODES,
                      default="randomize")
     _add_policy_flags(sim)
     sim.add_argument("--output", choices=("json", "text"), default="text")
@@ -123,6 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     party.add_argument("--bit", type=int, choices=(0, 1), default=0)
     party.add_argument("--error-fraction", type=float, default=0.0)
     party.add_argument("--seed", type=int, default=0)
+    party.add_argument("--error-mode", choices=ERROR_MODES,
+                       default="randomize", help="alice's result masking")
+    _add_policy_flags(party)
     party.add_argument("--timeout", type=float, default=30.0)
 
     return parser
@@ -238,6 +241,8 @@ def _cmd_party(args: argparse.Namespace) -> int:
         bit=args.bit,
         error_fraction=args.error_fraction,
         seed=args.seed,
+        policy=_policy(args),
+        error_mode=args.error_mode,
         timeout=args.timeout,
     )
     if result.exit_code != 0:

@@ -17,12 +17,20 @@ Session sequence (hello handshakes first, then strict protocol order):
     alice -> referee   commit, unveil     (relayed to bob)
     bob   -> referee   decision           (relayed to alice)
 
+Every message is wire format 2 (``qbcsim.wire``): per-photon payloads are
+packed digit strings.  The referee builds the prepared photons from the
+sender's state codes, measures the committer's decoded bases, and relays
+commit and unveil unchanged; each party decodes what it receives.
+
 The referee acknowledges each hello with hello{role: "referee"}; the
 committer's acknowledgement is deferred until the photons are stored, so a
-well-behaved committer never races the sender.  Messages are still checked
-in arrival order: a measure that shows up before the photons exist is an
-ordering violation, the offender gets an error message, and the session
-aborts with both connections closed.
+well-behaved committer never races the sender.  A hello whose format is not
+``wire.FORMAT`` (a hello without one is format 1) is refused with an error
+that names both formats, and its connection is closed; so is a hello for an
+unknown or taken role.  Messages are still checked in arrival order: a
+measure that shows up before the photons exist is an ordering violation,
+the offender gets an error message, and the session aborts with both
+connections closed.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import rng as streams
 from .channel import PreparedSequence, prepare_random_sequence, transmit_and_measure
@@ -52,6 +58,8 @@ from .protocol import (
     score_and_decide,
 )
 from .wire import (
+    FORMAT,
+    PACKED_FIELDS,
     SESSION_SCRIPT,
     SessionTranscript,
     WireProtocolError,
@@ -63,14 +71,12 @@ from .wire import (
     outcomes_message,
     parse_message,
     prepare_message,
+    unpack_digits,
     unveil_message,
     commit_message,
 )
 
 DEFAULT_TRANSCRIPT = "referee-transcript.jsonl"
-
-#: Session steps whose payload must have one entry per photon.
-_SIZED_PAYLOADS = {"measure": "bases", "commit": "bits", "unveil": "bases"}
 
 
 def parse_address(addr: str) -> tuple[str, int]:
@@ -180,8 +186,42 @@ class _RefereeSession:
 
     # -- message handling ---------------------------------------------------
 
+    def receive(self, conn: _Conn, line: str) -> bool:
+        """Handle one line from a connection; returns True when the session ends."""
+        try:
+            msg = parse_message(line)
+        except WireProtocolError as exc:
+            if conn.role is None:
+                self.reject(conn, f"bad message: {exc}")
+                return False
+            self.violation(conn, conn.role, f"bad message: {exc}")
+            return True
+        if conn.role is not None:
+            return self.handle_message(conn, msg)
+        if msg["type"] != "hello":
+            self.reject(conn, "expected hello first")
+        else:
+            self.handle_hello(conn, msg)
+        return False
+
+    def hang_up(self, conn: _Conn) -> bool:
+        """A connection closed; returns True when that ends the session."""
+        if conn.role not in self.parties or self.finished:
+            return False
+        self.violated = True
+        self.transcript.record(
+            f"{conn.role}->referee", error_message("connection closed unexpectedly")
+        )
+        return True
+
     def handle_hello(self, conn: _Conn, msg: dict) -> None:
         role = msg["role"]
+        version = msg.get("format", 1)
+        if version != FORMAT:
+            self._record_in("unknown", msg)
+            self.reject(conn, f"wire format {version} not supported: "
+                              f"this referee speaks format {FORMAT}")
+            return
         if role not in ("alice", "bob") or role in self.parties:
             self._record_in("unknown", msg)
             self.reject(conn, f"role {role!r} rejected")
@@ -211,25 +251,24 @@ class _RefereeSession:
                 conn, sender, f"out-of-order: expected {want}, got {mtype} from {sender}"
             )
             return True
-        field = _SIZED_PAYLOADS.get(mtype)
-        if field and len(msg[field]) != len(self.prepared):
-            self.violation(conn, sender, f"size mismatch: {len(msg[field])} {field} "
-                                         f"for {len(self.prepared)} photons")
-            return True
+        if mtype in PACKED_FIELDS and mtype != "prepare":
+            field = PACKED_FIELDS[mtype][0]
+            if len(msg[field]) != len(self.prepared):
+                self.violation(conn, sender, f"size mismatch: {len(msg[field])} {field} "
+                                             f"for {len(self.prepared)} photons")
+                return True
         self.step += 1
 
         if mtype == "prepare":
-            states = msg["states"]
-            self.prepared = PreparedSequence(
-                bases=[s["basis"] for s in states], bits=[s["bit"] for s in states]
-            )
+            codes = unpack_digits(msg["codes"])
+            self.prepared = PreparedSequence(bases=codes >> 1, bits=codes & 1)
             alice = self.parties.get("alice")
             if alice is not None:
                 self._send(alice, "alice", hello_message("referee"))
         elif mtype == "measure":
             outcomes = transmit_and_measure(
                 self.prepared,
-                np.asarray(msg["bases"], dtype=np.uint8),
+                unpack_digits(msg["bases"]),
                 self.noise_rate,
                 streams.substream(self.seed, streams.MEASURE),
             )
@@ -312,35 +351,11 @@ def referee_serve(
             if conn is None or not conn.open:
                 continue
             if kind == "eof":
-                if conn.role in session.parties and not session.finished:
-                    session.violated = True
-                    session.transcript.record(
-                        f"{conn.role}->referee",
-                        error_message("connection closed unexpectedly"),
-                    )
-                    done = True
+                done = session.hang_up(conn)
                 continue
-
-            try:
-                msg = parse_message(payload)
-            except WireProtocolError as exc:
-                if conn.role is None:
-                    session.reject(conn, f"bad message: {exc}")
-                    continue
-                session.violation(conn, conn.role, f"bad message: {exc}")
-                done = True
-                continue
-
-            if conn.role is None:
-                if msg["type"] != "hello":
-                    session.reject(conn, "expected hello first")
-                    continue
-                session.handle_hello(conn, msg)
-                if len(session.parties) == 2:
-                    accepting.clear()
-                continue
-
-            done = session.handle_message(conn, msg)
+            done = session.receive(conn, payload)
+            if len(session.parties) == 2:
+                accepting.clear()
     finally:
         accepting.clear()
         # Wake the accept thread out of its poll so that the listener, and
@@ -404,34 +419,34 @@ class _PartyLink:
             pass
 
 
-def _run_alice(link: _PartyLink, n, bit, error_fraction, seed) -> PartyResult:
+def _run_alice(link: _PartyLink, config: SessionConfig) -> PartyResult:
+    n, seed = config.n, config.seed
     link.send(hello_message("alice"))
     link.recv("hello")  # channel ready: photons are stored
     bases = choose_random_bases(n, streams.substream(seed, streams.BASES))
     link.send(measure_message(bases))
-    outcomes = link.recv("outcomes")["bits"]
+    outcomes = unpack_digits(link.recv("outcomes")["bits"])
     if len(outcomes) != n:
         raise PartyError(f"expected {n} outcomes, got {len(outcomes)}")
     masked, _mask = inject_errors(
-        outcomes, error_fraction, streams.substream(seed, streams.ERROR)
+        outcomes, config.error_fraction, streams.substream(seed, streams.ERROR),
+        mode=config.error_mode,
     )
-    commitment = commit(masked, bit)
+    commitment = commit(masked, config.committed_bit)
     link.send(commit_message(commitment.revealed))
     link.send(unveil_message(bases))
     decided = link.recv("decision")["value"]
     return PartyResult(exit_code=0, decision=Decision(decided))
 
 
-def _run_bob(link: _PartyLink, n, seed, policy: DecisionPolicy) -> PartyResult:
+def _run_bob(link: _PartyLink, config: SessionConfig) -> PartyResult:
     link.send(hello_message("bob"))
     link.recv("hello")
-    seq = prepare_random_sequence(n, streams.substream(seed, streams.PREPARE))
+    seq = prepare_random_sequence(config.n, streams.substream(config.seed, streams.PREPARE))
     link.send(prepare_message(seq))
-    revealed = link.recv("commit")["bits"]
-    bases = link.recv("unveil")["bases"]
-    commitment = Commitment(revealed=revealed)
-    unveiled = Unveil(bases=bases)
-    score, decision = score_and_decide(seq, commitment, unveiled, policy)
+    commitment = Commitment(revealed=unpack_digits(link.recv("commit")["bits"]))
+    unveiled = Unveil(bases=unpack_digits(link.recv("unveil")["bases"]))
+    score, decision = score_and_decide(seq, commitment, unveiled, config.policy)
     raw_direct, raw_reverse = raw_correlations(seq.bits, commitment)
     link.send(decision_message(decision.value))
     return PartyResult(
@@ -452,23 +467,28 @@ def party_run(
     error_fraction: float = 0.0,
     seed: int = 0,
     policy: DecisionPolicy | None = None,
+    error_mode: str = "randomize",
     timeout: float = 30.0,
 ) -> PartyResult:
     """Run one party of a wire session; never raises on protocol failure.
 
-    The result's exit_code is 0 on a completed session and 1 on any
-    connection or protocol failure, with a diagnostic attached.
+    Alice uses ``bit``, ``error_fraction`` and ``error_mode``; Bob uses
+    ``policy``.  The result's exit_code is 0 on a completed session and 1
+    on any connection or protocol failure, with a diagnostic attached.
     """
     if role not in ("alice", "bob"):
         raise ValueError(f"role must be alice or bob, got {role!r}")
     link = None
     try:
         # Bad parameters fail here, before any connection is made.
-        SessionConfig(n=n, committed_bit=bit, error_fraction=error_fraction)
+        config = SessionConfig(
+            n=n, committed_bit=bit, error_fraction=error_fraction, seed=seed,
+            policy=policy or DecisionPolicy(), error_mode=error_mode,
+        )
         link = _PartyLink(connect, timeout)
         if role == "alice":
-            return _run_alice(link, n, bit, error_fraction, seed)
-        return _run_bob(link, n, seed, policy or DecisionPolicy())
+            return _run_alice(link, config)
+        return _run_bob(link, config)
     except (PartyError, WireProtocolError, ValueError, OSError) as exc:
         return PartyResult(exit_code=1, diagnostic=str(exc))
     finally:

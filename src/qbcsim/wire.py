@@ -1,19 +1,27 @@
-"""Line-delimited JSON wire format and session transcripts.
+"""Line-delimited JSON wire format 2 and session transcripts.
 
 Every message is a single UTF-8 JSON object on one line, with a mandatory
 "type" field.  Known types and their payloads:
 
-    hello    {"role": "alice" | "bob" | "referee"}
-    prepare  {"states": [{"basis": 0|1, "bit": 0|1}, ...]}
-    measure  {"bases": [0|1, ...]}
-    outcomes {"bits": [0|1, ...]}
-    commit   {"bits": [0|1, ...]}
-    unveil   {"bases": [0|1, ...]}
+    hello    {"role": "alice" | "bob" | "referee", "format": 2}
+    prepare  {"codes": "0312..."}      one digit 2*basis + bit per photon
+    measure  {"bases": "0110..."}      one digit per photon
+    outcomes {"bits": "1001..."}
+    commit   {"bits": "1001..."}
+    unveil   {"bases": "0110..."}
     decision {"value": "bit0"|"bit1"|"ambiguous"|"cheat_suspected"}
     error    {"message": "..."}
 
-Basis codes follow the canonical table (0 rectilinear, 1 diagonal).  The
-transcript log is the same format with "dir" and "seq" fields added, one
+Per-photon payloads are packed: one ASCII digit per photon, in
+transmission order.  Basis codes follow the canonical table (0
+rectilinear, 1 diagonal), and a prepare code splits as basis = code // 2,
+bit = code % 2.  A payload is a JSON string and nothing else: lists,
+numbers, booleans and any character outside its digit range are refused
+by name.  A hello without a "format" field is a format-1 hello (format 1
+sent one JSON number or object per photon); the referee refuses any
+format but ``FORMAT``.
+
+The transcript log is the same format with "dir" and "seq" fields added, one
 line per message in arrival/send order; the session outcome and any
 violation are recovered from the decision/error lines rather than stored
 separately.
@@ -25,7 +33,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .channel import PreparedSequence
+
+#: The wire format this module speaks; a hello carries it.
+FORMAT = 2
 
 MESSAGE_TYPES = (
     "hello",
@@ -64,10 +77,26 @@ def _require(condition: bool, message: str) -> None:
         raise WireProtocolError(message)
 
 
-def _check_code_list(values, what: str) -> None:
-    _require(isinstance(values, list), f"{what} must be a list")
-    _require(all(isinstance(v, int) and v in (0, 1) for v in values),
-             f"{what} entries must be 0 or 1")
+#: Packed payloads: message type -> (field, highest digit).
+PACKED_FIELDS = {
+    "prepare": ("codes", 3),
+    "measure": ("bases", 1),
+    "outcomes": ("bits", 1),
+    "commit": ("bits", 1),
+    "unveil": ("bases", 1),
+}
+
+_ZERO = np.uint8(ord("0"))
+
+
+def pack_digits(values) -> str:
+    """Small integer codes (bits, basis codes, state codes) as one digit each."""
+    return (np.asarray(values, dtype=np.uint8) + _ZERO).tobytes().decode("ascii")
+
+
+def unpack_digits(text: str) -> np.ndarray:
+    """The codes of a validated packed payload, as a uint8 array."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ZERO
 
 
 def validate_message(msg: dict) -> dict:
@@ -77,17 +106,15 @@ def validate_message(msg: dict) -> dict:
     _require(mtype in MESSAGE_TYPES, f"unknown message type {mtype!r}")
     if mtype == "hello":
         _require(msg.get("role") in ROLES, "hello requires a valid role")
-    elif mtype == "prepare":
-        states = msg.get("states")
-        _require(isinstance(states, list), "prepare requires a states list")
-        for s in states:
-            _require(isinstance(s, dict), "prepare states must be objects")
-            _require(s.get("basis") in (0, 1), "state basis must be 0 or 1")
-            _require(s.get("bit") in (0, 1), "state bit must be 0 or 1")
-    elif mtype in ("measure", "unveil"):
-        _check_code_list(msg.get("bases"), f"{mtype} bases")
-    elif mtype in ("outcomes", "commit"):
-        _check_code_list(msg.get("bits"), f"{mtype} bits")
+        _require("format" not in msg or type(msg["format"]) is int,
+                 "hello format must be an integer")
+    elif mtype in PACKED_FIELDS:
+        name, top = PACKED_FIELDS[mtype]
+        value = msg.get(name)
+        ok = isinstance(value, str) and value.isascii()
+        # Bytes below '0' wrap around in uint8, so one comparison bounds both ends.
+        ok = ok and (not value or int(unpack_digits(value).max()) <= top)
+        _require(ok, f"{mtype} {name} must be a string of digits 0-{top}")
     elif mtype == "decision":
         _require(
             msg.get("value") in ("bit0", "bit1", "ambiguous", "cheat_suspected"),
@@ -113,30 +140,27 @@ def parse_message(line: str) -> dict:
 
 
 def hello_message(role: str) -> dict:
-    return validate_message({"type": "hello", "role": role})
+    return validate_message({"type": "hello", "role": role, "format": FORMAT})
 
 
 def prepare_message(seq: PreparedSequence) -> dict:
-    states = [
-        {"basis": int(b), "bit": int(v)} for b, v in zip(seq.bases, seq.bits)
-    ]
-    return {"type": "prepare", "states": states}
+    return {"type": "prepare", "codes": pack_digits((seq.bases << 1) | seq.bits)}
 
 
 def measure_message(bases) -> dict:
-    return {"type": "measure", "bases": [int(b) for b in bases]}
+    return {"type": "measure", "bases": pack_digits(bases)}
 
 
 def outcomes_message(bits) -> dict:
-    return {"type": "outcomes", "bits": [int(b) for b in bits]}
+    return {"type": "outcomes", "bits": pack_digits(bits)}
 
 
 def commit_message(bits) -> dict:
-    return {"type": "commit", "bits": [int(b) for b in bits]}
+    return {"type": "commit", "bits": pack_digits(bits)}
 
 
 def unveil_message(bases) -> dict:
-    return {"type": "unveil", "bases": [int(b) for b in bases]}
+    return {"type": "unveil", "bases": pack_digits(bases)}
 
 
 def decision_message(value: str) -> dict:

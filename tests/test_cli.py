@@ -209,6 +209,44 @@ def test_referee_noise_rate_reproduces_simulate(tmp_path):
     assert results["bob"].raw_direct == inproc.raw_direct_correlation
 
 
+def test_party_error_mode_and_policy_flags_reproduce_simulate(capsys, tmp_path):
+    # Flip masking at e = 0.25 leaves a best sifted rate near 3/4, under the
+    # 0.8 floor: the verdict is cheat_suspected only if both options arrive
+    # (randomize masking or the default floor would read bit 1).
+    flags = ["--n", "256", "--seed", "79", "--error-fraction", "0.25", "--error-mode", "flip",
+             "--delta", "0.2", "--floor", "0.8", "--min-sift", "16"]
+    addr = f"127.0.0.1:{_free_port()}"
+    codes = {}
+    referee = threading.Thread(target=lambda: codes.setdefault("referee", cli_main(
+        ["referee", "--listen", addr, "--seed", "79",
+         "--transcript", str(tmp_path / "t.jsonl"), "--timeout", "10"])))
+    referee.start()
+    time.sleep(0.2)
+    bob = threading.Thread(target=lambda: codes.setdefault("bob", cli_main(
+        ["party", "--role", "bob", "--connect", addr, *flags])))
+    bob.start()
+    time.sleep(0.1)
+    codes["alice"] = cli_main(["party", "--role", "alice", "--connect", addr, "--bit", "1",
+                               *flags])
+    for t in (bob, referee):
+        t.join(15)
+    assert codes == {"referee": 0, "bob": 0, "alice": 0}
+    # Both parties print to one stream; each object is one write.
+    out, decoder, objects = capsys.readouterr().out, json.JSONDecoder(), []
+    start = out.find("{")
+    while start != -1:
+        obj, end = decoder.raw_decode(out, start)
+        objects.append(obj)
+        start = out.find("{", end)
+    (bob_out,) = [obj for obj in objects if obj["role"] == "bob"]
+    assert cli_main(["simulate", "--bit", "1", "--output", "json", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decision"] == bob_out["decision"] == "cheat_suspected"
+    for key in ("sift_size", "direct_matches", "reverse_matches",
+                "raw_direct_correlation", "raw_reverse_correlation"):
+        assert bob_out[key] == report[key], key
+
+
 def test_party_connection_refused_exit_one(capsys):
     code = cli_main(["party", "--role", "bob", "--connect",
                      f"127.0.0.1:{_free_port()}", "--n", "8", "--timeout", "2"])
