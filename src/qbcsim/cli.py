@@ -224,11 +224,13 @@ def _cmd_referee(args: argparse.Namespace) -> int:
         transcript_path=args.transcript,
         timeout=args.timeout,
     )
-    outcome = transcript.outcome
-    if transcript.violated:
-        print("session aborted: protocol violation", file=sys.stderr)
+    # A session ends in the decision relayed to the committer or in the
+    # error that stopped it; a connection turned away on the way ends nothing.
+    last = transcript.entries[-1].message
+    if last["type"] != "decision":
+        print(f"session aborted: {last['message']}", file=sys.stderr)
         return 1
-    print(f"session complete: decision={outcome} "
+    print(f"session complete: decision={last['value']} "
           f"({len(transcript.entries)} messages logged to {args.transcript})")
     return 0
 

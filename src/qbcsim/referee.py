@@ -22,22 +22,24 @@ packed digit strings.  The referee builds the prepared photons from the
 sender's state codes, measures the committer's decoded bases, and relays
 commit and unveil unchanged; each party decodes what it receives.
 
-The referee acknowledges each hello with hello{role: "referee"}; the
-committer's acknowledgement is deferred until the photons are stored, so a
-well-behaved committer never races the sender.  A hello whose format is not
-``wire.FORMAT`` (a hello without one is format 1) is refused with an error
-that names both formats, and its connection is closed; so is a hello for an
-unknown or taken role.  Messages are still checked in arrival order: a
-measure that shows up before the photons exist is an ordering violation,
-the offender gets an error message, and the session aborts with both
-connections closed.
+The referee serves its session from the calling thread alone: one
+selector waits on the listener and on every connection, and each complete
+line goes to the session state machine in arrival order.  It acknowledges
+each hello with hello{role: "referee"}; the committer's acknowledgement is
+deferred until the photons are stored, so a well-behaved committer never
+races the sender.  A hello whose format is not ``wire.FORMAT`` (a hello
+without one is format 1) is refused with an error that names both formats,
+and its connection is closed; so is a hello for an unknown or taken role,
+which is how a connection arriving after both parties is turned away.
+Messages are still checked in arrival order: a measure that shows up
+before the photons exist is an ordering violation, the offender gets an
+error message, and the session aborts with both connections closed.
 """
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,22 +60,10 @@ from .protocol import (
     score_and_decide,
 )
 from .wire import (
-    FORMAT,
-    PACKED_FIELDS,
-    SESSION_SCRIPT,
-    SessionTranscript,
-    WireProtocolError,
-    decision_message,
-    encode_message,
-    error_message,
-    hello_message,
-    measure_message,
-    outcomes_message,
-    parse_message,
-    prepare_message,
-    unpack_digits,
+    FORMAT, PACKED_FIELDS, SESSION_SCRIPT, SessionTranscript, WireProtocolError,
+    commit_message, decision_message, encode_message, error_message, hello_message,
+    measure_message, outcomes_message, parse_message, prepare_message, unpack_digits,
     unveil_message,
-    commit_message,
 )
 
 DEFAULT_TRANSCRIPT = "referee-transcript.jsonl"
@@ -104,26 +94,31 @@ class PartyResult:
 
 
 class _Conn:
-    """One referee-side connection with a background line reader."""
+    """One referee-side connection: its socket and the unfinished line."""
 
-    def __init__(self, sock: socket.socket, tag: int, events: queue.Queue):
+    def __init__(self, sock: socket.socket, selector: selectors.BaseSelector):
         self.sock = sock
-        self.tag = tag
+        self.selector = selector
         self.role: str | None = None
         self.open = True
-        self._rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-        self._thread = threading.Thread(
-            target=self._read_loop, args=(events,), daemon=True
-        )
-        self._thread.start()
+        self._tail = b""
+        selector.register(sock, selectors.EVENT_READ, self)
 
-    def _read_loop(self, events: queue.Queue) -> None:
+    def read_lines(self) -> list[bytes] | None:
+        """The lines one read completes, or None once the peer has gone.
+
+        A last line the peer left unterminated still counts, as a file's does.
+        """
         try:
-            for line in self._rfile:
-                events.put((self.tag, "line", line))
-        except (OSError, ValueError):
-            pass
-        events.put((self.tag, "eof", None))
+            data = self.sock.recv(65536)
+        except OSError:
+            data = b""
+        if not data:
+            if not self._tail:
+                return None
+            data = b"\n"
+        *lines, self._tail = (self._tail + data).split(b"\n")
+        return lines
 
     def send(self, msg: dict) -> None:
         if not self.open:
@@ -131,18 +126,14 @@ class _Conn:
         try:
             self.sock.sendall(encode_message(msg).encode("utf-8"))
         except OSError:
-            self.open = False
+            self.close()
 
     def close(self) -> None:
-        self.open = False
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
+        """Unregister, then close: a later connection may reuse the fd."""
+        if self.open:
+            self.open = False
+            self.selector.unregister(self.sock)
             self.sock.close()
-        except OSError:
-            pass
 
 
 class _RefereeSession:
@@ -186,7 +177,7 @@ class _RefereeSession:
 
     # -- message handling ---------------------------------------------------
 
-    def receive(self, conn: _Conn, line: str) -> bool:
+    def receive(self, conn: _Conn, line: str | bytes) -> bool:
         """Handle one line from a connection; returns True when the session ends."""
         try:
             msg = parse_message(line)
@@ -297,84 +288,55 @@ def referee_serve(
     """
     host, port = parse_address(listen)
     session = _RefereeSession(seed, noise_rate)
-    events: queue.Queue = queue.Queue()
-    conns: dict[int, _Conn] = {}
-    next_tag = 0
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(4)
-    listener.settimeout(0.1)
-    accepting = threading.Event()
-    accepting.set()
-
-    def accept_loop() -> None:
-        while accepting.is_set():
-            try:
-                sock, _peer = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            sock.settimeout(timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            events.put(("accept", sock, None))
-
-    acceptor = threading.Thread(target=accept_loop, daemon=True)
-    acceptor.start()
-
-    deadline = time.monotonic() + timeout
-    done = False
-    try:
-        while not done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                session.violated = True
-                session.transcript.record(
-                    "referee->unknown", error_message("session timed out")
-                )
-                break
-            try:
-                event = events.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-
-            if event[0] == "accept":
-                conn = _Conn(event[1], next_tag, events)
-                conns[next_tag] = conn
-                next_tag += 1
-                continue
-
-            tag, kind, payload = event
-            conn = conns.get(tag)
-            if conn is None or not conn.open:
-                continue
-            if kind == "eof":
-                done = session.hang_up(conn)
-                continue
-            done = session.receive(conn, payload)
-            if len(session.parties) == 2:
-                accepting.clear()
-    finally:
-        accepting.clear()
-        # Wake the accept thread out of its poll so that the listener, and
-        # with it the port, is released before this call returns.
+    with socket.create_server((host, port), backlog=4) as listener, \
+            selectors.DefaultSelector() as selector:
+        listener.setblocking(False)
+        selector.register(listener, selectors.EVENT_READ)
         try:
-            listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        acceptor.join(timeout=5.0)
-        assert not acceptor.is_alive(), "referee accept thread did not stop"
-        try:
-            listener.close()
-        except OSError:
-            pass
-        for conn in conns.values():
-            conn.close()
-        if transcript_path is not None:
-            session.transcript.write(Path(transcript_path))
+            _serve_session(session, listener, selector, timeout)
+        finally:
+            for key in list(selector.get_map().values()):
+                if key.data is not None:
+                    key.data.close()
+            if transcript_path is not None:
+                session.transcript.write(Path(transcript_path))
     return session.transcript
+
+
+def _serve_session(session: _RefereeSession, listener: socket.socket,
+                   selector: selectors.BaseSelector, timeout: float) -> None:
+    """Accept connections and dispatch their lines until the session ends."""
+    deadline = time.monotonic() + timeout
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            session.violated = True
+            session.transcript.record("referee->unknown", error_message("session timed out"))
+            return
+        for key, _events in selector.select(remaining):
+            if key.fileobj is listener:
+                try:
+                    sock, _peer = listener.accept()
+                except OSError:  # e.g. the peer gave up first; the session goes on
+                    continue
+                sock.settimeout(timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                _Conn(sock, selector)
+                continue
+            conn = key.data
+            if not conn.open:  # closed while handling an earlier event of this batch
+                continue
+            lines = conn.read_lines()
+            if lines is None:
+                conn.close()
+                if session.hang_up(conn):
+                    return
+                continue
+            for line in lines:
+                if session.receive(conn, line):
+                    return
+                if not conn.open:  # turned away: drop whatever else it sent
+                    break
 
 
 class _PartyLink:
@@ -391,6 +353,14 @@ class _PartyLink:
         # on the peer's delayed ACK.
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self.sock.makefile("r", encoding="utf-8", newline="\n")
+
+    def handshake(self, role: str) -> None:
+        """Say hello as ``role``; the referee's hello must speak our format."""
+        self.send(hello_message(role))
+        version = self.recv("hello").get("format", 1)
+        if version != FORMAT:
+            raise PartyError(f"referee speaks wire format {version}, "
+                             f"this party speaks format {FORMAT}")
 
     def send(self, msg: dict) -> None:
         try:
@@ -421,8 +391,7 @@ class _PartyLink:
 
 def _run_alice(link: _PartyLink, config: SessionConfig) -> PartyResult:
     n, seed = config.n, config.seed
-    link.send(hello_message("alice"))
-    link.recv("hello")  # channel ready: photons are stored
+    link.handshake("alice")  # the referee's hello: photons are stored
     bases = choose_random_bases(n, streams.substream(seed, streams.BASES))
     link.send(measure_message(bases))
     outcomes = unpack_digits(link.recv("outcomes")["bits"])
@@ -440,8 +409,7 @@ def _run_alice(link: _PartyLink, config: SessionConfig) -> PartyResult:
 
 
 def _run_bob(link: _PartyLink, config: SessionConfig) -> PartyResult:
-    link.send(hello_message("bob"))
-    link.recv("hello")
+    link.handshake("bob")
     seq = prepare_random_sequence(config.n, streams.substream(config.seed, streams.PREPARE))
     link.send(prepare_message(seq))
     commitment = Commitment(revealed=unpack_digits(link.recv("commit")["bits"]))

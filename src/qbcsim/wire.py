@@ -130,10 +130,12 @@ def encode_message(msg: dict) -> str:
     return json.dumps(msg, separators=(",", ":")) + "\n"
 
 
-def parse_message(line: str) -> dict:
-    """Decode and validate one wire line."""
+def parse_message(line: str | bytes) -> dict:
+    """Decode and validate one wire line, as text or as the bytes received."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except UnicodeDecodeError as exc:
+        raise WireProtocolError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WireProtocolError(f"not valid JSON: {exc}") from exc
     return validate_message(obj)

@@ -252,3 +252,10 @@ def test_party_connection_refused_exit_one(capsys):
                      f"127.0.0.1:{_free_port()}", "--n", "8", "--timeout", "2"])
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_referee_abort_names_its_cause(capsys, tmp_path):
+    code = cli_main(["referee", "--listen", f"127.0.0.1:{_free_port()}", "--timeout", "0.3",
+                     "--transcript", str(tmp_path / "t.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == "session aborted: session timed out\n"

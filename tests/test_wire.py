@@ -23,7 +23,13 @@ import qbcsim.referee as referee_module
 
 from qbcsim import rng as streams
 from qbcsim.channel import PreparedSequence, prepare_random_sequence
-from qbcsim.protocol import Decision, DecisionPolicy, SessionConfig, run_honest_session
+from qbcsim.protocol import (
+    Decision,
+    DecisionPolicy,
+    SessionConfig,
+    choose_random_bases,
+    run_honest_session,
+)
 from qbcsim.referee import _RefereeSession, parse_address, party_run, referee_serve
 from qbcsim.wire import (
     FORMAT,
@@ -115,6 +121,12 @@ def test_malformed_payloads_rejected():
     for line in bad:
         with pytest.raises(WireProtocolError):
             parse_message(line)
+
+
+def test_lines_are_parsed_from_bytes_as_utf8():
+    assert parse_message(encode_message(hello_message("bob")).encode()) == hello_message("bob")
+    with pytest.raises(WireProtocolError, match="not valid UTF-8"):
+        parse_message(b"\xff\n")
 
 
 def test_parse_address():
@@ -264,6 +276,15 @@ def test_session_script_checks_every_sized_payload():
         assert session.handle_message(conns[sender], msg)
         (error,) = _errors(conns)
         assert error["message"] == f"size mismatch: 3 {field} for 4 photons"
+
+
+def test_a_party_line_that_is_not_utf8_is_a_violation():
+    session, conns = _session_at(0)
+    assert session.receive(conns["bob"], b'{"type":"prepare","codes":"\xff"}')
+    (error,) = _errors(conns)
+    assert conns["bob"].sent[-1] is error
+    assert error["message"].startswith("bad message: not valid UTF-8")
+    assert session.violated and session.step == 0
 
 
 def test_referee_refuses_other_wire_formats():
@@ -493,9 +514,19 @@ def _live_session(config, transcript_path=None):
     Returns the parties' results, the referee's transcript, and the wall
     time from starting the parties until both have returned.
     """
-    results, outcomes = {}, {}
+    results = {}
     addr, ref_thread = _start_referee(results, seed=config.seed, noise_rate=config.noise_rate,
                                       transcript_path=transcript_path)
+    outcomes, wall = _run_parties(addr, config)
+    ref_thread.join(15)
+    assert not ref_thread.is_alive()
+    return outcomes, results["transcript"], wall
+
+
+def _run_parties(addr, config):
+    """Run both parties on threads; their results and the wall time until
+    both have returned."""
+    outcomes = {}
     common = dict(n=config.n, seed=config.seed, timeout=10)
     threads = [
         threading.Thread(target=lambda: outcomes.setdefault(
@@ -511,9 +542,8 @@ def _live_session(config, transcript_path=None):
     for t in threads:
         t.join(15)
     wall = time.perf_counter() - start
-    ref_thread.join(15)
-    assert not any(t.is_alive() for t in (*threads, ref_thread))
-    return outcomes, results["transcript"], wall
+    assert not any(t.is_alive() for t in threads)
+    return outcomes, wall
 
 
 def _raw_client(addr):
@@ -603,10 +633,99 @@ def test_duplicate_role_is_rejected():
         assert "rejected" in reply["message"]
         assert second_file.readline() == ""  # connection closed
     finally:
+        second_file.close()
         second.close()
-        first.close()  # registered party drops -> session ends
+        # The registered party drops (its file holds the socket open too),
+        # and that hang-up, not the timeout, ends the session.
+        first_file.close()
+        first.close()
     ref_thread.join(10)
-    assert results["transcript"].violated
+    assert not ref_thread.is_alive()
+    transcript = results["transcript"]
+    assert transcript.violated
+    last = transcript.entries[-1]
+    assert last.direction == "alice->referee"
+    assert last.message == error_message("connection closed unexpectedly")
+
+
+def test_a_last_line_without_newline_is_handled_before_the_hang_up():
+    results = {}
+    addr, ref_thread = _start_referee(results, timeout=5.0)
+    sock, rfile = _raw_client(addr)
+    with sock, rfile:
+        sock.sendall(encode_message(hello_message("bob")).rstrip("\n").encode())
+        sock.shutdown(socket.SHUT_WR)
+        assert parse_message(rfile.readline()) == hello_message("referee")
+        assert rfile.readline() == ""
+    ref_thread.join(10)
+    assert not ref_thread.is_alive()
+    entries = results["transcript"].entries
+    assert [(e.direction, e.message) for e in entries] == [
+        ("bob->referee", hello_message("bob")),
+        ("referee->bob", hello_message("referee")),
+        ("bob->referee", error_message("connection closed unexpectedly")),
+    ]
+
+
+def _turn_away(addr, role):
+    """Connect, say hello as ``role``, and return the referee's refusal once
+    it has closed the connection."""
+    sock, rfile = _raw_client(addr)
+    with sock, rfile:
+        sock.sendall(encode_message(hello_message(role)).encode())
+        reply = parse_message(rfile.readline())
+        assert rfile.readline() == ""
+    return reply
+
+
+def test_a_session_completes_after_strangers_are_turned_away():
+    # The first stranger is gone before the second connects, so the referee
+    # accepts the second on the descriptor number the first one had.
+    config = SessionConfig(n=64, committed_bit=1, seed=21)
+    results = {}
+    addr, ref_thread = _start_referee(results, seed=config.seed)
+    for _ in range(2):
+        assert _turn_away(addr, "referee") == error_message("role 'referee' rejected")
+    outcomes, _wall = _run_parties(addr, config)
+    ref_thread.join(15)
+    assert not ref_thread.is_alive()
+    assert outcomes["bob"].decision is run_honest_session(config).decision
+    assert outcomes["alice"].exit_code == 0
+    assert results["transcript"].outcome == outcomes["bob"].decision.value
+
+
+def test_a_connection_after_both_parties_is_turned_away(monkeypatch):
+    # Alice stops once the referee has acknowledged her, which it does only
+    # when both parties are registered; a third connection arrives then.
+    registered, go = threading.Event(), threading.Event()
+
+    def choose_when_told(n, gen):
+        registered.set()
+        assert go.wait(10)
+        return choose_random_bases(n, gen)
+
+    monkeypatch.setattr(referee_module, "choose_random_bases", choose_when_told)
+    config = SessionConfig(n=64, committed_bit=0, error_fraction=0.25, seed=22)
+    results, parties = {}, {}
+    addr, ref_thread = _start_referee(results, seed=config.seed)
+    runner = threading.Thread(
+        target=lambda: parties.update(outcomes=_run_parties(addr, config)[0]))
+    runner.start()
+    try:
+        assert registered.wait(10)
+        time.sleep(0.2)  # well after both registered, not in the same instant
+        assert _turn_away(addr, "alice") == error_message("role 'alice' rejected")
+    finally:
+        go.set()
+    runner.join(15)
+    ref_thread.join(15)
+    assert not runner.is_alive() and not ref_thread.is_alive()
+    outcomes, transcript = parties["outcomes"], results["transcript"]
+    assert outcomes["alice"].exit_code == 0 and outcomes["bob"].exit_code == 0
+    assert outcomes["bob"].decision is run_honest_session(config).decision
+    assert transcript.entries[-1].message == decision_message(outcomes["bob"].decision.value)
+    assert ("referee->unknown", error_message("role 'alice' rejected")) in [
+        (e.direction, e.message) for e in transcript.entries]
 
 
 def test_referee_releases_its_port_on_return():
@@ -647,6 +766,30 @@ def test_party_on_malformed_referee_exits_one():
     listener.close()
     assert result.exit_code == 1
     assert "JSON" in result.diagnostic or "valid" in result.diagnostic
+
+
+def test_party_refuses_a_referee_of_another_wire_format():
+    port = _free_port()
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", port))
+    listener.listen(1)
+
+    def format_one_referee():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("r") as rfile:
+            rfile.readline()  # swallow the hello
+            conn.sendall(b'{"type":"hello","role":"referee"}\n')
+            time.sleep(0.3)
+
+    thread = threading.Thread(target=format_one_referee, daemon=True)
+    thread.start()
+    result = party_run("bob", f"127.0.0.1:{port}", n=4, timeout=3)
+    thread.join(5)
+    listener.close()
+    assert result.exit_code == 1
+    assert result.diagnostic == (f"referee speaks wire format 1, "
+                                 f"this party speaks format {FORMAT}")
 
 
 def test_mismatched_session_sizes_abort():
