@@ -33,11 +33,12 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=0.10,
+    defaults = DecisionPolicy()
+    parser.add_argument("--delta", type=float, default=defaults.separation_delta,
                         help="minimum rate separation for a clean read")
-    parser.add_argument("--floor", type=float, default=0.60,
+    parser.add_argument("--floor", type=float, default=defaults.plausibility_floor,
                         help="minimum best rate before suspecting a cheat")
-    parser.add_argument("--min-sift", type=int, default=8,
+    parser.add_argument("--min-sift", type=int, default=defaults.min_sift,
                         help="minimum sifted positions for any verdict")
 
 
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-rate", type=float, default=0.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--error-mode", choices=ERROR_MODES,
-                     default="randomize")
+                     default=SessionConfig.error_mode)
     _add_policy_flags(sim)
     sim.add_argument("--output", choices=("json", "text"), default="text")
 
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     party.add_argument("--error-fraction", type=float, default=0.0)
     party.add_argument("--seed", type=int, default=0)
     party.add_argument("--error-mode", choices=ERROR_MODES,
-                       default="randomize", help="alice's result masking")
+                       default=SessionConfig.error_mode, help="alice's result masking")
     _add_policy_flags(party)
     party.add_argument("--timeout", type=float, default=30.0)
 
@@ -224,13 +225,10 @@ def _cmd_referee(args: argparse.Namespace) -> int:
         transcript_path=args.transcript,
         timeout=args.timeout,
     )
-    # A session ends in the decision relayed to the committer or in the
-    # error that stopped it; a connection turned away on the way ends nothing.
-    last = transcript.entries[-1].message
-    if last["type"] != "decision":
-        print(f"session aborted: {last['message']}", file=sys.stderr)
+    if transcript.violated:
+        print(f"session aborted: {transcript.entries[-1].message['message']}", file=sys.stderr)
         return 1
-    print(f"session complete: decision={last['value']} "
+    print(f"session complete: decision={transcript.outcome} "
           f"({len(transcript.entries)} messages logged to {args.transcript})")
     return 0
 

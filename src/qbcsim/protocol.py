@@ -253,7 +253,7 @@ def choose_random_bases(n: int, rng: np.random.Generator) -> np.ndarray:
 def inject_errors(
     outcomes,
     error_fraction: float,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     mode: str = "randomize",
 ) -> tuple[np.ndarray, ErrorMask]:
     """Mask a fraction of results before they are revealed.
@@ -263,7 +263,7 @@ def inject_errors(
     is replaced by an independent fair coin (which may equal the original);
     in "flip" mode it is inverted.  Consumes the position draw first, then
     (in randomize mode only) one replacement draw per chosen position.
-    Nothing is drawn when no position is chosen, so ``rng`` may then be None.
+    Nothing is drawn when no position is chosen.
     """
     outcomes = as_bit_array(outcomes)
     if not 0.0 <= error_fraction <= 1.0:
@@ -283,7 +283,7 @@ def masked_count(error_fraction: float, n: int) -> int:
 
 
 def draw_mask(
-    outcomes: np.ndarray, k: int, rng: np.random.Generator | None, mode: str
+    outcomes: np.ndarray, k: int, rng: np.random.Generator, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The draws of ``inject_errors``, unvalidated: (sorted positions, values)."""
     if not k:
@@ -371,11 +371,10 @@ def run_commit_phase(
     outcomes = transmit_and_measure(
         seq, bases, config.noise_rate, streams.substream(config.seed, streams.MEASURE)
     )
-    masks_any = masked_count(config.error_fraction, config.n) > 0
     masked, mask = inject_errors(
         outcomes,
         config.error_fraction,
-        streams.substream(config.seed, streams.ERROR) if masks_any else None,
+        streams.substream(config.seed, streams.ERROR),
         mode=config.error_mode,
     )
     record = MeasurementRecord(bases=bases, outcomes=outcomes)

@@ -148,7 +148,6 @@ class _RefereeSession:
         self.parties: dict[str, _Conn] = {}
         self.prepared: PreparedSequence | None = None
         self.step = 0  # index into SESSION_SCRIPT of the next expected message
-        self.violated = False
 
     @property
     def finished(self) -> bool:
@@ -164,15 +163,9 @@ class _RefereeSession:
         self.transcript.record(f"referee->{recipient}", msg)
         conn.send(msg)
 
-    def violation(self, conn: _Conn, sender: str, reason: str) -> None:
-        self.violated = True
-        self._send(conn, sender, error_message(reason))
-
     def reject(self, conn: _Conn, reason: str) -> None:
         """Turn away a connection that is not a party; the session goes on."""
-        reply = error_message(reason)
-        self.transcript.record("referee->unknown", reply)
-        conn.send(reply)
+        self._send(conn, "unknown", error_message(reason))
         conn.close()
 
     # -- message handling ---------------------------------------------------
@@ -185,7 +178,7 @@ class _RefereeSession:
             if conn.role is None:
                 self.reject(conn, f"bad message: {exc}")
                 return False
-            self.violation(conn, conn.role, f"bad message: {exc}")
+            self._send(conn, conn.role, error_message(f"bad message: {exc}"))
             return True
         if conn.role is not None:
             return self.handle_message(conn, msg)
@@ -199,7 +192,6 @@ class _RefereeSession:
         """A connection closed; returns True when that ends the session."""
         if conn.role not in self.parties or self.finished:
             return False
-        self.violated = True
         self.transcript.record(
             f"{conn.role}->referee", error_message("connection closed unexpectedly")
         )
@@ -232,21 +224,19 @@ class _RefereeSession:
         mtype = msg["type"]
 
         if mtype == "error":
-            self.violated = True
             return True
 
         expected = None if self.finished else SESSION_SCRIPT[self.step]
         if (sender, mtype) != expected:
             want = "{1} from {0}".format(*expected) if expected else "nothing"
-            self.violation(
-                conn, sender, f"out-of-order: expected {want}, got {mtype} from {sender}"
-            )
+            self._send(conn, sender, error_message(
+                f"out-of-order: expected {want}, got {mtype} from {sender}"))
             return True
         if mtype in PACKED_FIELDS and mtype != "prepare":
             field = PACKED_FIELDS[mtype][0]
             if len(msg[field]) != len(self.prepared):
-                self.violation(conn, sender, f"size mismatch: {len(msg[field])} {field} "
-                                             f"for {len(self.prepared)} photons")
+                self._send(conn, sender, error_message(
+                    f"size mismatch: {len(msg[field])} {field} for {len(self.prepared)} photons"))
                 return True
         self.step += 1
 
@@ -283,8 +273,9 @@ def referee_serve(
 
     Returns the transcript (also written to ``transcript_path`` when
     given).  The call ends when the decision has been relayed, a protocol
-    violation occurred, or the timeout expired.  A bad address or noise
-    rate raises ``ValueError`` before the port is bound.
+    violation occurred, or the timeout expired; the transcript's last entry
+    is that decision or the error that ended the session.  A bad address or
+    noise rate raises ``ValueError`` before the port is bound.
     """
     host, port = parse_address(listen)
     session = _RefereeSession(seed, noise_rate)
@@ -310,7 +301,6 @@ def _serve_session(session: _RefereeSession, listener: socket.socket,
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            session.violated = True
             session.transcript.record("referee->unknown", error_message("session timed out"))
             return
         for key, _events in selector.select(remaining):
@@ -352,7 +342,7 @@ class _PartyLink:
         # Messages are small and sent back to back: without this, each waits
         # on the peer's delayed ACK.
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self.sock.makefile("r", encoding="utf-8", newline="\n")
+        self._rfile = self.sock.makefile("rb")
 
     def handshake(self, role: str) -> None:
         """Say hello as ``role``; the referee's hello must speak our format."""

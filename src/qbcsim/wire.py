@@ -22,9 +22,10 @@ sent one JSON number or object per photon); the referee refuses any
 format but ``FORMAT``.
 
 The transcript log is the same format with "dir" and "seq" fields added, one
-line per message in arrival/send order; the session outcome and any
-violation are recovered from the decision/error lines rather than stored
-separately.
+line per message in arrival/send order.  The last line of a finished
+session is what ended it, the decision relayed to the committer or the
+error that stopped the session, so the outcome and any abort are read
+from that line rather than stored separately.
 """
 
 from __future__ import annotations
@@ -201,16 +202,18 @@ class SessionTranscript:
 
     @property
     def outcome(self) -> str | None:
-        """The decoded decision value, if the session reached one."""
-        for entry in self.entries:
-            if entry.message.get("type") == "decision":
-                return entry.message["value"]
-        return None
+        """The decision value, if the last entry is a decision.
+
+        In a finished session the last entry is what ended it: the decision
+        relayed to the committer, or the error that stopped the session.
+        """
+        last = self.entries[-1].message if self.entries else {}
+        return last["value"] if last.get("type") == "decision" else None
 
     @property
     def violated(self) -> bool:
-        """True when the referee emitted any error message."""
-        return any(e.message.get("type") == "error" for e in self.entries)
+        """True when a finished session ended in anything but a decision."""
+        return self.outcome is None
 
     def check_ordering(self) -> bool:
         """Session-content messages must appear in protocol order.

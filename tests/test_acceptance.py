@@ -253,6 +253,7 @@ def test_criterion_10_wire_equivalence(tmp_path):
         and results["bob"].decision is inproc.decision
         and results["bob"].alignment == inproc.alignment
         and not transcript.violated
+        and transcript.outcome == inproc.decision.value
         and transcript.check_ordering()
         and transcript.check_visibility()
     )

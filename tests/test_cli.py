@@ -5,9 +5,9 @@ import socket
 import threading
 import time
 
-from qbcsim.cli import cli_main
+from qbcsim.cli import _policy, build_parser, cli_main
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
-from qbcsim.protocol import SessionConfig, run_honest_session
+from qbcsim.protocol import DecisionPolicy, SessionConfig, run_honest_session
 from qbcsim.referee import party_run
 
 
@@ -44,6 +44,17 @@ def test_simulate_flip_error_mode(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["raw_direct_correlation"] - 0.5) < 0.005
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for argv in (["simulate", "--n", "8", "--bit", "0"],
+                 ["party", "--role", "bob", "--connect", "127.0.0.1:1", "--n", "8"],
+                 ["attack", "rebind", "--n", "8"]):
+        args = parser.parse_args(argv)
+        assert _policy(args) == DecisionPolicy(), argv
+        if argv[0] != "attack":
+            assert args.error_mode == SessionConfig.error_mode, argv
 
 
 def test_usage_errors_exit_two(capsys):

@@ -220,18 +220,18 @@ def _wire_message(mtype, n=4):
     }[mtype]
 
 
-def _session_at(step):
+def _session_at(step, n=4):
     """A session with both parties registered, driven through the script
-    up to (not including) ``step``."""
+    up to (not including) ``step`` with ``n`` photons."""
     session = _RefereeSession(seed=3, noise_rate=0.0)
     conns = {"bob": _FakeConn(), "alice": _FakeConn()}
     for role, conn in conns.items():
         session.handle_hello(conn, hello_message(role))
     for index, (sender, mtype) in enumerate(SESSION_SCRIPT[:step]):
         if sender != "referee":
-            ended = session.handle_message(conns[sender], _wire_message(mtype))
+            ended = session.handle_message(conns[sender], _wire_message(mtype, n))
             assert ended == (index == len(SESSION_SCRIPT) - 1)
-    assert session.step == step and not session.violated
+    assert session.step == step and _errors(conns) == []
     return session, conns
 
 
@@ -251,7 +251,7 @@ def test_session_script_refuses_every_other_message_at_every_step():
                 session, conns = _session_at(step)
                 ended = session.handle_message(conns[sender], _wire_message(mtype))
                 errors = _errors(conns)
-                assert ended and session.violated, (step, sender, mtype)
+                assert ended and session.transcript.violated, (step, sender, mtype)
                 assert len(errors) == 1 and conns[sender].sent[-1] is errors[0]
                 assert errors[0]["message"].startswith("out-of-order: expected ")
                 assert f"got {mtype} from {sender}" in errors[0]["message"]
@@ -264,7 +264,7 @@ def test_session_script_ends_quietly_on_a_party_error():
         for sender in ("alice", "bob"):
             session, conns = _session_at(step)
             assert session.handle_message(conns[sender], _wire_message("error"))
-            assert session.violated and _errors(conns) == []
+            assert session.transcript.violated and _errors(conns) == []
             assert session.transcript.check_ordering()
 
 
@@ -278,13 +278,32 @@ def test_session_script_checks_every_sized_payload():
         assert error["message"] == f"size mismatch: 3 {field} for 4 photons"
 
 
+def test_a_refused_decision_is_not_the_outcome():
+    session, conns = _session_at(0)
+    assert session.handle_message(conns["bob"], decision_message("bit1"))
+    assert session.transcript.outcome is None and session.transcript.violated
+
+
+def test_a_session_that_turned_a_stranger_away_ends_in_its_decision():
+    session, conns = _session_at(0, n=32)
+    stranger = _FakeConn()
+    assert session.receive(stranger, encode_message(hello_message("alice"))) is False
+    assert stranger.sent == [error_message("role 'alice' rejected")]
+    for sender, mtype in SESSION_SCRIPT:
+        if sender != "referee":
+            ended = session.handle_message(conns[sender], _wire_message(mtype, n=32))
+    assert ended and _errors(conns) == []
+    assert session.transcript.outcome == _wire_message("decision")["value"]
+    assert not session.transcript.violated
+
+
 def test_a_party_line_that_is_not_utf8_is_a_violation():
     session, conns = _session_at(0)
     assert session.receive(conns["bob"], b'{"type":"prepare","codes":"\xff"}')
     (error,) = _errors(conns)
     assert conns["bob"].sent[-1] is error
     assert error["message"].startswith("bad message: not valid UTF-8")
-    assert session.violated and session.step == 0
+    assert session.transcript.violated and session.step == 0
 
 
 def test_referee_refuses_other_wire_formats():
@@ -448,7 +467,7 @@ class RefereeFuzz(RuleBasedStateMachine):
             return
         ((kind, entry),) = endings
         assert entry is entries[-1]
-        assert self.session.finished == (kind == "decision") != self.session.violated
+        assert self.session.finished == (kind == "decision") != self.session.transcript.violated
         _ENDINGS[kind] += 1
 
 
@@ -746,48 +765,41 @@ def test_party_without_referee_exits_one():
     assert "refused" in result.diagnostic or "failed" in result.diagnostic
 
 
-def test_party_on_malformed_referee_exits_one():
-    port = _free_port()
-    listener = socket.socket()
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind(("127.0.0.1", port))
-    listener.listen(1)
+def _run_against_fake_referee(role, *replies):
+    """Run a party against a referee that swallows its hello and sends
+    ``replies`` raw; the party's result."""
+    listener = socket.create_server(("127.0.0.1", 0))
 
     def fake_referee():
         conn, _ = listener.accept()
-        conn.makefile("r").readline()  # swallow the hello
-        conn.sendall(b"{this is not json\n")
-        time.sleep(0.3)
-        conn.close()
+        with conn, conn.makefile("rb") as rfile:
+            rfile.readline()  # swallow the hello
+            for reply in replies:
+                conn.sendall(reply)
+            time.sleep(0.3)
 
     thread = threading.Thread(target=fake_referee, daemon=True)
     thread.start()
-    result = party_run("alice", f"127.0.0.1:{port}", n=4, timeout=3)
-    listener.close()
+    with listener:
+        result = party_run(role, f"127.0.0.1:{listener.getsockname()[1]}", n=4, timeout=3)
+        thread.join(5)
     assert result.exit_code == 1
+    return result
+
+
+def test_party_on_malformed_referee_exits_one():
+    result = _run_against_fake_referee("alice", b"{this is not json\n")
     assert "JSON" in result.diagnostic or "valid" in result.diagnostic
 
 
+def test_party_on_a_referee_line_that_is_not_utf8_exits_one():
+    result = _run_against_fake_referee(
+        "alice", encode_message(hello_message("referee")).encode(), b"\xff\n")
+    assert result.diagnostic.startswith("not valid UTF-8: "), result.diagnostic
+
+
 def test_party_refuses_a_referee_of_another_wire_format():
-    port = _free_port()
-    listener = socket.socket()
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind(("127.0.0.1", port))
-    listener.listen(1)
-
-    def format_one_referee():
-        conn, _ = listener.accept()
-        with conn, conn.makefile("r") as rfile:
-            rfile.readline()  # swallow the hello
-            conn.sendall(b'{"type":"hello","role":"referee"}\n')
-            time.sleep(0.3)
-
-    thread = threading.Thread(target=format_one_referee, daemon=True)
-    thread.start()
-    result = party_run("bob", f"127.0.0.1:{port}", n=4, timeout=3)
-    thread.join(5)
-    listener.close()
-    assert result.exit_code == 1
+    result = _run_against_fake_referee("bob", b'{"type":"hello","role":"referee"}\n')
     assert result.diagnostic == (f"referee speaks wire format 1, "
                                  f"this party speaks format {FORMAT}")
 
