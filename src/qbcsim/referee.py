@@ -20,7 +20,9 @@ Session sequence (hello handshakes first, then strict protocol order):
 Every message is wire format 2 (``qbcsim.wire``): per-photon payloads are
 packed digit strings.  The referee builds the prepared photons from the
 sender's state codes, measures the committer's decoded bases, and relays
-commit and unveil unchanged; each party decodes what it receives.
+commit, unveil and the decision as the very bytes it received; each party
+decodes what it receives.  Each line is encoded once: the transcript logs
+the bytes that arrived or were sent.
 
 The referee serves its session from the calling thread alone: one
 selector waits on the listener and on every connection, and each complete
@@ -120,11 +122,11 @@ class _Conn:
         *lines, self._tail = (self._tail + data).split(b"\n")
         return lines
 
-    def send(self, msg: dict) -> None:
+    def send(self, data: bytes) -> None:
         if not self.open:
             return
         try:
-            self.sock.sendall(encode_message(msg).encode("utf-8"))
+            self.sock.sendall(data)
         except OSError:
             self.close()
 
@@ -156,12 +158,15 @@ class _RefereeSession:
 
     # -- transcript helpers -------------------------------------------------
 
-    def _record_in(self, sender: str, msg: dict) -> None:
-        self.transcript.record(f"{sender}->referee", msg)
+    def _record_in(self, sender: str, msg: dict, line: bytes) -> None:
+        self.transcript.record(f"{sender}->referee", msg, line)
 
-    def _send(self, conn: _Conn, recipient: str, msg: dict) -> None:
-        self.transcript.record(f"referee->{recipient}", msg)
-        conn.send(msg)
+    def _send(self, conn: _Conn, recipient: str, msg: dict, line: bytes | None = None) -> None:
+        """Log and send a message: a relayed one as the ``line`` received,
+        one the referee makes encoded once."""
+        data = encode_message(msg).encode("utf-8") if line is None else line + b"\n"
+        self.transcript.record(f"referee->{recipient}", msg, data[:-1])
+        conn.send(data)
 
     def reject(self, conn: _Conn, reason: str) -> None:
         """Turn away a connection that is not a party; the session goes on."""
@@ -170,8 +175,9 @@ class _RefereeSession:
 
     # -- message handling ---------------------------------------------------
 
-    def receive(self, conn: _Conn, line: str | bytes) -> bool:
+    def receive(self, conn: _Conn, line: bytes) -> bool:
         """Handle one line from a connection; returns True when the session ends."""
+        line = line.strip(b" \t\r\n")  # JSON whitespace around the object
         try:
             msg = parse_message(line)
         except WireProtocolError as exc:
@@ -181,11 +187,11 @@ class _RefereeSession:
             self._send(conn, conn.role, error_message(f"bad message: {exc}"))
             return True
         if conn.role is not None:
-            return self.handle_message(conn, msg)
+            return self.handle_message(conn, msg, line)
         if msg["type"] != "hello":
             self.reject(conn, "expected hello first")
         else:
-            self.handle_hello(conn, msg)
+            self.handle_hello(conn, msg, line)
         return False
 
     def hang_up(self, conn: _Conn) -> bool:
@@ -197,30 +203,31 @@ class _RefereeSession:
         )
         return True
 
-    def handle_hello(self, conn: _Conn, msg: dict) -> None:
+    def handle_hello(self, conn: _Conn, msg: dict, line: bytes) -> None:
         role = msg["role"]
         version = msg.get("format", 1)
         if version != FORMAT:
-            self._record_in("unknown", msg)
+            self._record_in("unknown", msg, line)
             self.reject(conn, f"wire format {version} not supported: "
                               f"this referee speaks format {FORMAT}")
             return
         if role not in ("alice", "bob") or role in self.parties:
-            self._record_in("unknown", msg)
+            self._record_in("unknown", msg, line)
             self.reject(conn, f"role {role!r} rejected")
             return
         conn.role = role
         self.parties[role] = conn
-        self._record_in(role, msg)
+        self._record_in(role, msg, line)
         if role == "bob":
             self._send(conn, "bob", hello_message("referee"))
         elif self.prepared is not None:
             self._send(conn, "alice", hello_message("referee"))
 
-    def handle_message(self, conn: _Conn, msg: dict) -> bool:
-        """Process one in-session message; returns True when session ends."""
+    def handle_message(self, conn: _Conn, msg: dict, line: bytes) -> bool:
+        """Process one in-session message, received as ``line``; returns True
+        when the session ends."""
         sender = conn.role or "unknown"
-        self._record_in(sender, msg)
+        self._record_in(sender, msg, line)
         mtype = msg["type"]
 
         if mtype == "error":
@@ -257,7 +264,7 @@ class _RefereeSession:
             self.step += 1
         else:  # commit and unveil go to bob, the decision to alice
             recipient = "alice" if sender == "bob" else "bob"
-            self._send(self.parties[recipient], recipient, msg)
+            self._send(self.parties[recipient], recipient, msg, line)
         return self.finished
 
 

@@ -21,11 +21,14 @@ by name.  A hello without a "format" field is a format-1 hello (format 1
 sent one JSON number or object per photon); the referee refuses any
 format but ``FORMAT``.
 
-The transcript log is the same format with "dir" and "seq" fields added, one
-line per message in arrival/send order.  The last line of a finished
-session is what ended it, the decision relayed to the committer or the
-error that stopped the session, so the outcome and any abort are read
-from that line rather than stored separately.
+The transcript log has one line per message in arrival/send order: the
+message's line exactly as it was sent, prefixed with "seq" and "dir"
+fields.  A party's line is logged as the referee received it, and a line
+the referee makes is logged as it sent it.  Those two names are
+transcript fields, so a message that carries either is refused.  The
+last line of a finished session is what ended it, the decision relayed to
+the committer or the error that stopped the session, so the outcome and
+any abort are read from that line rather than stored separately.
 """
 
 from __future__ import annotations
@@ -100,9 +103,18 @@ def unpack_digits(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ZERO
 
 
+def _packed(value, top: int) -> bool:
+    """True for an ASCII string of digits 0 to ``top``."""
+    # Bytes below '0' wrap around in uint8, so one comparison bounds both ends.
+    return isinstance(value, str) and value.isascii() and (
+        not value or int(unpack_digits(value).max()) <= top)
+
+
 def validate_message(msg: dict) -> dict:
     """Check a decoded object against the per-type payload schema."""
     _require(isinstance(msg, dict), "message must be a JSON object")
+    for name in ("seq", "dir"):
+        _require(name not in msg, f"{name!r} is a transcript field, not a message field")
     mtype = msg.get("type")
     _require(mtype in MESSAGE_TYPES, f"unknown message type {mtype!r}")
     if mtype == "hello":
@@ -111,11 +123,7 @@ def validate_message(msg: dict) -> dict:
                  "hello format must be an integer")
     elif mtype in PACKED_FIELDS:
         name, top = PACKED_FIELDS[mtype]
-        value = msg.get(name)
-        ok = isinstance(value, str) and value.isascii()
-        # Bytes below '0' wrap around in uint8, so one comparison bounds both ends.
-        ok = ok and (not value or int(unpack_digits(value).max()) <= top)
-        _require(ok, f"{mtype} {name} must be a string of digits 0-{top}")
+        _require(_packed(msg.get(name), top), f"{mtype} {name} must be a string of digits 0-{top}")
     elif mtype == "decision":
         _require(
             msg.get("value") in ("bit0", "bit1", "ambiguous", "cheat_suspected"),
@@ -127,8 +135,22 @@ def validate_message(msg: dict) -> dict:
 
 
 def encode_message(msg: dict) -> str:
-    """One message, one line."""
-    return json.dumps(msg, separators=(",", ":")) + "\n"
+    """One message, one line, as ``json.dumps`` with compact separators.
+
+    Digits need no escaping, so a packed payload that is the last field is
+    spliced in after the others instead of passing through the encoder.
+    """
+    mtype = msg.get("type")
+    name, top = PACKED_FIELDS.get(mtype, (None, 0)) if isinstance(mtype, str) else (None, 0)
+    if name is None or next(reversed(msg)) != name or not _packed(msg[name], top):
+        return json.dumps(msg, separators=(",", ":")) + "\n"
+    rest = json.dumps({k: v for k, v in msg.items() if k != name}, separators=(",", ":"))
+    return f'{rest[:-1]},"{name}":"{msg[name]}"}}\n'
+
+
+def _line(msg: dict) -> bytes:
+    """The message's wire line, without its newline."""
+    return encode_message(msg)[:-1].encode("utf-8")
 
 
 def parse_message(line: str | bytes) -> dict:
@@ -179,6 +201,8 @@ class TranscriptEntry:
     seq: int
     direction: str  # e.g. "alice->referee" or "referee->bob"
     message: dict
+    #: The message's wire line as sent, without its newline.
+    line: bytes = field(compare=False, repr=False)
 
     @property
     def sender(self) -> str:
@@ -195,10 +219,11 @@ class SessionTranscript:
 
     entries: list[TranscriptEntry] = field(default_factory=list)
 
-    def record(self, direction: str, message: dict) -> None:
-        self.entries.append(
-            TranscriptEntry(seq=len(self.entries), direction=direction, message=message)
-        )
+    def record(self, direction: str, message: dict, line: bytes | None = None) -> None:
+        """Log a message with its wire line as sent; without one it is encoded."""
+        if line is None:
+            line = _line(message)
+        self.entries.append(TranscriptEntry(len(self.entries), direction, message, line))
 
     @property
     def outcome(self) -> str | None:
@@ -245,21 +270,26 @@ class SessionTranscript:
         return True
 
     def write(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            for entry in self.entries:
-                line = {"seq": entry.seq, "dir": entry.direction, **entry.message}
-                handle.write(json.dumps(line, separators=(",", ":")) + "\n")
+        """One line per entry: its seq and dir, then the fields of its wire line."""
+        parts = []
+        for entry in self.entries:
+            # Directions are ASCII role names, so nothing needs escaping.
+            parts += (b'{"seq":%d,"dir":"%s",' % (entry.seq, entry.direction.encode()),
+                      memoryview(entry.line)[1:], b"\n")
+        Path(path).write_bytes(b"".join(parts))
 
     @classmethod
     def load(cls, path) -> "SessionTranscript":
+        """Read a written transcript; each entry's line is encoded anew.
+
+        Lines end at "\\n" alone: a logged party line may hold other line
+        breaks, such as "\\r" between tokens or U+2028 inside a string.
+        """
         transcript = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in Path(path).read_bytes().decode("utf-8").split("\n"):
             if not line.strip():
                 continue
             obj = json.loads(line)
-            seq = obj.pop("seq")
-            direction = obj.pop("dir")
-            transcript.entries.append(
-                TranscriptEntry(seq=seq, direction=direction, message=obj)
-            )
+            seq, direction = obj.pop("seq"), obj.pop("dir")
+            transcript.entries.append(TranscriptEntry(seq, direction, obj, _line(obj)))
         return transcript

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion with the measured values.
 """
 
+import dataclasses
 import socket
 import threading
 import time
@@ -32,6 +33,12 @@ from qbcsim.protocol import (
 )
 from qbcsim.referee import party_run, referee_serve
 from qbcsim.stats import decode_error_bound
+from qbcsim.wire import (
+    SessionTranscript,
+    commit_message,
+    outcomes_message,
+    prepare_message,
+)
 
 MASTER = 20240501
 
@@ -207,58 +214,84 @@ def test_criterion_09_measurement_unit_laws():
                    f"(0.5 +/- {tol:.4f})")
 
 
-def test_criterion_10_wire_equivalence(tmp_path):
-    seed, n, bit, e = streams.derive_seed(MASTER, "wire"), 256, 1, 0.5
+def _wire_session(config, transcript_path=None):
+    """Serve one session and run both parties on threads, each with the
+    options of ``config`` that belong to it; their results and the
+    referee's transcript."""
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     addr = f"127.0.0.1:{port}"
     results = {}
-
+    common = dict(n=config.n, seed=config.seed, timeout=15)
     referee = threading.Thread(
         target=lambda: results.setdefault(
             "transcript",
-            referee_serve(addr, seed=seed, transcript_path=tmp_path / "t.jsonl",
-                          timeout=15),
+            referee_serve(addr, seed=config.seed, noise_rate=config.noise_rate,
+                          transcript_path=transcript_path, timeout=15),
         ),
         daemon=True,
     )
     referee.start()
     time.sleep(0.2)
-    bob = threading.Thread(
-        target=lambda: results.setdefault(
-            "bob", party_run("bob", addr, n=n, seed=seed, timeout=15)
-        )
+    parties = (
+        threading.Thread(target=lambda: results.setdefault(
+            "bob", party_run("bob", addr, policy=config.policy, **common))),
+        threading.Thread(target=lambda: results.setdefault(
+            "alice", party_run("alice", addr, bit=config.committed_bit,
+                               error_fraction=config.error_fraction,
+                               error_mode=config.error_mode, **common))),
     )
-    alice = threading.Thread(
-        target=lambda: results.setdefault(
-            "alice",
-            party_run("alice", addr, n=n, bit=bit, error_fraction=e, seed=seed,
-                      timeout=15),
-        )
-    )
-    bob.start()
-    alice.start()
-    bob.join(20)
-    alice.join(20)
-    referee.join(20)
+    for party in parties:
+        party.start()
+    for thread in parties + (referee,):
+        thread.join(20)
+    return results
 
-    inproc = run_honest_session(
-        SessionConfig(n=n, committed_bit=bit, error_fraction=e, seed=seed)
-    )
-    transcript = results["transcript"]
-    ok = (
-        results["bob"].exit_code == 0
-        and results["alice"].exit_code == 0
-        and results["bob"].decision is inproc.decision
-        and results["bob"].alignment == inproc.alignment
-        and not transcript.violated
-        and transcript.outcome == inproc.decision.value
-        and transcript.check_ordering()
-        and transcript.check_visibility()
-    )
-    _report(10, ok, f"wire decision {results['bob'].decision.value} == in-process "
-                    f"{inproc.decision.value}; ordering and visibility hold")
+
+def test_criterion_10_wire_equivalence(tmp_path):
+    seed, n, bit, e = streams.derive_seed(MASTER, "wire"), 256, 1, 0.5
+    base = SessionConfig(n=n, committed_bit=bit, error_fraction=e, seed=seed)
+    # Every option a wire session carries, each at a small n where it
+    # changes the in-process session: Alice's error mode, the referee's
+    # channel noise and Bob's decision policy.
+    small = dataclasses.replace(base, n=32)
+    strict = DecisionPolicy(separation_delta=0.2, plausibility_floor=0.9, min_sift=16)
+    configs = (base, dataclasses.replace(small, error_mode="flip"),
+               dataclasses.replace(small, noise_rate=0.1),
+               dataclasses.replace(small, policy=strict))
+    ok, first = True, None
+    for config in configs:
+        results = _wire_session(config, tmp_path / "t.jsonl")
+        inproc = run_honest_session(config)
+        seq, record, _mask, commitment = run_commit_phase(config)
+        transcript = results["transcript"]
+        sent = {entry.message["type"]: entry.message for entry in transcript.entries}
+        ok = ok and (
+            results["bob"].exit_code == 0
+            and results["alice"].exit_code == 0
+            and results["bob"].decision is inproc.decision
+            and results["alice"].decision is inproc.decision
+            and results["bob"].alignment == inproc.alignment
+            and results["bob"].raw_direct == inproc.raw_direct_correlation
+            and results["bob"].raw_reverse == inproc.raw_reverse_correlation
+            and sent["prepare"] == prepare_message(seq)
+            and sent["outcomes"] == outcomes_message(record.outcomes)
+            and sent["commit"] == commit_message(commitment.revealed)
+            and not transcript.violated
+            and transcript.outcome == inproc.decision.value
+            and transcript.check_ordering()
+            and transcript.check_visibility()
+            and SessionTranscript.load(tmp_path / "t.jsonl").entries == transcript.entries
+        )
+        if config is base:
+            first = (results["bob"].decision.value, inproc.decision.value)
+        else:  # the option changes the session, so the parties must carry it
+            default = run_honest_session(small)
+            ok = ok and (inproc.decision, inproc.alignment, inproc.raw_direct_correlation) != (
+                default.decision, default.alignment, default.raw_direct_correlation)
+    _report(10, ok, f"wire decision {first[0]} == in-process "
+                    f"{first[1]}; ordering and visibility hold")
 
 
 def test_criterion_11_sweep_determinism(tmp_path):

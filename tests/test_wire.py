@@ -4,12 +4,14 @@ import collections
 import dataclasses
 import json
 import socket
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -108,6 +110,13 @@ def test_unknown_type_rejected():
         parse_message('{"type": "teleport"}\n')
 
 
+@pytest.mark.parametrize("name, value", [("seq", 7), ("dir", "referee->alice")])
+def test_messages_may_not_carry_transcript_fields(name, value):
+    line = json.dumps({"type": "prepare", "codes": "0123", name: value})
+    with pytest.raises(WireProtocolError, match=f"'{name}' is a transcript field"):
+        parse_message(line)
+
+
 def test_malformed_payloads_rejected():
     bad = [
         "not json at all\n",
@@ -193,18 +202,26 @@ def test_transcript_visibility_checker():
 # -- the session script, without sockets -------------------------------------------
 
 class _FakeConn:
-    """Stands in for a referee-side connection; keeps what it is sent."""
+    """Stands in for a referee-side connection; keeps what it is sent, as
+    bytes and as parsed messages."""
 
     def __init__(self):
         self.role = None
         self.open = True
+        self.data = []
         self.sent = []
 
-    def send(self, msg):
-        self.sent.append(msg)
+    def send(self, data):
+        self.data.append(data)
+        self.sent.append(parse_message(data))
 
     def close(self):
         self.open = False
+
+
+def _line(msg):
+    """A message's wire line as the referee reads it, without its newline."""
+    return encode_message(msg)[:-1].encode()
 
 
 def _wire_message(mtype, n=4):
@@ -226,10 +243,10 @@ def _session_at(step, n=4):
     session = _RefereeSession(seed=3, noise_rate=0.0)
     conns = {"bob": _FakeConn(), "alice": _FakeConn()}
     for role, conn in conns.items():
-        session.handle_hello(conn, hello_message(role))
+        assert session.receive(conn, _line(hello_message(role))) is False
     for index, (sender, mtype) in enumerate(SESSION_SCRIPT[:step]):
         if sender != "referee":
-            ended = session.handle_message(conns[sender], _wire_message(mtype, n))
+            ended = session.receive(conns[sender], _line(_wire_message(mtype, n)))
             assert ended == (index == len(SESSION_SCRIPT) - 1)
     assert session.step == step and _errors(conns) == []
     return session, conns
@@ -249,7 +266,7 @@ def test_session_script_refuses_every_other_message_at_every_step():
                 if (sender, mtype) == expected or mtype == "error":
                     continue
                 session, conns = _session_at(step)
-                ended = session.handle_message(conns[sender], _wire_message(mtype))
+                ended = session.receive(conns[sender], _line(_wire_message(mtype)))
                 errors = _errors(conns)
                 assert ended and session.transcript.violated, (step, sender, mtype)
                 assert len(errors) == 1 and conns[sender].sent[-1] is errors[0]
@@ -263,7 +280,7 @@ def test_session_script_ends_quietly_on_a_party_error():
     for step in (0, 1, 3, 4, 5):
         for sender in ("alice", "bob"):
             session, conns = _session_at(step)
-            assert session.handle_message(conns[sender], _wire_message("error"))
+            assert session.receive(conns[sender], _line(_wire_message("error")))
             assert session.transcript.violated and _errors(conns) == []
             assert session.transcript.check_ordering()
 
@@ -273,28 +290,69 @@ def test_session_script_checks_every_sized_payload():
         session, conns = _session_at(step)
         sender, mtype = SESSION_SCRIPT[step]
         msg = _wire_message(mtype, n=3)
-        assert session.handle_message(conns[sender], msg)
+        assert session.receive(conns[sender], _line(msg))
         (error,) = _errors(conns)
         assert error["message"] == f"size mismatch: 3 {field} for 4 photons"
 
 
 def test_a_refused_decision_is_not_the_outcome():
     session, conns = _session_at(0)
-    assert session.handle_message(conns["bob"], decision_message("bit1"))
+    assert session.receive(conns["bob"], _line(decision_message("bit1")))
     assert session.transcript.outcome is None and session.transcript.violated
 
 
 def test_a_session_that_turned_a_stranger_away_ends_in_its_decision():
     session, conns = _session_at(0, n=32)
     stranger = _FakeConn()
-    assert session.receive(stranger, encode_message(hello_message("alice"))) is False
+    assert session.receive(stranger, _line(hello_message("alice"))) is False
     assert stranger.sent == [error_message("role 'alice' rejected")]
     for sender, mtype in SESSION_SCRIPT:
         if sender != "referee":
-            ended = session.handle_message(conns[sender], _wire_message(mtype, n=32))
+            ended = session.receive(conns[sender], _line(_wire_message(mtype, n=32)))
     assert ended and _errors(conns) == []
     assert session.transcript.outcome == _wire_message("decision")["value"]
     assert not session.transcript.violated
+
+
+@pytest.mark.parametrize("name, value", [("seq", 7), ("dir", "referee->alice")])
+def test_a_party_cannot_forge_transcript_fields(name, value):
+    # Logged as sent, such a line would renumber or redirect its entry.
+    session, conns = _session_at(0)
+    line = json.dumps({"type": "prepare", "codes": "0123", name: value}).encode()
+    assert session.receive(conns["bob"], line)
+    (error,) = _errors(conns)
+    assert error["message"] == f"bad message: '{name}' is a transcript field, not a message field"
+    assert session.transcript.violated and session.step == 0
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_a_relayed_line_is_sent_and_logged_as_received(tmp_path, canonical):
+    session, conns = _session_at(3)
+    msg = _wire_message("commit")
+    # Default separators, with a carriage return between two tokens.
+    line = _line(msg) if canonical else json.dumps(msg).replace(", ", ",\r").encode()
+    assert session.receive(conns["alice"], line) is False
+    assert conns["bob"].data[-1] == line + b"\n"
+    path = tmp_path / "t.jsonl"
+    session.transcript.write(path)
+    written = path.read_bytes().split(b"\n")
+    received, relayed = session.transcript.entries[-2:]
+    assert (received.direction, relayed.direction) == ("alice->referee", "referee->bob")
+    for entry in (received, relayed):
+        prefix = b'{"seq":%d,"dir":"%s",' % (entry.seq, entry.direction.encode())
+        assert written[entry.seq] == prefix + line[1:]
+
+
+def test_transcript_lines_end_at_a_newline_alone(tmp_path):
+    # A logged party line may hold other line breaks: "\r" between tokens,
+    # or a raw U+2028 or U+0085 inside a string.
+    session, conns = _session_at(0)
+    assert session.receive(conns["bob"], b'{"type":"prepare",\r"codes":"0123"}') is False
+    assert session.receive(conns["alice"], '{"type":"error","message":"a\u2028b\u0085c"}'.encode())
+    path = tmp_path / "t.jsonl"
+    session.transcript.write(path)
+    assert path.read_bytes().count(b"\n") == len(session.transcript.entries)
+    assert SessionTranscript.load(path).entries == session.transcript.entries
 
 
 def test_a_party_line_that_is_not_utf8_is_a_violation():
@@ -311,7 +369,7 @@ def test_referee_refuses_other_wire_formats():
                            ({"type": "hello", "role": "bob", "format": 1}, 1),
                            ({"type": "hello", "role": "bob", "format": FORMAT + 1}, FORMAT + 1)):
         session, conn = _RefereeSession(seed=3, noise_rate=0.0), _FakeConn()
-        assert session.receive(conn, encode_message(hello)) is False
+        assert session.receive(conn, _line(hello)) is False
         assert conn.sent == [error_message(
             f"wire format {version} not supported: this referee speaks format {FORMAT}")]
         assert not conn.open and session.parties == {}
@@ -357,6 +415,34 @@ _JUNK_LINES = st.one_of(
 _ENDINGS = collections.Counter()
 
 
+def _compact(msg):
+    return json.dumps(msg, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((0, 1, 100_000)), seed=st.integers(0, 2**32 - 1))
+def test_encode_message_is_compact_json_dumps(n, seed):
+    gen = np.random.default_rng(seed)
+    bases, bits = gen.integers(0, 2, n), gen.integers(0, 2, n)
+    for msg in (hello_message("bob"), prepare_message(PreparedSequence(bases=bases, bits=bits)),
+                measure_message(bases), outcomes_message(bits), commit_message(bits),
+                unveil_message(bases), decision_message("bit0"), error_message("gave up")):
+        assert encode_message(msg) == _compact(msg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mtype=st.one_of(st.sampled_from(MESSAGE_TYPES), _JUNK),
+       fields=st.dictionaries(st.sampled_from(("codes", "bits", "bases", "note")),
+                              st.one_of(_JUNK, st.text(alphabet="0123456789", max_size=6)),
+                              max_size=3))
+def test_encode_message_is_compact_json_dumps_for_any_payload(mtype, fields):
+    # List payloads, missing fields, digits out of range, a payload that is
+    # not the last field and a type that is no string all go through
+    # json.dumps unchanged.
+    msg = {"type": mtype, **fields}
+    assert encode_message(msg) == _compact(msg)
+
+
 def _ending(entry):
     """How an entry ends a session, if it does: a relayed decision, the
     referee's error to a party, or a party's own error (a hang-up too)."""
@@ -400,7 +486,7 @@ class RefereeFuzz(RuleBasedStateMachine):
         return self.session.parties.get(who) or _FakeConn()
 
     def _deliver(self, who, line):
-        self.ended = self.session.receive(self._conn(who), line)
+        self.ended = self.session.receive(self._conn(who), line.encode())
 
     def _next_sender(self):
         return None if self.session.finished else SESSION_SCRIPT[self.session.step][0]
@@ -433,6 +519,16 @@ class RefereeFuzz(RuleBasedStateMachine):
         self._deliver(sender, json.dumps(msg))
 
     @precondition(lambda self: not self.ended and self._next_sender() in self.session.parties)
+    @rule(form=st.sampled_from(("spaced", "carriage returns", "error")))
+    def noncanonical_step(self, form):
+        """The next step as a party might send it: with default separators,
+        with "\r" between tokens, or as an error whose text is raw non-ASCII."""
+        sender, mtype = SESSION_SCRIPT[self.session.step]
+        msg = error_message("\u00e9\u2028\u0085") if form == "error" else _wire_message(mtype, self.n)
+        line = json.dumps(msg, ensure_ascii=False)
+        self._deliver(sender, line.replace(", ", ",\r") if form == "carriage returns" else line)
+
+    @precondition(lambda self: not self.ended and self._next_sender() in self.session.parties)
     @rule(size=st.sampled_from((-1, 1)))
     def resized_step(self, size):
         sender, mtype = SESSION_SCRIPT[self.session.step]
@@ -457,6 +553,15 @@ class RefereeFuzz(RuleBasedStateMachine):
     def transcript_is_ordered_and_private(self):
         assert self.session.transcript.check_ordering()
         assert self.session.transcript.check_visibility()
+
+    @invariant()
+    def a_finished_transcript_loads_back_as_written(self):
+        if not self.ended:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            self.session.transcript.write(path)
+            assert SessionTranscript.load(path).entries == self.session.transcript.entries
 
     @invariant()
     def session_ends_exactly_once(self):
