@@ -12,14 +12,22 @@ Canonical polarization table (basis code, bit) <-> angle:
 
 Draw discipline: ``measure_photon`` consumes exactly one draw from its
 stream whether or not the bases match, and ``transmit_and_measure``
-consumes n outcome draws followed by n noise draws regardless of the noise
-rate.  Stream positions therefore depend only on how many photons were
-processed, never on the random values themselves, which keeps honest and
-counterfactual replays of the same seed aligned.
+consumes n outcome draws, then n noise draws only when the noise rate is
+above 0.  Nothing draws from the measurement stream after the noise, so
+skipping it at rate 0 moves no later draw.  Stream positions therefore
+depend only on how many photons were processed, never on the random values
+themselves, which keeps honest and counterfactual replays of the same seed
+aligned.
+
+The array draws read PCG64's raw 64-bit outputs (``uniform_codes``,
+``measure_states``) and return exactly what ``Generator.integers`` and
+``Generator.random`` return from a fresh generator, without their
+per-call cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -97,8 +105,24 @@ def prepare_random_sequence(n: int, rng: np.random.Generator) -> PreparedSequenc
 
 def draw_states(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The draws of ``prepare_random_sequence``, unvalidated: (bases, bits)."""
-    codes = rng.integers(0, 4, size=n).astype(np.uint8)
+    codes = uniform_codes(rng, n, 2)
     return codes >> 1, codes & 1
+
+
+def uniform_codes(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """n uniform integers in [0, 2**width) as uint8, for 1 <= width <= 8.
+
+    Equal to ``rng.integers(0, 2**width, size=n)`` when ``rng`` holds no
+    buffered 32-bit half, as every fresh substream does.  For a power-of-two
+    range numpy's ``integers`` never rejects: it returns the top ``width``
+    bits of successive 32-bit halves of the raw outputs, low half first.
+    Here byte 3 and byte 7 of each little-endian raw word are the top bytes
+    of its two halves.  Unlike ``integers``, an odd n leaves no buffered
+    half behind: a later ``Generator.random`` reads whole raw words either
+    way, but a later ``integers`` on the same generator would differ.
+    """
+    raw = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
+    return raw.view(np.uint8)[3:4 * n:4] >> (8 - width)
 
 
 def measure_photon(state: PhotonState, basis: Basis, rng: np.random.Generator) -> int:
@@ -124,9 +148,9 @@ def transmit_and_measure(
     """Measure a whole sequence, then apply independent bit-flip noise.
 
     Element i equals ``measure_photon(seq[i], bases[i])``, flipped with
-    probability ``noise_rate``.  Consumes n outcome draws followed by n
-    noise draws from ``rng`` (the noise draws are consumed even at rate 0,
-    so changing the rate never shifts later draws).
+    probability ``noise_rate``.  Consumes n outcome draws from ``rng``,
+    then, only when ``noise_rate`` is above 0, n noise draws.  Nothing is
+    drawn from ``rng`` after the noise, so skipping it shifts no later draw.
     """
     bases = as_bit_array(bases)
     if len(bases) != len(seq):
@@ -144,9 +168,14 @@ def measure_states(
 ) -> np.ndarray:
     """The draws of ``transmit_and_measure`` on uint8 code arrays, unvalidated."""
     n = len(bases)
-    coins = rng.integers(0, 2, size=n).astype(np.uint8)
+    coins = uniform_codes(rng, n, 1)
     # The prepared bit where the bases match, the coin elsewhere (a bitwise
     # select: several times faster than np.where on uint8).
     outcomes = coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
-    outcomes ^= rng.random(n) < noise_rate
+    if noise_rate > 0:
+        # rng.random(n) < noise_rate on the same raw outputs: a double is
+        # (raw >> 11) * 2**-53, below the rate exactly when raw is below
+        # ceil(noise_rate * 2**53) * 2**11.
+        last = (math.ceil(noise_rate * 2**53) << 11) - 1
+        outcomes ^= rng.bit_generator.random_raw(n) <= np.uint64(last)
     return outcomes

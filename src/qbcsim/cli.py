@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=RebindStrategy.honest_bases(),
                        help="binding mode: honest-bases | flip-all-bases | random-lies:P")
     sweep.add_argument("--seed", type=int, default=0)
+    _add_policy_flags(sweep)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", required=True, help="report file path")
 
@@ -169,6 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         mode=SweepMode(args.mode),
         strategy=args.strategy,
+        policy=_policy(args),
     )
     report = run_sweep(spec)
     write_report(report, args.format, args.out)

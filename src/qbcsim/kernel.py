@@ -8,6 +8,13 @@ that would draw nothing: ERROR when no position is masked, ADVERSARY except
 on a preunveil tie or for random-lies.  Trials run in blocks of
 ``BLOCK_TRIALS``; each block's generators are seeded in one vectorised pass
 (``rng.SubstreamBatch``), with the same states as ``rng.substream``.
+
+The kernel draws through the role functions' own helpers
+(``draw_states``, ``choose_random_bases``, ``measure_states``,
+``draw_mask``), so both paths share one draw path.  The first three read
+PCG64's raw outputs (``channel.uniform_codes``), as does the committed bit,
+taken here from one raw output; the ERROR and ADVERSARY draws stay
+``Generator`` calls.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ def run_trials(
     while block := list(islice(seeds, BLOCK_TRIALS)):
         substreams = streams.SubstreamBatch(block, labels)
         for t in range(len(block)):
-            bit = int(substreams(t, streams.COMMITTED_BIT).integers(0, 2))
+            # integers(0, 2) on a fresh generator: bit 31 of its first raw output.
+            bit = substreams(t, streams.COMMITTED_BIT).bit_generator.random_raw() >> 31 & 1
             sent_bases, sent_bits = draw_states(n, substreams(t, streams.PREPARE))
             bases = choose_random_bases(n, substreams(t, streams.BASES))
             results = measure_states(sent_bases, sent_bits, bases, noise_rate,

@@ -40,6 +40,7 @@ from .channel import (
     as_bit_array,
     prepare_random_sequence,
     transmit_and_measure,
+    uniform_codes,
 )
 
 #: Result-masking semantics: replace selected results with fresh coin
@@ -247,7 +248,7 @@ def choose_random_bases(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform basis choices, one draw each."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return rng.integers(0, 2, size=n).astype(np.uint8)
+    return uniform_codes(rng, n, 1)
 
 
 def inject_errors(

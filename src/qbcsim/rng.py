@@ -3,7 +3,8 @@
 Every random decision in a session comes from its own named substream, so
 replaying a session with one participant's behaviour changed leaves every
 other participant's draws untouched.  A substream seed is derived by
-hashing the master seed together with a label path (SHA-256, first 8 bytes
+hashing the master seed together with a label path (one SHA-256 of the
+decimal master and the labels joined by ``/``, first 8 bytes read
 little-endian); the derivation is pure arithmetic on the label strings, so
 it is stable across platforms, processes, and interpreter sessions.
 
@@ -13,16 +14,18 @@ substreams they own, which makes a wire session reproduce the in-process
 session draw for draw.
 
 ``substream`` is the reference path.  ``SubstreamBatch`` builds the same
-generators for a block of trials at once: ``PCG64(seed)`` seeds itself from
+generators for a block of trials at once.  It hashes each (master, label)
+pair with one SHA-256 call and reads all the seeds with one
+``np.frombuffer``.  ``PCG64(seed)`` seeds itself from
 ``SeedSequence(seed).generate_state(4, np.uint64)``, and the batch computes
 those words for every seed of the block in one vectorised numpy pass, then
 hands them to ``PCG64`` through a seed-sequence object that returns them.
 That pass can be vectorised because ``SeedSequence``'s hash constants evolve
 by multiplication alone, independently of the data: for a 64-bit seed (two
 entropy words, the rest of the pool zero) the whole hash is one fixed
-sequence of uint32 xor/multiply/shift steps, applied element-wise.
-``tests/test_rng.py`` pins the batch to ``substream``, state and draws, on
-edge-case and random seeds.
+sequence of uint32 xor/multiply/shift steps, applied element-wise.  Each
+generator is built only when asked for.  ``tests/test_rng.py`` pins the
+batch to ``substream``, state and draws, on edge-case and random seeds.
 """
 
 from __future__ import annotations
@@ -51,12 +54,8 @@ def derive_seed(master: int, *labels: int | str) -> int:
     are joined with ``/`` separators before hashing, so ``("a", 1)`` and
     ``("a1",)`` derive different seeds.
     """
-    h = hashlib.sha256()
-    h.update(str(int(master)).encode())
-    for label in labels:
-        h.update(b"/")
-        h.update(str(label).encode())
-    return int.from_bytes(h.digest()[:8], "little")
+    path = "/".join([str(int(master)), *map(str, labels)])
+    return int.from_bytes(hashlib.sha256(path.encode()).digest()[:8], "little")
 
 
 def substream(master: int, *labels: int | str) -> np.random.Generator:
@@ -141,8 +140,11 @@ class SubstreamBatch:
     def __init__(self, masters: Sequence[int], labels: Sequence[str]):
         self._masters = masters
         self._row = {label: i for i, label in enumerate(labels)}
-        seeds = np.array([[derive_seed(m, label) for m in masters] for label in labels],
-                         dtype=np.uint64).reshape(len(labels), len(masters))
+        # derive_seed(m, label) for every pair: one sha256 of b"<m>/<label>" each.
+        heads = [b"%d/" % int(m) for m in masters]
+        prefixes = b"".join([hashlib.sha256(head + label).digest()[:8]
+                             for label in map(str.encode, labels) for head in heads])
+        seeds = np.frombuffer(prefixes, "<u8").reshape(len(labels), len(masters))
         self._words = seed_state_words(seeds)
 
     def __call__(self, t: int, label: str) -> np.random.Generator:

@@ -8,8 +8,10 @@ from qbcsim.channel import (
     Basis,
     PhotonState,
     measure_photon,
+    measure_states,
     prepare_random_sequence,
     transmit_and_measure,
+    uniform_codes,
 )
 
 
@@ -114,3 +116,36 @@ def test_transmit_replayable():
     a = transmit_and_measure(seq, bases, 0.3, streams.substream(6, "m"))
     b = transmit_and_measure(seq, bases, 0.3, streams.substream(6, "m"))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("width", (1, 2))
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 17, 256, 4097))
+def test_uniform_codes_are_generator_integers(width, n):
+    # Same values as Generator.integers on fresh substreams, and a following
+    # Generator.random still reads the same doubles (an odd n leaves numpy a
+    # buffered 32-bit half, which doubles skip).
+    for seed in range(25):
+        fresh, raw = streams.substream(seed, "codes"), streams.substream(seed, "codes")
+        want = fresh.integers(0, 2**width, size=n)
+        got = uniform_codes(raw, n, width)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want), seed
+        assert np.array_equal(raw.random(5), fresh.random(5)), seed
+
+
+@pytest.mark.parametrize("noise", (0.0, 0.1, 1 / 3, 0.5, 1.0))
+def test_measure_states_draws_coins_then_noise_as_the_generator_does(noise):
+    # Coins are integers(0, 2, size=n), noise is random(n) < noise_rate; at
+    # rate 0 no noise is drawn at all.
+    for n in (0, 1, 17, 256):
+        codes = streams.substream(n, "sent").integers(0, 4, size=n).astype(np.uint8)
+        sent_bases, sent_bits = codes >> 1, codes & 1
+        bases = streams.substream(n, "bases").integers(0, 2, size=n).astype(np.uint8)
+        reference, rng = streams.substream(n, "measure"), streams.substream(n, "measure")
+        coins = reference.integers(0, 2, size=n).astype(np.uint8)
+        want = np.where(bases == sent_bases, sent_bits, coins).astype(np.uint8)
+        if noise > 0:
+            want ^= reference.random(n) < noise
+        got = measure_states(sent_bases, sent_bits, bases, noise, rng)
+        assert np.array_equal(got, want), n
+        assert rng.random() == reference.random(), n

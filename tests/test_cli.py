@@ -1,9 +1,12 @@
 """CLI surface: subcommands, flags, exit codes, golden outputs."""
 
+import hashlib
 import json
 import socket
 import threading
 import time
+
+from test_kernel import FROZEN_CSV_SHA256
 
 from qbcsim.cli import _policy, build_parser, cli_main
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
@@ -50,10 +53,11 @@ def test_flag_defaults_are_the_library_defaults():
     parser = build_parser()
     for argv in (["simulate", "--n", "8", "--bit", "0"],
                  ["party", "--role", "bob", "--connect", "127.0.0.1:1", "--n", "8"],
+                 ["sweep", "--n-list", "8", "--error-list", "0", "--out", "r.csv"],
                  ["attack", "rebind", "--n", "8"]):
         args = parser.parse_args(argv)
         assert _policy(args) == DecisionPolicy(), argv
-        if argv[0] != "attack":
+        if argv[0] in ("simulate", "party"):
             assert args.error_mode == SessionConfig.error_mode, argv
 
 
@@ -104,6 +108,19 @@ def test_sweep_rerun_identical_bytes(capsys, tmp_path):
     assert cli_main(args + ["--out", str(first)]) == 0
     assert cli_main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    capsys.readouterr()
+
+
+def test_sweep_policy_flags_keep_the_frozen_streams(capsys, tmp_path):
+    # The "honest" spec of tests/test_kernel.py, whose policy is min_sift=3.
+    out = tmp_path / "report.csv"
+    code = cli_main(
+        ["sweep", "--n-list", "0,1,17,64", "--error-list", "0,0.3,1",
+         "--noise-list", "0,0.1", "--trials", "20", "--mode", "honest",
+         "--seed", "2024", "--min-sift", "3", "--out", str(out)]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_CSV_SHA256["honest"]
     capsys.readouterr()
 
 

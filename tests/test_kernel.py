@@ -80,6 +80,19 @@ def test_kernel_equals_the_role_functions_across_seeding_blocks(mode, strategy):
     assert run_trials(iter(seeds), *args) == run_trials(seeds, *args)
 
 
+def test_kernel_committed_bit_is_generator_integers():
+    # An honest trial at n = 64 with no masking or noise reads its bit
+    # cleanly, so its verdict shows the bit the kernel drew.
+    bits = Counter()
+    for t in range(64):
+        seed = streams.derive_seed(31, t)
+        bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
+        _, tallies = run_trials([seed], 64, 0.0, 0.0, "honest")
+        assert tallies == Counter({Decision.BIT1 if bit else Decision.BIT0: 1}), seed
+        bits[bit] += 1
+    assert bits[0] and bits[1]
+
+
 def test_kernel_validates_its_inputs():
     for bad in (dict(n=-1), dict(error_fraction=1.5), dict(noise_rate=-0.1)):
         args = dict(n=4, error_fraction=0.0, noise_rate=0.0, mode="honest") | bad

@@ -8,11 +8,10 @@ from qbcsim import rng as streams
 def test_derivation_is_stable():
     # Frozen values: the derivation must never change, or every seeded
     # experiment in the wild silently changes with it.
-    assert streams.derive_seed(0) == streams.derive_seed(0)
-    a = streams.derive_seed(12345, "bob-prepare")
-    b = streams.derive_seed(12345, "bob-prepare")
-    assert a == b
-    assert 0 <= a < 2**64
+    assert streams.derive_seed(0) == 4066689987807800415
+    assert streams.derive_seed(12345, "bob-prepare") == 14364373589307194028
+    assert streams.derive_seed(2024, 3, 17) == 17044459236343154442
+    assert streams.derive_seed(2**64 - 1, "adversary") == 17830963011044050215
 
 
 def test_labels_change_the_stream():
