@@ -42,13 +42,10 @@ from .protocol import (
     unveil,
 )
 from .adversary import (
-    AttackReport,
     PreUnveilGuess,
     RebindStrategy,
     alice_rebind_attack,
     bob_preunveil_guess,
-    count_preunveil_hits,
-    evaluate_binding,
 )
 from .stats import (
     ConfidenceInterval,
@@ -57,4 +54,4 @@ from .stats import (
     expected_raw_correlation,
     expected_sifted_correlation,
 )
-from .harness import SweepMode, SweepReport, SweepSpec, run_sweep, write_report
+from .harness import SweepMode, SweepReport, SweepSpec, run_cell, run_sweep, write_report

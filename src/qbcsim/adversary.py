@@ -1,4 +1,4 @@
-"""Attack strategies for both parties, and their Monte Carlo evaluation.
+"""Attack strategies for both parties.
 
 Two directions:
 
@@ -15,23 +15,20 @@ Two directions:
   suspicion or ambiguity defeats the cheat.
 
 No optimality claim is made for the strategy menu: these are the natural
-blind schedules, evaluated empirically.
+blind schedules, evaluated empirically by ``harness.run_cell`` in
+preunveil and binding mode.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import rng as streams
-from .kernel import run_trials
 from .protocol import (
     Commitment,
-    Decision,
-    DecisionPolicy,
     ErrorMask,
     MeasurementRecord,
     Unveil,
@@ -118,63 +115,6 @@ class PreUnveilGuess:
     margin: float
 
 
-@dataclass(frozen=True)
-class AttackReport:
-    """Tallies from a batch of rebind attempts.
-
-    success: the receiver cleanly decoded the flipped bit.
-    detection: the receiver flagged the session as suspicious.
-    ambiguous: the receiver could not read a bit at all.
-    decoded_original: the receiver decoded the originally committed bit,
-    i.e. the rebind changed nothing.
-    """
-
-    n: int
-    error_fraction: float
-    noise_rate: float
-    strategy: RebindStrategy
-    trials: int
-    seed: int
-    success_count: int
-    detection_count: int
-    ambiguous_count: int
-    decoded_original_count: int
-
-    def __post_init__(self) -> None:
-        total = (
-            self.success_count
-            + self.detection_count
-            + self.ambiguous_count
-            + self.decoded_original_count
-        )
-        if total != self.trials:
-            raise ValueError(f"outcome tallies sum to {total}, expected {self.trials}")
-
-    @property
-    def success_rate(self) -> float:
-        return self.success_count / self.trials if self.trials else 0.0
-
-    @property
-    def detection_rate(self) -> float:
-        return self.detection_count / self.trials if self.trials else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "error_fraction": self.error_fraction,
-            "noise_rate": self.noise_rate,
-            "strategy": self.strategy.label,
-            "trials": self.trials,
-            "seed": self.seed,
-            "success_count": self.success_count,
-            "detection_count": self.detection_count,
-            "ambiguous_count": self.ambiguous_count,
-            "decoded_original_count": self.decoded_original_count,
-            "success_rate": self.success_rate,
-            "detection_rate": self.detection_rate,
-        }
-
-
 def bob_preunveil_guess(
     sent_bits, commitment: Commitment, rng: np.random.Generator
 ) -> PreUnveilGuess:
@@ -215,55 +155,3 @@ def alice_rebind_attack(
     if original_bit not in (0, 1):
         raise ValueError("original_bit must be 0 or 1")
     return Unveil(bases=strategy.lie(record.bases, lambda: rng))
-
-
-def _trial_seeds(seed: int, trials: int) -> Iterator[int]:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return (streams.derive_seed(seed, t) for t in range(trials))
-
-
-def count_preunveil_hits(
-    n: int,
-    error_fraction: float,
-    trials: int,
-    seed: int,
-    noise_rate: float = 0.0,
-) -> int:
-    """Number of seeded trials where the early guess hits the committed bit."""
-    hits, _tallies = run_trials(
-        _trial_seeds(seed, trials), n, error_fraction, noise_rate, "preunveil"
-    )
-    return hits
-
-
-def evaluate_binding(
-    n: int,
-    error_fraction: float,
-    strategy: RebindStrategy,
-    trials: int,
-    seed: int,
-    policy: DecisionPolicy | None = None,
-    noise_rate: float = 0.0,
-) -> AttackReport:
-    """Tally rebind outcomes over seeded trials.
-
-    A trial succeeds for the committer only when the receiver cleanly
-    decodes the flipped bit.
-    """
-    success, tallies = run_trials(
-        _trial_seeds(seed, trials), n, error_fraction, noise_rate, "binding",
-        strategy, policy or DecisionPolicy(),
-    )
-    return AttackReport(
-        n=n,
-        error_fraction=error_fraction,
-        noise_rate=noise_rate,
-        strategy=strategy,
-        trials=trials,
-        seed=seed,
-        success_count=success,
-        detection_count=tallies[Decision.CHEAT_SUSPECTED],
-        ambiguous_count=tallies[Decision.AMBIGUOUS],
-        decoded_original_count=tallies[Decision.BIT0] + tallies[Decision.BIT1] - success,
-    )

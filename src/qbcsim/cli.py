@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
-from .adversary import RebindStrategy, count_preunveil_hits, evaluate_binding
-from .harness import SweepMode, SweepSpec, run_sweep, write_report
-from .protocol import ERROR_MODES, DecisionPolicy, SessionConfig, run_honest_session
+from .adversary import RebindStrategy
+from .harness import SweepMode, SweepSpec, run_cell, run_sweep, write_report
+from .protocol import ERROR_MODES, Decision, DecisionPolicy, SessionConfig, run_honest_session
 from .referee import DEFAULT_TRANSCRIPT, party_run, referee_serve
 from .stats import binomial_ci
 
@@ -179,43 +179,40 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    """Evaluate one attack as a sweep of one cell."""
     if args.attack_kind == "preunveil":
-        hits = count_preunveil_hits(
-            args.n, args.error_fraction, args.trials, args.seed,
-            noise_rate=args.noise_rate,
-        )
-        rate = hits / args.trials
-        ci = binomial_ci(hits, args.trials, 0.95)
-        result = {
-            "n": args.n,
-            "error_fraction": args.error_fraction,
-            "noise_rate": args.noise_rate,
-            "trials": args.trials,
-            "seed": args.seed,
-            "success_rate": rate,
-            "ci_low": ci.low,
-            "ci_high": ci.high,
-        }
-        if args.output == "json":
-            print(json.dumps(result, indent=2))
-        else:
-            print(f"pre-unveil guess success: {rate:.4f} "
-                  f"(95% CI [{ci.low:.4f}, {ci.high:.4f}]) "
-                  f"over {args.trials} trials")
-        return 0
-
-    report = evaluate_binding(
-        args.n, args.error_fraction, args.strategy, args.trials, args.seed,
-        policy=_policy(args), noise_rate=args.noise_rate,
-    )
-    if args.output == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        mode = dict(mode=SweepMode.PREUNVEIL)
     else:
-        print(f"rebind strategy {report.strategy.label} over {report.trials} trials:")
-        print(f"  flip succeeded:   {report.success_count} ({report.success_rate:.4f})")
-        print(f"  cheat suspected:  {report.detection_count} ({report.detection_rate:.4f})")
-        print(f"  ambiguous:        {report.ambiguous_count}")
-        print(f"  original decoded: {report.decoded_original_count}")
+        mode = dict(mode=SweepMode.BINDING, strategy=args.strategy, policy=_policy(args))
+    spec = SweepSpec(n_values=(args.n,), error_fractions=(args.error_fraction,),
+                     noise_rates=(args.noise_rate,), trials_per_cell=args.trials,
+                     master_seed=args.seed, **mode)
+    successes, tallies = run_cell(spec, (args.seed,), args.n, args.error_fraction,
+                                  args.noise_rate)
+    trials = args.trials
+    result = {"n": args.n, "error_fraction": args.error_fraction,
+              "noise_rate": args.noise_rate}
+    if args.attack_kind == "preunveil":
+        ci = binomial_ci(successes, trials, 0.95)
+        result.update(trials=trials, seed=args.seed, success_rate=successes / trials,
+                      ci_low=ci.low, ci_high=ci.high)
+        text = (f"pre-unveil guess success: {successes / trials:.4f} "
+                f"(95% CI [{ci.low:.4f}, {ci.high:.4f}]) over {trials} trials")
+    else:
+        detected, ambiguous = tallies[Decision.CHEAT_SUSPECTED], tallies[Decision.AMBIGUOUS]
+        original = tallies[Decision.BIT0] + tallies[Decision.BIT1] - successes
+        result.update(
+            strategy=args.strategy.label, trials=trials, seed=args.seed,
+            success_count=successes, detection_count=detected, ambiguous_count=ambiguous,
+            decoded_original_count=original,
+            success_rate=successes / trials, detection_rate=detected / trials,
+        )
+        text = (f"rebind strategy {args.strategy.label} over {trials} trials:\n"
+                f"  flip succeeded:   {successes} ({successes / trials:.4f})\n"
+                f"  cheat suspected:  {detected} ({detected / trials:.4f})\n"
+                f"  ambiguous:        {ambiguous}\n"
+                f"  original decoded: {original}")
+    print(json.dumps(result, indent=2) if args.output == "json" else text)
     return 0
 
 

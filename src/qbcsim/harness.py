@@ -1,11 +1,16 @@
-"""Monte Carlo experiment runner: sweeps, aggregation, report files.
+"""Monte Carlo experiment runner: cells, sweeps, aggregation, report files.
 
-A sweep enumerates the (n, error_fraction, noise_rate) grid in row-major
-order (n outermost) and runs trials_per_cell independent trials per cell.
-Trial substreams are derived as hash(master_seed, cell_index, trial_index),
-so results do not depend on scheduling and a sweep rerun with the same
-master seed reproduces its report byte for byte (timestamps excluded: the
-CSV carries none, the JSON carries one provenance field).
+``run_cell`` runs the trials of one (n, error_fraction, noise_rate) cell
+and is the one evaluator of every mode: ``qbcsim sweep`` runs it on each
+cell of a grid, ``qbcsim attack`` on a grid of one cell.  Trial t of a cell
+is seeded by hash(*path, t); a sweep's path is (master_seed, cell_index),
+an attack's is (seed,).
+
+A sweep enumerates the grid in row-major order (n outermost) and runs
+trials_per_cell independent trials per cell, so results do not depend on
+scheduling and a sweep rerun with the same master seed reproduces its
+report byte for byte (timestamps excluded: the CSV carries none, the JSON
+carries one provenance field).
 
 Per-cell statistic by mode:
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -113,14 +119,23 @@ class SweepReport:
     timestamp: str
 
 
+def run_cell(
+    spec: SweepSpec, path: tuple[int, ...], n: int, e: float, noise: float
+) -> tuple[int, Counter[Decision]]:
+    """Run ``spec.trials_per_cell`` trials of one cell in ``spec``'s mode.
+
+    Trial t is seeded by ``derive_seed(*path, t)``.  Returns the successes
+    and the decision tallies of ``kernel.run_trials``.
+    """
+    seeds = (streams.derive_seed(*path, t) for t in range(spec.trials_per_cell))
+    return run_trials(seeds, n, e, noise, spec.mode.value, spec.strategy, spec.policy)
+
+
 def _run_cell(
     spec: SweepSpec, cell_index: int, n: int, e: float, noise: float
 ) -> SweepRow:
     trials = spec.trials_per_cell
-    seeds = (streams.derive_seed(spec.master_seed, cell_index, t) for t in range(trials))
-    successes, counts = run_trials(
-        seeds, n, e, noise, spec.mode.value, spec.strategy, spec.policy
-    )
+    successes, counts = run_cell(spec, (spec.master_seed, cell_index), n, e, noise)
     # Honest pools match counts over every revealed position of every trial.
     denominator = trials * n if spec.mode is SweepMode.HONEST else trials
     if denominator > 0:

@@ -1,13 +1,16 @@
-"""The per-trial loop behind sweeps and attack estimators.
+"""The per-trial loop behind ``harness.run_cell``, so behind every sweep and
+attack evaluation.
 
 A trial makes the draws of ``run_commit_phase`` followed by
 ``bob_preunveil_guess`` or ``alice_rebind_attack`` and ``score_and_decide``,
 in the same order on the same substreams, so its tallies equal theirs.  It
-skips the per-trial dataclasses and their validation, and the generators
-that would draw nothing: ERROR when no position is masked, ADVERSARY except
-on a preunveil tie or for random-lies.  Trials run in blocks of
-``BLOCK_TRIALS``; each block's generators are seeded in one vectorised pass
-(``rng.SubstreamBatch``), with the same states as ``rng.substream``.
+skips the per-trial dataclasses and their validation (the caller's
+``SweepSpec`` validates a cell's inputs once), and the generators that
+would draw nothing: ERROR when no position is masked, ADVERSARY except on a
+preunveil tie or for random-lies.  Trials run in blocks of
+``BLOCK_TRIALS``; each block seeds every substream the cell can draw in one
+vectorised pass (``rng.SubstreamBatch``), with the same states as
+``rng.substream``.
 
 The kernel draws through the role functions' own helpers
 (``draw_states``, ``choose_random_bases``, ``measure_states``,
@@ -22,24 +25,20 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng as streams
+from .adversary import RebindStrategy
 from .channel import draw_states, measure_states
 from .protocol import (
     Decision,
     DecisionPolicy,
-    SessionConfig,
     choose_random_bases,
     decide,
     draw_mask,
     masked_count,
 )
-
-if TYPE_CHECKING:
-    from .adversary import RebindStrategy
 
 #: Trials per seeding pass: bounds the pass's arrays whatever the trial count.
 BLOCK_TRIALS = 1024
@@ -62,17 +61,15 @@ def run_trials(
     ``preunveil`` the early guesses that hit the bit; ``binding`` the
     ``strategy`` rebinds the receiver decodes as the flipped bit.  Tallies
     count the receiver's verdicts under ``policy``; in ``preunveil`` the
-    guess fills BIT0/BIT1.
+    guess fills BIT0/BIT1.  The inputs are taken as valid: ``SweepSpec`` checks them.
     """
-    SessionConfig(n=n, committed_bit=0, error_fraction=error_fraction,  # validation only
-                  noise_rate=noise_rate, policy=policy)
     k = masked_count(error_fraction, n)
     successes = 0
     tallies: Counter[Decision] = Counter()
     labels = [streams.COMMITTED_BIT, streams.PREPARE, streams.BASES, streams.MEASURE]
     if k:
         labels.append(streams.ERROR)
-    if mode == "binding" and strategy.draws:
+    if mode == "preunveil" or (mode == "binding" and strategy.draws):
         labels.append(streams.ADVERSARY)
     seeds = iter(seeds)
     while block := list(islice(seeds, BLOCK_TRIALS)):

@@ -72,10 +72,10 @@ DEFAULT_TRANSCRIPT = "referee-transcript.jsonl"
 
 
 def parse_address(addr: str) -> tuple[str, int]:
-    """Split HOST:PORT; the port is mandatory."""
+    """Split HOST:PORT; the port is mandatory, a decimal integer in 0-65535."""
     host, sep, port = addr.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address must be HOST:PORT, got {addr!r}")
+    if not (sep and host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"address must be HOST:PORT with PORT in 0-65535, got {addr!r}")
     return host, int(port)
 
 

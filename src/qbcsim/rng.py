@@ -133,12 +133,11 @@ class SubstreamBatch:
     """The substreams of a block of trials, seeded in one vectorised pass.
 
     ``batch(t, label)`` returns a fresh generator equal, state for state, to
-    ``substream(masters[t], label)``.  The labels in ``labels`` are hashed in
-    bulk up front; any other label falls back to ``substream`` when asked for.
+    ``substream(masters[t], label)``, for ``label`` in ``labels``: they are
+    hashed in bulk up front.
     """
 
     def __init__(self, masters: Sequence[int], labels: Sequence[str]):
-        self._masters = masters
         self._row = {label: i for i, label in enumerate(labels)}
         # derive_seed(m, label) for every pair: one sha256 of b"<m>/<label>" each.
         heads = [b"%d/" % int(m) for m in masters]
@@ -148,7 +147,5 @@ class SubstreamBatch:
         self._words = seed_state_words(seeds)
 
     def __call__(self, t: int, label: str) -> np.random.Generator:
-        row = self._row.get(label)
-        if row is None:
-            return substream(self._masters[t], label)
-        return np.random.Generator(np.random.PCG64(_StateWords(self._words[row, t])))
+        words = self._words[self._row[label], t]
+        return np.random.Generator(np.random.PCG64(_StateWords(words)))

@@ -12,15 +12,12 @@ import time
 import numpy as np
 
 from qbcsim import rng as streams
-from qbcsim.adversary import (
-    RebindStrategy,
-    count_preunveil_hits,
-    evaluate_binding,
-)
+from qbcsim.adversary import RebindStrategy
 from qbcsim.channel import Basis, PhotonState, PreparedSequence, measure_photon
-from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
+from qbcsim.harness import SweepMode, SweepSpec, run_cell, run_sweep, write_report
 from qbcsim.protocol import (
     Commitment,
+    Decision,
     DecisionPolicy,
     SessionConfig,
     Unveil,
@@ -46,6 +43,12 @@ MASTER = 20240501
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def _attack(mode, n, e, trials, seed, strategy=RebindStrategy.honest_bases()):
+    """``qbcsim attack``'s one-cell run: (successes, decision tallies)."""
+    spec = SweepSpec((n,), (e,), trials_per_cell=trials, mode=mode, strategy=strategy)
+    return run_cell(spec, (seed,), n, e, 0.0)
 
 
 def test_criterion_01_raw_correlation_without_errors():
@@ -132,9 +135,9 @@ def test_criterion_06_concealment_breach():
     rates = {}
     for n in (16, 64, 256):
         for e in (0.0, 0.5):
-            rates[(n, e)] = count_preunveil_hits(
-                n, e, trials, streams.derive_seed(MASTER, "preunveil", n, e)
-            ) / trials
+            hits, _tallies = _attack(SweepMode.PREUNVEIL, n, e, trials,
+                                     streams.derive_seed(MASTER, "preunveil", n, e))
+            rates[(n, e)] = hits / trials
     above = all(rate > threshold for rate in rates.values())
     monotone = all(
         rates[(16, e)] <= rates[(64, e)] + sigma2 <= rates[(256, e)] + 2 * sigma2
@@ -159,16 +162,17 @@ def test_criterion_07_binding_under_implemented_strategies():
     details = []
     for strategy in strategies:
         for e in (0.0, 0.5):
-            report = evaluate_binding(
-                256, e, strategy, trials,
-                streams.derive_seed(MASTER, "binding", strategy.label, e),
+            flips, tallies = _attack(
+                SweepMode.BINDING, 256, e, trials,
+                streams.derive_seed(MASTER, "binding", strategy.label, e), strategy,
             )
-            ok &= report.success_rate < 0.01
+            suspected = tallies[Decision.CHEAT_SUSPECTED]
+            ok &= flips / trials < 0.01
             if strategy.kind.value == "flip-all-bases":
-                ok &= report.detection_count > trials / 2
+                ok &= suspected > trials / 2
             details.append(
-                f"{strategy.label},e={e}: flip {report.success_rate:.4f}, "
-                f"suspected {report.detection_rate:.3f}"
+                f"{strategy.label},e={e}: flip {flips / trials:.4f}, "
+                f"suspected {suspected / trials:.3f}"
             )
     _report(7, ok, "; ".join(details))
 

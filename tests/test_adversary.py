@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 
 from qbcsim import rng as streams
-from qbcsim.adversary import (
-    AttackReport,
-    RebindStrategy,
-    alice_rebind_attack,
-    bob_preunveil_guess,
-    count_preunveil_hits,
-    evaluate_binding,
-)
+from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
+from qbcsim.harness import SweepMode, SweepSpec, run_cell
 from qbcsim.protocol import (
     Commitment,
     Decision,
@@ -25,6 +19,18 @@ from qbcsim.protocol import (
     Unveil,
     run_commit_phase,
 )
+
+
+def _preunveil_hits(n, error_fraction, trials, seed):
+    spec = SweepSpec((n,), (error_fraction,), trials_per_cell=trials, mode=SweepMode.PREUNVEIL)
+    return run_cell(spec, (seed,), n, error_fraction, 0.0)[0]
+
+
+def _binding(n, error_fraction, strategy, trials, seed):
+    """(flips, decision tallies) of ``trials`` seeded rebind attempts."""
+    spec = SweepSpec((n,), (error_fraction,), trials_per_cell=trials,
+                     mode=SweepMode.BINDING, strategy=strategy)
+    return run_cell(spec, (seed,), n, error_fraction, 0.0)
 
 
 def _oracle_preunveil_success(n, error_fraction, trials, rng):
@@ -107,14 +113,14 @@ def test_guess_rejects_length_mismatch():
 
 
 def test_preunveil_success_baseline_at_n_zero():
-    rate = count_preunveil_hits(0, 0.0, 2000, seed=72) / 2000
+    rate = _preunveil_hits(0, 0.0, 2000, seed=72) / 2000
     assert abs(rate - 0.5) < 3 * np.sqrt(0.25 / 2000)
 
 
 def test_preunveil_success_matches_independent_oracle():
     # Implementation and oracle use unrelated seeds; at n=256, e=0 both
     # sit essentially at certainty.
-    ours = count_preunveil_hits(256, 0.0, 10000, seed=73) / 10000
+    ours = _preunveil_hits(256, 0.0, 10000, seed=73) / 10000
     oracle = _oracle_preunveil_success(256, 0.0, 10000, np.random.default_rng(9090))
     assert ours > 0.99
     pooled = (ours + oracle) / 2
@@ -123,7 +129,7 @@ def test_preunveil_success_matches_independent_oracle():
 
 
 def test_preunveil_success_matches_oracle_at_half_errors():
-    ours = count_preunveil_hits(256, 0.5, 10000, seed=74) / 10000
+    ours = _preunveil_hits(256, 0.5, 10000, seed=74) / 10000
     oracle = _oracle_preunveil_success(256, 0.5, 10000, np.random.default_rng(9191))
     pooled = (ours + oracle) / 2
     sigma = np.sqrt(pooled * (1 - pooled) * 2 / 10000)
@@ -133,7 +139,7 @@ def test_preunveil_success_matches_oracle_at_half_errors():
 def test_preunveil_success_monotone_in_n():
     trials = 4000
     rates = [
-        count_preunveil_hits(n, 0.5, trials, seed=75) / trials for n in (16, 64, 256)
+        _preunveil_hits(n, 0.5, trials, seed=75) / trials for n in (16, 64, 256)
     ]
     slack = 2 * np.sqrt(0.25 / trials)
     assert rates[0] <= rates[1] + slack
@@ -215,49 +221,30 @@ def test_rebind_cannot_touch_the_commitment():
 
 
 def test_binding_honest_unveil_never_flips():
-    report = evaluate_binding(
-        256, 0.0, RebindStrategy.honest_bases(), 2000, seed=84
-    )
-    assert report.success_count / report.trials < 0.001
+    flips, _tallies = _binding(256, 0.0, RebindStrategy.honest_bases(), 2000, seed=84)
+    assert flips / 2000 < 0.001
 
 
 def test_binding_flip_all_mostly_detected():
-    report = evaluate_binding(
-        256, 0.0, RebindStrategy.flip_all_bases(), 2000, seed=85
-    )
-    assert report.success_count / report.trials < 0.01
-    assert report.detection_count > report.trials / 2
+    flips, tallies = _binding(256, 0.0, RebindStrategy.flip_all_bases(), 2000, seed=85)
+    assert flips / 2000 < 0.01
+    assert tallies[Decision.CHEAT_SUSPECTED] > 2000 / 2
     # expected sift under total basis lying is still about n/2
-    assert report.ambiguous_count < report.trials / 2
+    assert tallies[Decision.AMBIGUOUS] < 2000 / 2
 
 
 def test_binding_empty_sessions_all_ambiguous():
-    report = evaluate_binding(0, 0.0, RebindStrategy.flip_all_bases(), 50, seed=86)
-    assert report.ambiguous_count == report.trials
+    _flips, tallies = _binding(0, 0.0, RebindStrategy.flip_all_bases(), 50, seed=86)
+    assert tallies[Decision.AMBIGUOUS] == 50
 
 
 def test_binding_tallies_partition_trials():
-    report = evaluate_binding(
-        64, 0.5, RebindStrategy.random_lies(0.5), 500, seed=87
-    )
-    total = (
-        report.success_count
-        + report.detection_count
-        + report.ambiguous_count
-        + report.decoded_original_count
-    )
-    assert total == report.trials
-    with pytest.raises(ValueError):
-        AttackReport(
-            n=1, error_fraction=0.0, noise_rate=0.0,
-            strategy=RebindStrategy.honest_bases(), trials=10, seed=0,
-            success_count=1, detection_count=1, ambiguous_count=1,
-            decoded_original_count=1,
-        )
+    flips, tallies = _binding(64, 0.5, RebindStrategy.random_lies(0.5), 500, seed=87)
+    assert sum(tallies.values()) == 500
+    # A flip is a clean read of the other bit.
+    assert flips <= tallies[Decision.BIT0] + tallies[Decision.BIT1]
 
 
 def test_binding_replayable():
-    kwargs = dict(n=64, error_fraction=0.5, trials=200, seed=88)
-    a = evaluate_binding(strategy=RebindStrategy.random_lies(0.3), **kwargs)
-    b = evaluate_binding(strategy=RebindStrategy.random_lies(0.3), **kwargs)
-    assert a == b
+    args = (64, 0.5, RebindStrategy.random_lies(0.3), 200, 88)
+    assert _binding(*args) == _binding(*args)

@@ -6,6 +6,7 @@ import socket
 import threading
 import time
 
+import pytest
 from test_kernel import FROZEN_CSV_SHA256
 
 from qbcsim.cli import _policy, build_parser, cli_main
@@ -79,6 +80,13 @@ def test_runtime_errors_exit_one(capsys, tmp_path):
          str(tmp_path / "missing" / "r.csv")]
     )
     assert code == 1
+    for argv, field in ((["preunveil", "--n", "-1"], "n_values"),
+                        (["rebind", "--n", "8", "--error-fraction", "1.5"], "error_fractions"),
+                        (["rebind", "--n", "8", "--noise-rate", "-0.1"], "noise_rates"),
+                        (["preunveil", "--n", "8", "--trials", "0"], "trials_per_cell")):
+        assert cli_main(["attack", *argv]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
 
 
 def test_sweep_matches_harness_golden(capsys, tmp_path):
@@ -159,6 +167,56 @@ def test_attack_rebind_json(capsys):
     assert result["strategy"] == "flip-all-bases"
     assert result["success_rate"] < 0.05
     assert result["detection_count"] > 150
+
+
+#: Exact stdout of ``qbcsim attack`` for fixed seeds: text and JSON, both
+#: attacks, noise, and random-lies with a policy flag.
+ATTACK_GOLDEN = (
+    pytest.param(
+        ["preunveil", "--n", "64", "--error-fraction", "0.5", "--trials", "300", "--seed", "5"],
+        "pre-unveil guess success: 0.9467 (95% CI [0.9151, 0.9669]) over 300 trials\n",
+        id="preunveil-text"),
+    pytest.param(
+        ["preunveil", "--n", "17", "--error-fraction", "0.3", "--noise-rate", "0.1",
+         "--trials", "300", "--seed", "6", "--output", "json"],
+        '{\n  "n": 17,\n  "error_fraction": 0.3,\n  "noise_rate": 0.1,\n  "trials": 300,\n'
+        '  "seed": 6,\n  "success_rate": 0.78,\n  "ci_low": 0.7297473820840871,\n'
+        '  "ci_high": 0.8231725540301672\n}\n',
+        id="preunveil-json-noise"),
+    pytest.param(
+        ["rebind", "--n", "64", "--strategy", "flip-all-bases", "--trials", "300", "--seed", "5"],
+        "rebind strategy flip-all-bases over 300 trials:\n"
+        "  flip succeeded:   22 (0.0733)\n"
+        "  cheat suspected:  228 (0.7600)\n"
+        "  ambiguous:        19\n"
+        "  original decoded: 31\n",
+        id="rebind-flip-all-text"),
+    pytest.param(
+        ["rebind", "--n", "32", "--error-fraction", "0.25", "--noise-rate", "0.05",
+         "--strategy", "random-lies:0.3", "--delta", "0.2", "--trials", "300", "--seed", "9",
+         "--output", "json"],
+        '{\n  "n": 32,\n  "error_fraction": 0.25,\n  "noise_rate": 0.05,\n'
+        '  "strategy": "random-lies:0.3",\n  "trials": 300,\n  "seed": 9,\n'
+        '  "success_count": 3,\n  "detection_count": 25,\n  "ambiguous_count": 96,\n'
+        '  "decoded_original_count": 176,\n  "success_rate": 0.01,\n'
+        '  "detection_rate": 0.08333333333333333\n}\n',
+        id="rebind-random-lies-json-delta"),
+    pytest.param(
+        ["rebind", "--n", "16", "--strategy", "random-lies:0.5", "--min-sift", "3",
+         "--trials", "300", "--seed", "9"],
+        "rebind strategy random-lies:0.5 over 300 trials:\n"
+        "  flip succeeded:   21 (0.0700)\n"
+        "  cheat suspected:  22 (0.0733)\n"
+        "  ambiguous:        39\n"
+        "  original decoded: 218\n",
+        id="rebind-random-lies-text-min-sift"),
+)
+
+
+@pytest.mark.parametrize("argv,expected", ATTACK_GOLDEN)
+def test_attack_output_golden(argv, expected, capsys):
+    assert cli_main(["attack", *argv]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_attack_rebind_bad_strategy_usage_error(capsys):
@@ -280,6 +338,20 @@ def test_party_connection_refused_exit_one(capsys):
                      f"127.0.0.1:{_free_port()}", "--n", "8", "--timeout", "2"])
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_out_of_range_ports_exit_one_naming_the_address(capsys, tmp_path):
+    transcript = tmp_path / "t.jsonl"
+    for port in ("99999", "-1"):
+        code = cli_main(["referee", "--listen", f"127.0.0.1:{port}",
+                         "--transcript", str(transcript), "--timeout", "0.3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"127.0.0.1:{port}" in err, err
+    assert not transcript.exists()  # no session was served
+    code = cli_main(["party", "--role", "bob", "--connect", "h:x", "--n", "8"])
+    assert code == 1
+    assert "'h:x'" in capsys.readouterr().err
 
 
 def test_referee_abort_names_its_cause(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Sweep runner: determinism, aggregation, report files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_binding_sweep_mode_label_and_tallies():
 
 
 def test_every_ci_brackets_its_mean_and_tallies_partition_trials():
-    spec = SweepSpec(
+    honest = SweepSpec(
         n_values=(32, 64),
         error_fractions=(0.0, 0.5),
         noise_rates=(0.0, 0.1),
@@ -94,12 +95,15 @@ def test_every_ci_brackets_its_mean_and_tallies_partition_trials():
         master_seed=3,
         mode=SweepMode.HONEST,
     )
-    rows = run_sweep(spec).rows
-    assert len(rows) == 8  # one per grid cell
-    for row in rows:
-        assert row.ci_low <= row.statistic_mean <= row.ci_high
-        total = row.decide_bit0 + row.decide_bit1 + row.ambiguous + row.cheat_suspected
-        assert total == row.trials
+    binding = replace(honest, mode=SweepMode.BINDING,
+                      strategy=RebindStrategy.random_lies(0.5))
+    for spec in (honest, binding):
+        rows = run_sweep(spec).rows
+        assert len(rows) == 8  # one per grid cell
+        for row in rows:
+            assert row.ci_low <= row.statistic_mean <= row.ci_high
+            total = row.decide_bit0 + row.decide_bit1 + row.ambiguous + row.cheat_suspected
+            assert total == row.trials
 
 
 def test_spec_validation():

@@ -77,11 +77,3 @@ def test_substream_batch_equals_substream():
             assert got.bit_generator.state == want.bit_generator.state, (master, label)
             assert np.array_equal(got.integers(0, 2, size=8), want.integers(0, 2, size=8))
             assert np.array_equal(got.random(8), want.random(8))
-
-
-def test_substream_batch_falls_back_for_unlisted_labels():
-    masters = list(EDGE_MASTERS)
-    batch = streams.SubstreamBatch(masters, [streams.PREPARE])
-    for t, master in enumerate(masters):
-        assert (batch(t, streams.ADVERSARY).bit_generator.state
-                == streams.substream(master, streams.ADVERSARY).bit_generator.state)

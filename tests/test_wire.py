@@ -140,8 +140,12 @@ def test_lines_are_parsed_from_bytes_as_utf8():
 
 def test_parse_address():
     assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
-    with pytest.raises(ValueError):
-        parse_address("9000")
+    assert parse_address("::1:0") == ("::1", 0)
+    for bad in ("9000", "127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", "h:x", "h:",
+                "h:+1", "h:\u00b2"):
+        with pytest.raises(ValueError, match="HOST:PORT") as raised:
+            parse_address(bad)
+        assert repr(bad) in str(raised.value)
 
 
 # -- transcripts -----------------------------------------------------------------
