@@ -27,11 +27,9 @@ from .protocol import (
     Commitment,
     Decision,
     DecisionPolicy,
-    ErrorMask,
     MeasurementRecord,
     SessionConfig,
     TrialReport,
-    Unveil,
     choose_random_bases,
     commit,
     decide,

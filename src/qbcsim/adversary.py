@@ -10,9 +10,11 @@ Two directions:
 * The committer tries to rebind after the fact.  Her commitment is
   immutable; all she controls at unveil time is the basis list, and she
   never learns the sender's preparation bases or bits, so every
-  implemented strategy is a blind basis-lying schedule.  A rebind counts
-  as a success only if the receiver cleanly decodes the opposite bit;
-  suspicion or ambiguity defeats the cheat.
+  implemented strategy is a blind basis-lying schedule.  Her unveil is
+  that basis list itself, a uint8 array in transmission order, as the
+  kernel and the wire pass it.  A rebind counts as a success only if the
+  receiver cleanly decodes the opposite bit; suspicion or ambiguity defeats
+  the cheat.
 
 No optimality claim is made for the strategy menu: these are the natural
 blind schedules, evaluated empirically by ``harness.run_cell`` in
@@ -27,13 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .protocol import (
-    Commitment,
-    ErrorMask,
-    MeasurementRecord,
-    Unveil,
-    raw_correlations,
-)
+from .protocol import Commitment, MeasurementRecord, raw_correlations
 
 
 class RebindKind(Enum):
@@ -51,7 +47,7 @@ class RebindStrategy:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lie_probability <= 1.0:
-            raise ValueError("lie_probability must be in [0, 1]")
+            raise ValueError(f"lie_probability must be in [0, 1], got {self.lie_probability}")
 
     @classmethod
     def honest_bases(cls) -> "RebindStrategy":
@@ -139,19 +135,19 @@ def bob_preunveil_guess(
 
 def alice_rebind_attack(
     record: MeasurementRecord,
-    mask: ErrorMask,
+    positions: np.ndarray,
     commitment: Commitment,
     original_bit: int,
     strategy: RebindStrategy,
     rng: np.random.Generator,
-) -> Unveil:
-    """Produce a (possibly dishonest) unveil message for a past commitment.
+) -> np.ndarray:
+    """The (possibly dishonest) basis list unveiled for a past commitment.
 
     The commitment itself is read-only; lying is confined to the basis
     list, in direct order.  The committer's full knowledge (her record,
-    her mask, her commitment, her bit) is available to the strategy, but
-    the implemented schedules are blind in the sender's bases.
+    her masked positions, her commitment, her bit) is available to the
+    strategy, but the implemented schedules are blind in the sender's bases.
     """
     if original_bit not in (0, 1):
         raise ValueError("original_bit must be 0 or 1")
-    return Unveil(bases=strategy.lie(record.bases, lambda: rng))
+    return strategy.lie(record.bases, lambda: rng)

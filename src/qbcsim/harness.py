@@ -75,13 +75,13 @@ class SweepSpec:
         if not self.n_values or not self.error_fractions or not self.noise_rates:
             raise ValueError("sweep axes must be nonempty")
         if min(self.n_values) < 0:
-            raise ValueError(f"n_values must be >= 0, got {self.n_values}")
+            raise ValueError(f"n must be >= 0, got {min(self.n_values)}")
         for axis in ("error_fractions", "noise_rates"):
-            values = getattr(self, axis)
-            if not all(0.0 <= v <= 1.0 for v in values):
-                raise ValueError(f"{axis} must lie in [0, 1], got {values}")
+            for v in getattr(self, axis):
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{axis[:-1]} must be in [0, 1], got {v}")
         if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials_per_cell}")
 
     @property
     def mode_label(self) -> str:

@@ -25,6 +25,10 @@ fraction e):
 * The wrong pairing compares independent positions and sits at 1/2
   regardless of e (for even n; the middle element of an odd-length
   sequence pairs with itself).
+
+The role functions pass the unveiled bases and the masked positions as
+plain arrays, the ones the kernel and the wire use; ``score_and_decide``
+checks an unveiled basis list as bits where it arrives.
 """
 
 from __future__ import annotations
@@ -76,9 +80,6 @@ class MeasurementRecord:
         self.bases.setflags(write=False)
         self.outcomes.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.bases)
-
 
 @dataclass(frozen=True, eq=False)
 class Commitment:
@@ -96,46 +97,6 @@ class Commitment:
 
     def __len__(self) -> int:
         return len(self.revealed)
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorMask:
-    """Which positions were masked, and the values written there.
-
-    Positions are in direct (pre-ordering) index space.
-    """
-
-    randomized: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        positions = np.asarray(self.randomized, dtype=np.int64)
-        object.__setattr__(self, "randomized", positions)
-        object.__setattr__(self, "values", as_bit_array(self.values))
-        if len(positions) != len(self.values):
-            raise ValueError("mask positions and values differ in length")
-        ordered = np.sort(positions)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("mask positions must be distinct")
-        self.randomized.setflags(write=False)
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.randomized)
-
-
-@dataclass(frozen=True, eq=False)
-class Unveil:
-    """The unveiled basis list, always in transmission order."""
-
-    bases: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", as_bit_array(self.bases))
-        self.bases.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.bases)
 
 
 @dataclass(frozen=True)
@@ -176,12 +137,12 @@ class DecisionPolicy:
     min_sift: int = 8
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.separation_delta <= 1.0:
-            raise ValueError("separation_delta must be in [0, 1]")
-        if not 0.0 <= self.plausibility_floor <= 1.0:
-            raise ValueError("plausibility_floor must be in [0, 1]")
+        for name in ("separation_delta", "plausibility_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.min_sift < 0:
-            raise ValueError("min_sift must be >= 0")
+            raise ValueError(f"min_sift must be >= 0, got {self.min_sift}")
 
 
 @dataclass(frozen=True)
@@ -198,15 +159,15 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise ValueError("n must be >= 0")
+            raise ValueError(f"n must be >= 0, got {self.n}")
         if self.committed_bit not in (0, 1):
-            raise ValueError("committed_bit must be 0 or 1")
+            raise ValueError(f"committed_bit must be 0 or 1, got {self.committed_bit!r}")
         if not 0.0 <= self.error_fraction <= 1.0:
-            raise ValueError("error_fraction must be in [0, 1]")
+            raise ValueError(f"error_fraction must be in [0, 1], got {self.error_fraction}")
         if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
+            raise ValueError(f"noise_rate must be in [0, 1], got {self.noise_rate}")
         if self.error_mode not in ERROR_MODES:
-            raise ValueError(f"error_mode must be one of {ERROR_MODES}")
+            raise ValueError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -256,15 +217,16 @@ def inject_errors(
     error_fraction: float,
     rng: np.random.Generator,
     mode: str = "randomize",
-) -> tuple[np.ndarray, ErrorMask]:
-    """Mask a fraction of results before they are revealed.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mask a fraction of results before they are revealed: (masked, positions).
 
     Exactly round(error_fraction * n) distinct positions are chosen
     uniformly without replacement.  In "randomize" mode each chosen value
     is replaced by an independent fair coin (which may equal the original);
     in "flip" mode it is inverted.  Consumes the position draw first, then
     (in randomize mode only) one replacement draw per chosen position.
-    Nothing is drawn when no position is chosen.
+    Nothing is drawn when no position is chosen.  The positions come back
+    sorted, in direct (pre-ordering) index space.
     """
     outcomes = as_bit_array(outcomes)
     if not 0.0 <= error_fraction <= 1.0:
@@ -275,7 +237,7 @@ def inject_errors(
     positions, values = draw_mask(outcomes, k, rng, mode)
     masked = outcomes.copy()
     masked[positions] = values
-    return masked, ErrorMask(randomized=positions, values=values)
+    return masked, positions
 
 
 def masked_count(error_fraction: float, n: int) -> int:
@@ -304,10 +266,10 @@ def commit(outcomes, bit: int) -> Commitment:
     return Commitment(revealed=revealed)
 
 
-def unveil(record: MeasurementRecord) -> Unveil:
+def unveil(record: MeasurementRecord) -> np.ndarray:
     """Publish the measurement bases, in transmission order regardless of
     the committed bit (only results carry the order encoding)."""
-    return Unveil(bases=record.bases.copy())
+    return record.bases.copy()
 
 
 #: Absorbs float representation error in rate comparisons at exact rule
@@ -360,8 +322,9 @@ def raw_correlations(sent_bits, commitment: Commitment) -> tuple[float, float]:
 
 def run_commit_phase(
     config: SessionConfig,
-) -> tuple[PreparedSequence, MeasurementRecord, ErrorMask, Commitment]:
-    """Execute a session up to (and including) the commitment message.
+) -> tuple[PreparedSequence, MeasurementRecord, np.ndarray, Commitment]:
+    """Execute a session up to (and including) the commitment message:
+    (sequence, record, masked positions, commitment).
 
     Substreams are derived from config.seed by fixed labels, one per
     participant role, so the same seed replays identically whether the
@@ -372,7 +335,7 @@ def run_commit_phase(
     outcomes = transmit_and_measure(
         seq, bases, config.noise_rate, streams.substream(config.seed, streams.MEASURE)
     )
-    masked, mask = inject_errors(
+    masked, positions = inject_errors(
         outcomes,
         config.error_fraction,
         streams.substream(config.seed, streams.ERROR),
@@ -380,28 +343,31 @@ def run_commit_phase(
     )
     record = MeasurementRecord(bases=bases, outcomes=outcomes)
     commitment = commit(masked, config.committed_bit)
-    return seq, record, mask, commitment
+    return seq, record, positions, commitment
 
 
 def score_and_decide(
     seq: PreparedSequence,
     commitment: Commitment,
-    unveiled: Unveil,
+    unveiled,
     policy: DecisionPolicy,
 ) -> tuple[AlignmentScore, Decision]:
     """The receiver's post-unveil work: sift, score, decide.
 
-    The sift is the positions where preparation and unveiled bases agree.
-    On it, direct pairs revealed[i] with sent[i] and reverse pairs
-    revealed[n-1-i] with sent[i].  (Reversing the sent bits instead gives
-    identical counts: the pairs are the same, enumerated backwards.)
+    ``unveiled`` is the basis list, checked here as bits (Bob takes it from
+    a wire message).  The sift is the positions where preparation and
+    unveiled bases agree.  On it, direct pairs revealed[i] with sent[i] and
+    reverse pairs revealed[n-1-i] with sent[i].  (Reversing the sent bits
+    instead gives identical counts: the pairs are the same, enumerated
+    backwards.)
     """
+    unveiled = as_bit_array(unveiled)
     n = len(seq)
     if len(unveiled) != n:
         raise ValueError(f"basis list lengths differ: {n} != {len(unveiled)}")
     if len(commitment) != n:
         raise ValueError(f"commitment length {len(commitment)} != sent length {n}")
-    sifted = seq.bases == unveiled.bases
+    sifted = seq.bases == unveiled
     revealed = commitment.revealed
     s = int(np.count_nonzero(sifted))
     direct = int(np.count_nonzero(sifted & (revealed == seq.bits)))
@@ -412,9 +378,8 @@ def score_and_decide(
 
 def run_honest_session(config: SessionConfig) -> TrialReport:
     """Run one complete honest session and report everything measured."""
-    seq, record, _mask, commitment = run_commit_phase(config)
-    unveiled = unveil(record)
-    score, decision = score_and_decide(seq, commitment, unveiled, config.policy)
+    seq, record, _positions, commitment = run_commit_phase(config)
+    score, decision = score_and_decide(seq, commitment, unveil(record), config.policy)
     raw_direct, raw_reverse = raw_correlations(seq.bits, commitment)
     if decision in (Decision.BIT0, Decision.BIT1):
         decoded_bit = 0 if decision is Decision.BIT0 else 1

@@ -54,7 +54,6 @@ from .protocol import (
     Decision,
     DecisionPolicy,
     SessionConfig,
-    Unveil,
     choose_random_bases,
     commit,
     inject_errors,
@@ -394,7 +393,7 @@ def _run_alice(link: _PartyLink, config: SessionConfig) -> PartyResult:
     outcomes = unpack_digits(link.recv("outcomes")["bits"])
     if len(outcomes) != n:
         raise PartyError(f"expected {n} outcomes, got {len(outcomes)}")
-    masked, _mask = inject_errors(
+    masked, _positions = inject_errors(
         outcomes, config.error_fraction, streams.substream(seed, streams.ERROR),
         mode=config.error_mode,
     )
@@ -410,7 +409,7 @@ def _run_bob(link: _PartyLink, config: SessionConfig) -> PartyResult:
     seq = prepare_random_sequence(config.n, streams.substream(config.seed, streams.PREPARE))
     link.send(prepare_message(seq))
     commitment = Commitment(revealed=unpack_digits(link.recv("commit")["bits"]))
-    unveiled = Unveil(bases=unpack_digits(link.recv("unveil")["bases"]))
+    unveiled = unpack_digits(link.recv("unveil")["bases"])
     score, decision = score_and_decide(seq, commitment, unveiled, config.policy)
     raw_direct, raw_reverse = raw_correlations(seq.bits, commitment)
     link.send(decision_message(decision.value))

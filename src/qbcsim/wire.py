@@ -9,7 +9,7 @@ Every message is a single UTF-8 JSON object on one line, with a mandatory
     outcomes {"bits": "1001..."}
     commit   {"bits": "1001..."}
     unveil   {"bases": "0110..."}
-    decision {"value": "bit0"|"bit1"|"ambiguous"|"cheat_suspected"}
+    decision {"value": "bit0"}         a ``protocol.Decision`` value
     error    {"message": "..."}
 
 Per-photon payloads are packed: one ASCII digit per photon, in
@@ -34,12 +34,14 @@ any abort are read from that line rather than stored separately.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .channel import PreparedSequence
+from .protocol import Decision
 
 #: The wire format this module speaks; a hello carries it.
 FORMAT = 2
@@ -56,6 +58,9 @@ MESSAGE_TYPES = (
 )
 
 ROLES = ("alice", "bob", "referee")
+
+#: The receiver's verdicts, as a decision message names them.
+DECISIONS = tuple(d.value for d in Decision)
 
 #: The session-content steps, as (sender, message type), in the only order
 #: the referee accepts them (hello handshakes and errors are not steps).
@@ -125,10 +130,7 @@ def validate_message(msg: dict) -> dict:
         name, top = PACKED_FIELDS[mtype]
         _require(_packed(msg.get(name), top), f"{mtype} {name} must be a string of digits 0-{top}")
     elif mtype == "decision":
-        _require(
-            msg.get("value") in ("bit0", "bit1", "ambiguous", "cheat_suspected"),
-            "decision requires a valid value",
-        )
+        _require(msg.get("value") in DECISIONS, "decision requires a valid value")
     else:  # error
         _require(isinstance(msg.get("message"), str), "error requires a message string")
     return msg
@@ -146,11 +148,6 @@ def encode_message(msg: dict) -> str:
         return json.dumps(msg, separators=(",", ":")) + "\n"
     rest = json.dumps({k: v for k, v in msg.items() if k != name}, separators=(",", ":"))
     return f'{rest[:-1]},"{name}":"{msg[name]}"}}\n'
-
-
-def _line(msg: dict) -> bytes:
-    """The message's wire line, without its newline."""
-    return encode_message(msg)[:-1].encode("utf-8")
 
 
 def parse_message(line: str | bytes) -> dict:
@@ -222,7 +219,7 @@ class SessionTranscript:
     def record(self, direction: str, message: dict, line: bytes | None = None) -> None:
         """Log a message with its wire line as sent; without one it is encoded."""
         if line is None:
-            line = _line(message)
+            line = encode_message(message)[:-1].encode("utf-8")
         self.entries.append(TranscriptEntry(len(self.entries), direction, message, line))
 
     @property
@@ -280,16 +277,23 @@ class SessionTranscript:
 
     @classmethod
     def load(cls, path) -> "SessionTranscript":
-        """Read a written transcript; each entry's line is encoded anew.
+        """Read a written transcript; each entry keeps its wire line's bytes.
 
         Lines end at "\\n" alone: a logged party line may hold other line
         breaks, such as "\\r" between tokens or U+2028 inside a string.
         """
         transcript = cls()
-        for line in Path(path).read_bytes().decode("utf-8").split("\n"):
+        for number, line in enumerate(Path(path).read_bytes().split(b"\n"), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            seq, direction = obj.pop("seq"), obj.pop("dir")
-            transcript.entries.append(TranscriptEntry(seq, direction, obj, _line(obj)))
+            head = _WRITTEN_HEAD.match(line)
+            if head is None:
+                raise ValueError(f"transcript line {number} does not begin with its seq and dir")
+            wire = b"{" + line[head.end():]
+            entry = TranscriptEntry(int(head[1]), head[2].decode(), json.loads(wire), wire)
+            transcript.entries.append(entry)
         return transcript
+
+
+#: The start ``SessionTranscript.write`` gives each line, before the wire line's fields.
+_WRITTEN_HEAD = re.compile(rb'\{"seq":(\d+),"dir":"([^"\\]*)",')

@@ -20,7 +20,6 @@ from qbcsim.protocol import (
     Decision,
     DecisionPolicy,
     SessionConfig,
-    Unveil,
     commit,
     inject_errors,
     raw_correlations,
@@ -314,9 +313,9 @@ def test_sanity_sift_commit_helpers_used_by_criteria():
     # keep the acceptance module self-checking about its own imports
     score, _ = score_and_decide(
         PreparedSequence(bases=[0, 1], bits=[1, 1]), Commitment(revealed=[1, 0]),
-        Unveil(bases=[0, 0]), DecisionPolicy(),
+        [0, 0], DecisionPolicy(),
     )
     assert (score.sift_size, score.direct_matches) == (1, 1)
     assert commit([1, 0], 1).revealed.tolist() == [0, 1]
-    masked, mask = inject_errors([0, 0, 0, 0], 0.5, streams.substream(1, "e"))
-    assert len(mask) == 2 and len(masked) == 4
+    masked, positions = inject_errors([0, 0, 0, 0], 0.5, streams.substream(1, "e"))
+    assert len(positions) == 2 and len(masked) == 4

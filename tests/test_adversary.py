@@ -13,10 +13,8 @@ from qbcsim.harness import SweepMode, SweepSpec, run_cell
 from qbcsim.protocol import (
     Commitment,
     Decision,
-    ErrorMask,
     MeasurementRecord,
     SessionConfig,
-    Unveil,
     run_commit_phase,
 )
 
@@ -171,51 +169,48 @@ def test_error_injection_lowers_the_margin():
 
 def _session_artifacts(seed=80, n=16):
     config = SessionConfig(n=n, committed_bit=0, error_fraction=0.25, seed=seed)
-    seq, record, mask, commitment = run_commit_phase(config)
-    return seq, record, mask, commitment
+    return run_commit_phase(config)
 
 
 def test_rebind_honest_strategy_is_identity():
-    _seq, record, mask, commitment = _session_artifacts()
+    _seq, record, positions, commitment = _session_artifacts()
     out = alice_rebind_attack(
-        record, mask, commitment, 0, RebindStrategy.honest_bases(),
+        record, positions, commitment, 0, RebindStrategy.honest_bases(),
         streams.substream(80, "adv"),
     )
-    assert np.array_equal(out.bases, record.bases)
+    assert np.array_equal(out, record.bases)
 
 
 def test_rebind_flip_all_negates_every_basis():
     record = MeasurementRecord(bases=[0, 1], outcomes=[0, 0])
-    mask = ErrorMask(randomized=[], values=[])
     commitment = Commitment(revealed=[0, 0])
     out = alice_rebind_attack(
-        record, mask, commitment, 0, RebindStrategy.flip_all_bases(),
+        record, np.empty(0, dtype=np.int64), commitment, 0, RebindStrategy.flip_all_bases(),
         streams.substream(81, "adv"),
     )
-    assert out.bases.tolist() == [1, 0]
+    assert out.tolist() == [1, 0]
 
 
 def test_rebind_random_lies_hamming_distance():
     n = 100000
     bases = streams.substream(82, "b").integers(0, 2, size=n).astype(np.uint8)
     record = MeasurementRecord(bases=bases, outcomes=np.zeros(n, dtype=np.uint8))
-    mask = ErrorMask(randomized=[], values=[])
     commitment = Commitment(revealed=np.zeros(n, dtype=np.uint8))
     out = alice_rebind_attack(
-        record, mask, commitment, 0, RebindStrategy.random_lies(0.5),
+        record, np.empty(0, dtype=np.int64), commitment, 0, RebindStrategy.random_lies(0.5),
         streams.substream(82, "adv"),
     )
-    distance = int(np.sum(out.bases != bases))
+    distance = int(np.sum(out != bases))
     assert abs(distance - 50000) <= 500
 
 
 def test_rebind_cannot_touch_the_commitment():
-    _seq, record, mask, commitment = _session_artifacts()
+    _seq, record, positions, commitment = _session_artifacts()
     out = alice_rebind_attack(
-        record, mask, commitment, 0, RebindStrategy.flip_all_bases(),
+        record, positions, commitment, 0, RebindStrategy.flip_all_bases(),
         streams.substream(83, "adv"),
     )
-    assert isinstance(out, Unveil)
+    assert np.array_equal(out, record.bases ^ 1)
     with pytest.raises(ValueError):
         commitment.revealed[0] ^= 1
 

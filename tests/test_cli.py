@@ -80,13 +80,21 @@ def test_runtime_errors_exit_one(capsys, tmp_path):
          str(tmp_path / "missing" / "r.csv")]
     )
     assert code == 1
-    for argv, field in ((["preunveil", "--n", "-1"], "n_values"),
-                        (["rebind", "--n", "8", "--error-fraction", "1.5"], "error_fractions"),
-                        (["rebind", "--n", "8", "--noise-rate", "-0.1"], "noise_rates"),
-                        (["preunveil", "--n", "8", "--trials", "0"], "trials_per_cell")):
-        assert cli_main(["attack", *argv]) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err, err
+    assert "cannot write report" in capsys.readouterr().err
+    simulate = ["simulate", "--n", "4", "--bit", "0"]
+    for argv, message in (
+        (["attack", "preunveil", "--n", "-1"], "n must be >= 0, got -1"),
+        (["attack", "rebind", "--n", "8", "--error-fraction", "1.5"],
+         "error_fraction must be in [0, 1], got 1.5"),
+        (["attack", "rebind", "--n", "8", "--noise-rate", "-0.1"],
+         "noise_rate must be in [0, 1], got -0.1"),
+        (["attack", "preunveil", "--n", "8", "--trials", "0"], "trials must be >= 1, got 0"),
+        ([*simulate, "--delta", "2"], "separation_delta must be in [0, 1], got 2.0"),
+        ([*simulate, "--floor", "1.5"], "plausibility_floor must be in [0, 1], got 1.5"),
+        ([*simulate, "--min-sift", "-1"], "min_sift must be >= 0, got -1"),
+    ):
+        assert cli_main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_matches_harness_golden(capsys, tmp_path):

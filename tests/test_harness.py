@@ -1,6 +1,7 @@
 """Sweep runner: determinism, aggregation, report files."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -109,15 +110,18 @@ def test_every_ci_brackets_its_mean_and_tallies_partition_trials():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(n_values=(), error_fractions=(0.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
         SweepSpec(n_values=(4,), error_fractions=(0.0,), trials_per_cell=0)
-    # A bad axis value fails when the spec is built, before any cell runs.
-    for axes, name in (
-        (dict(n_values=(4, -1), error_fractions=(0.0,)), "n_values"),
-        (dict(n_values=(4,), error_fractions=(0.0, 1.5)), "error_fractions"),
-        (dict(n_values=(4,), error_fractions=(0.0,), noise_rates=(-0.1,)), "noise_rates"),
+    # A bad axis value fails when the spec is built, before any cell runs,
+    # and the message names the value.
+    for axes, message in (
+        (dict(n_values=(4, -1), error_fractions=(0.0,)), "n must be >= 0, got -1"),
+        (dict(n_values=(4,), error_fractions=(0.0, 1.5)),
+         "error_fraction must be in [0, 1], got 1.5"),
+        (dict(n_values=(4,), error_fractions=(0.0,), noise_rates=(-0.1,)),
+         "noise_rate must be in [0, 1], got -0.1"),
     ):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SweepSpec(**axes)
 
 

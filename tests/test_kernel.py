@@ -45,14 +45,14 @@ def _role_functions(seeds, n, e, noise, mode, strategy, policy):
             successes += round(correct * n)
             tallies[report.decision] += 1
             continue
-        seq, record, mask, commitment = run_commit_phase(config)
+        seq, record, positions, commitment = run_commit_phase(config)
         adversary = streams.substream(seed, streams.ADVERSARY)
         if mode == "preunveil":
             guess = bob_preunveil_guess(seq.bits, commitment, adversary)
             successes += guess.guessed_bit == bit
             tallies[Decision.BIT1 if guess.guessed_bit else Decision.BIT0] += 1
             continue
-        lying = alice_rebind_attack(record, mask, commitment, bit, strategy, adversary)
+        lying = alice_rebind_attack(record, positions, commitment, bit, strategy, adversary)
         _score, decision = score_and_decide(seq, commitment, lying, policy)
         successes += decision is (Decision.BIT1 if bit == 0 else Decision.BIT0)
         tallies[decision] += 1

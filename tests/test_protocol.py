@@ -13,10 +13,8 @@ from qbcsim.protocol import (
     Commitment,
     Decision,
     DecisionPolicy,
-    ErrorMask,
     MeasurementRecord,
     SessionConfig,
-    Unveil,
     choose_random_bases,
     commit,
     decide,
@@ -48,19 +46,18 @@ def test_choose_bases_balanced():
 
 def test_inject_zero_fraction_changes_nothing():
     outcomes = streams.substream(3, "o").integers(0, 2, size=50).astype(np.uint8)
-    masked, mask = inject_errors(outcomes, 0.0, streams.substream(3, "e"))
+    masked, positions = inject_errors(outcomes, 0.0, streams.substream(3, "e"))
     assert np.array_equal(masked, outcomes)
-    assert len(mask) == 0
+    assert len(positions) == 0
 
 
 def test_inject_mask_counts_and_distinct_positions():
     outcomes = np.zeros(1000, dtype=np.uint8)
     for e, expect in ((0.25, 250), (0.5, 500), (1.0, 1000)):
-        masked, mask = inject_errors(outcomes, e, streams.substream(7, "e", e))
-        assert len(mask) == expect
-        assert len(np.unique(mask.randomized)) == expect
-        assert np.array_equal(masked[mask.randomized], mask.values)
-        untouched = np.setdiff1d(np.arange(1000), mask.randomized)
+        masked, positions = inject_errors(outcomes, e, streams.substream(7, "e", e))
+        assert len(positions) == expect
+        assert np.array_equal(np.unique(positions), positions)  # sorted and distinct
+        untouched = np.setdiff1d(np.arange(1000), positions)
         assert np.array_equal(masked[untouched], outcomes[untouched])
 
 
@@ -76,22 +73,16 @@ def test_inject_half_randomization_leaves_three_quarters_agreement():
 def test_inject_full_randomization_is_a_coin():
     n = 100000
     outcomes = streams.substream(22, "o").integers(0, 2, size=n).astype(np.uint8)
-    masked, mask = inject_errors(outcomes, 1.0, streams.substream(22, "e"))
-    assert len(mask) == n
+    masked, positions = inject_errors(outcomes, 1.0, streams.substream(22, "e"))
+    assert len(positions) == n
     assert abs(np.mean(masked == outcomes) - 0.5) < 0.01
 
 
 def test_inject_flip_mode_inverts_selected_positions():
     outcomes = streams.substream(23, "o").integers(0, 2, size=200).astype(np.uint8)
-    masked, mask = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
-    assert np.array_equal(masked[mask.randomized], outcomes[mask.randomized] ^ 1)
-    assert len(mask) == 100
-
-
-def test_error_mask_rejects_duplicate_positions_in_any_order():
-    ErrorMask(randomized=[5, 0, 3], values=[1, 0, 1])
-    with pytest.raises(ValueError, match="distinct"):
-        ErrorMask(randomized=[5, 0, 3, 0], values=[1, 0, 1, 1])
+    masked, positions = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
+    assert np.array_equal(masked != outcomes, np.isin(np.arange(200), positions))
+    assert len(positions) == 100
 
 
 def test_inject_rejects_bad_inputs():
@@ -132,12 +123,12 @@ def test_commitment_is_immutable():
 
 def test_unveil_is_always_direct_order():
     record = MeasurementRecord(bases=[0, 1], outcomes=[0, 0])
-    assert unveil(record).bases.tolist() == [0, 1]
+    assert unveil(record).tolist() == [0, 1]
     record = MeasurementRecord(bases=[], outcomes=[])
-    assert unveil(record).bases.tolist() == []
+    assert unveil(record).tolist() == []
     # Order encoding applies to results only; bases stay direct for bit 1 too.
     record = MeasurementRecord(bases=[1, 1, 0], outcomes=[0, 1, 0])
-    assert unveil(record).bases.tolist() == [1, 1, 0]
+    assert unveil(record).tolist() == [1, 1, 0]
 
 
 # -- sifting and scoring (score_and_decide) ------------------------------------
@@ -147,7 +138,7 @@ def _score(sent_bases, sent_bits, revealed, unveiled_bases):
     score, _decision = score_and_decide(
         PreparedSequence(bases=sent_bases, bits=sent_bits),
         Commitment(revealed=revealed),
-        Unveil(bases=unveiled_bases),
+        unveiled_bases,
         DecisionPolicy(),
     )
     return score.sift_size, score.direct_matches, score.reverse_matches
@@ -168,6 +159,11 @@ def test_sift_examples():
         _score([0, 1], [0, 0], [0, 0], [0])
     with pytest.raises(ValueError, match="length"):
         _score([0, 1], [0, 0], [0], [0, 1])
+    # The unveiled basis list is checked as bits where it arrives.
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        _score([0, 1], [0, 0], [0, 0], [0, 2])
+    with pytest.raises(ValueError, match="1-d"):
+        _score([0, 1], [0, 0], [0, 0], [[0, 1]])
 
 
 def test_sift_size_is_binomial_half():

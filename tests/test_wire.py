@@ -110,6 +110,20 @@ def test_unknown_type_rejected():
         parse_message('{"type": "teleport"}\n')
 
 
+@pytest.mark.parametrize("decision", list(Decision))
+def test_every_decision_round_trips(decision):
+    msg = decision_message(decision.value)
+    assert Decision(parse_message(encode_message(msg))["value"]) is decision
+
+
+@pytest.mark.parametrize("value", ["BIT0", None, ["bit0"]])
+def test_unknown_decision_values_are_refused(value):
+    with pytest.raises(WireProtocolError, match="decision requires a valid value"):
+        decision_message(value)
+    with pytest.raises(WireProtocolError, match="decision requires a valid value"):
+        parse_message(json.dumps({"type": "decision", "value": value}))
+
+
 @pytest.mark.parametrize("name, value", [("seq", 7), ("dir", "referee->alice")])
 def test_messages_may_not_carry_transcript_fields(name, value):
     line = json.dumps({"type": "prepare", "codes": "0123", name: value})
@@ -154,17 +168,38 @@ def test_transcript_write_and_load(tmp_path):
     t = SessionTranscript()
     t.record("bob->referee", hello_message("bob"))
     t.record("referee->bob", hello_message("referee"))
+    # A party line is logged as received, JSON whitespace and all.
+    party = b'{"type": "commit",  "bits": "0110"}'
+    t.record("alice->referee", parse_message(party), party)
     t.record("bob->referee", {"type": "decision", "value": "bit1"})
     path = tmp_path / "t.jsonl"
     t.write(path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     first = json.loads(lines[0])
     assert first["seq"] == 0 and first["dir"] == "bob->referee"
     again = SessionTranscript.load(path)
     assert again.entries == t.entries
+    assert [e.line for e in again.entries] == [e.line for e in t.entries]
+    assert again.entries[2].line == party
+    again.write(tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
     assert again.outcome == "bit1"
     assert not again.violated
+
+
+@pytest.mark.parametrize("second", [
+    b'{"dir":"bob->referee","seq":1,"type":"hello","role":"bob"}',
+    b'{"seq": 1, "dir": "bob->referee", "type": "hello", "role": "bob"}',
+    b'{"type":"hello","role":"bob"}',
+    b'[1, 2]',
+])
+def test_transcript_load_refuses_a_line_it_did_not_write(tmp_path, second):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"seq":0,"dir":"bob->referee","type":"hello","role":"bob"}\n'
+                     + second + b"\n")
+    with pytest.raises(ValueError, match="transcript line 2 does not begin with its seq and dir"):
+        SessionTranscript.load(path)
 
 
 def test_transcript_ordering_checker():
@@ -565,7 +600,9 @@ class RefereeFuzz(RuleBasedStateMachine):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.jsonl"
             self.session.transcript.write(path)
-            assert SessionTranscript.load(path).entries == self.session.transcript.entries
+            loaded = SessionTranscript.load(path).entries
+            assert loaded == self.session.transcript.entries
+            assert [e.line for e in loaded] == [e.line for e in self.session.transcript.entries]
 
     @invariant()
     def session_ends_exactly_once(self):
