@@ -22,7 +22,8 @@ aligned.
 The array draws read PCG64's raw 64-bit outputs (``uniform_codes``,
 ``measure_states``) and return exactly what ``Generator.integers`` and
 ``Generator.random`` return from a fresh generator, without their
-per-call cost.
+per-call cost.  The trial kernel reads the same words by the same rules
+(``raw_top_bytes``, ``noise_threshold``, ``select_outcomes``).
 """
 
 from __future__ import annotations
@@ -99,14 +100,8 @@ def prepare_random_sequence(n: int, rng: np.random.Generator) -> PreparedSequenc
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    bases, bits = draw_states(n, rng)
-    return PreparedSequence(bases=bases, bits=bits)
-
-
-def draw_states(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``prepare_random_sequence``, unvalidated: (bases, bits)."""
     codes = uniform_codes(rng, n, 2)
-    return codes >> 1, codes & 1
+    return PreparedSequence(bases=codes >> 1, bits=codes & 1)
 
 
 def uniform_codes(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
@@ -116,13 +111,18 @@ def uniform_codes(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
     buffered 32-bit half, as every fresh substream does.  For a power-of-two
     range numpy's ``integers`` never rejects: it returns the top ``width``
     bits of successive 32-bit halves of the raw outputs, low half first.
-    Here byte 3 and byte 7 of each little-endian raw word are the top bytes
-    of its two halves.  Unlike ``integers``, an odd n leaves no buffered
-    half behind: a later ``Generator.random`` reads whole raw words either
-    way, but a later ``integers`` on the same generator would differ.
+    Unlike ``integers``, an odd n leaves no buffered half behind: a later
+    ``Generator.random`` reads whole raw words either way, but a later
+    ``integers`` on the same generator would differ.
     """
-    raw = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
-    return raw.view(np.uint8)[3:4 * n:4] >> (8 - width)
+    return raw_top_bytes(rng.bit_generator, n) >> (8 - width)
+
+
+def raw_top_bytes(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """The top bytes of n successive 32-bit halves of the raw outputs, low
+    half first, as uint8: byte 3 and byte 7 of each little-endian raw word."""
+    raw = bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
+    return raw.view(np.uint8)[3:4 * n:4]
 
 
 def measure_photon(state: PhotonState, basis: Basis, rng: np.random.Generator) -> int:
@@ -168,14 +168,20 @@ def measure_states(
 ) -> np.ndarray:
     """The draws of ``transmit_and_measure`` on uint8 code arrays, unvalidated."""
     n = len(bases)
-    coins = uniform_codes(rng, n, 1)
-    # The prepared bit where the bases match, the coin elsewhere (a bitwise
-    # select: several times faster than np.where on uint8).
-    outcomes = coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
+    outcomes = select_outcomes(prep_bases, prep_bits, bases, uniform_codes(rng, n, 1))
     if noise_rate > 0:
-        # rng.random(n) < noise_rate on the same raw outputs: a double is
-        # (raw >> 11) * 2**-53, below the rate exactly when raw is below
-        # ceil(noise_rate * 2**53) * 2**11.
-        last = (math.ceil(noise_rate * 2**53) << 11) - 1
-        outcomes ^= rng.bit_generator.random_raw(n) <= np.uint64(last)
+        outcomes ^= rng.bit_generator.random_raw(n) <= noise_threshold(noise_rate)
     return outcomes
+
+
+def select_outcomes(prep_bases, prep_bits, bases, coins) -> np.ndarray:
+    """The prepared bit where the bases match, the coin elsewhere, elementwise
+    (a bitwise select: several times faster than np.where on uint8)."""
+    return coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
+
+
+def noise_threshold(noise_rate: float) -> np.uint64:
+    """For a rate above 0, ``rng.random(n) < noise_rate`` is ``random_raw(n) <=
+    noise_threshold(noise_rate)``: a double is (raw >> 11) * 2**-53, below the
+    rate exactly when raw is below ceil(noise_rate * 2**53) * 2**11."""
+    return np.uint64((math.ceil(noise_rate * 2**53) << 11) - 1)

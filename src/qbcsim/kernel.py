@@ -1,4 +1,4 @@
-"""The per-trial loop behind ``harness.run_cell``, so behind every sweep and
+"""The trial loop behind ``harness.run_cell``, so behind every sweep and
 attack evaluation.
 
 A trial makes the draws of ``run_commit_phase`` followed by
@@ -12,12 +12,15 @@ preunveil tie or for random-lies.  Trials run in blocks of
 vectorised pass (``rng.SubstreamBatch``), with the same states as
 ``rng.substream``.
 
-The kernel draws through the role functions' own helpers
-(``draw_states``, ``choose_random_bases``, ``measure_states``,
-``draw_mask``), so both paths share one draw path.  The first three read
-PCG64's raw outputs (``channel.uniform_codes``), as does the committed bit,
-taken here from one raw output; the ERROR and ADVERSARY draws stay
-``Generator`` calls.
+A block runs in chunks of about ``CHUNK_ELEMENTS`` photons, in two stages
+that move no draw, so the chunk size changes no result.  Per trial, only the
+draws, each written into the trial's row of the chunk's (b x n) arrays: the
+committed bit (bit 31 of one raw output, as ``integers(0, 2)`` reads it),
+the states, bases and coins (``channel.raw_top_bytes``), the noise
+(``channel.noise_threshold``) and the mask (``protocol.draw_mask``).  Once
+per chunk, on the arrays: the measurement select, the pairings, the sift,
+the counts and ``protocol.decide``; the ADVERSARY draws follow, for tied or
+random-lies rows only.
 """
 
 from __future__ import annotations
@@ -30,18 +33,13 @@ import numpy as np
 
 from . import rng as streams
 from .adversary import RebindStrategy
-from .channel import draw_states, measure_states
-from .protocol import (
-    Decision,
-    DecisionPolicy,
-    choose_random_bases,
-    decide,
-    draw_mask,
-    masked_count,
-)
+from .channel import noise_threshold, raw_top_bytes, select_outcomes
+from .protocol import Decision, DecisionPolicy, decide, draw_mask, masked_count
 
 #: Trials per seeding pass: bounds the pass's arrays whatever the trial count.
 BLOCK_TRIALS = 1024
+#: Photons per chunk of a block: bounds the chunk's (b x n) arrays.
+CHUNK_ELEMENTS = 2**15
 
 
 def run_trials(
@@ -71,47 +69,70 @@ def run_trials(
         labels.append(streams.ERROR)
     if mode == "preunveil" or (mode == "binding" and strategy.draws):
         labels.append(streams.ADVERSARY)
+    chunk = max(1, CHUNK_ELEMENTS // max(n, 1))
     seeds = iter(seeds)
     while block := list(islice(seeds, BLOCK_TRIALS)):
         substreams = streams.SubstreamBatch(block, labels)
-        for t in range(len(block)):
-            # integers(0, 2) on a fresh generator: bit 31 of its first raw output.
-            bit = substreams(t, streams.COMMITTED_BIT).bit_generator.random_raw() >> 31 & 1
-            sent_bases, sent_bits = draw_states(n, substreams(t, streams.PREPARE))
-            bases = choose_random_bases(n, substreams(t, streams.BASES))
-            results = measure_states(sent_bases, sent_bits, bases, noise_rate,
-                                     substreams(t, streams.MEASURE))
-            if k:
-                positions, values = draw_mask(results, k, substreams(t, streams.ERROR),
-                                              "randomize")
-                results[positions] = values
-            # Bit 0 reveals the results in order, bit 1 reversed, so the direct
-            # pairing compares the sent bits with `aligned` for bit 0 and with
-            # `crossed` for bit 1, and the reverse pairing the other way round.
-            aligned = results == sent_bits
-            crossed = results[::-1] == sent_bits
-            if mode == "preunveil":
-                margin = np.count_nonzero(aligned) - np.count_nonzero(crossed)
-                if margin:
-                    guess = bit if margin > 0 else 1 - bit
-                else:
-                    guess = int(substreams(t, streams.ADVERSARY).integers(0, 2))
-                successes += guess == bit
-                tallies[Decision.BIT1 if guess else Decision.BIT0] += 1
-                continue
-            if mode == "honest":
-                successes += np.count_nonzero(aligned)
-                unveiled = bases
-            else:
-                unveiled = strategy.lie(
-                    bases, lambda: substreams(t, streams.ADVERSARY))
-            sifted = sent_bases == unveiled
-            direct = int(np.count_nonzero(aligned & sifted))
-            reverse = int(np.count_nonzero(crossed & sifted))
-            if bit:
-                direct, reverse = reverse, direct
-            decision = decide(int(np.count_nonzero(sifted)), direct, reverse, policy)
-            if mode == "binding":
-                successes += decision is (Decision.BIT1 if bit == 0 else Decision.BIT0)
-            tallies[decision] += 1
+        for start in range(0, len(block), chunk):
+            trials = range(start, min(start + chunk, len(block)))
+            hits, decisions = _run_chunk(substreams, trials, n, k, noise_rate, mode,
+                                         strategy, policy)
+            successes += hits
+            tallies.update(decisions.tolist())
     return int(successes), tallies
+
+
+def _run_chunk(substreams, trials, n, k, noise_rate, mode, strategy, policy):
+    """Run the trials of one chunk: (successes, verdicts)."""
+    bits = np.empty(len(trials), dtype=np.uint8)
+    sent, chosen, coins = (np.empty((len(trials), n), dtype=np.uint8) for _ in range(3))
+    flips = np.zeros((len(trials), n), dtype=bool)
+    positions = np.empty((len(trials), k), dtype=np.int64)
+    masks = np.empty((len(trials), k), dtype=np.uint8)
+    threshold = noise_threshold(noise_rate) if noise_rate > 0 else None
+    # Per trial, only the draws.  The bit is integers(0, 2) on a fresh
+    # generator: bit 31 of its first raw output.
+    for i, t in enumerate(trials):
+        bits[i] = substreams(t, streams.COMMITTED_BIT).random_raw() >> 31 & 1
+        sent[i] = raw_top_bytes(substreams(t, streams.PREPARE), n)
+        chosen[i] = raw_top_bytes(substreams(t, streams.BASES), n)
+        measure = substreams(t, streams.MEASURE)
+        coins[i] = raw_top_bytes(measure, n)
+        if threshold is not None:
+            flips[i] = measure.random_raw(n) <= threshold
+        if k:
+            error = np.random.Generator(substreams(t, streams.ERROR))
+            positions[i], masks[i] = draw_mask(n, k, error, "randomize")
+    # Once per chunk: the top bits of each byte, as uniform_codes reads them.
+    sent_bases, sent_bits, bases = sent >> 7, sent >> 6 & 1, chosen >> 7
+    results = select_outcomes(sent_bases, sent_bits, bases, coins >> 7) ^ flips
+    np.put_along_axis(results, positions, masks, axis=1)
+    # Bit 0 reveals the results in order, bit 1 reversed, so the direct
+    # pairing compares the sent bits with `aligned` for bit 0 and with
+    # `crossed` for bit 1, and the reverse pairing the other way round.
+    aligned = results == sent_bits
+    crossed = results[:, ::-1] == sent_bits
+    if mode == "preunveil":
+        margin = np.count_nonzero(aligned, axis=1) - np.count_nonzero(crossed, axis=1)
+        guesses = np.where(margin > 0, bits, 1 - bits)
+        for i in np.flatnonzero(margin == 0):  # a tie: the ADVERSARY coin, read the same way
+            guesses[i] = substreams(trials[i], streams.ADVERSARY).random_raw() >> 31 & 1
+        return (np.count_nonzero(guesses == bits),
+                np.where(guesses, Decision.BIT1, Decision.BIT0))
+    if mode == "honest":
+        unveiled = bases
+    elif strategy.draws:
+        unveiled = np.empty_like(bases)
+        for i, t in enumerate(trials):
+            unveiled[i] = strategy.lie(
+                bases[i], lambda: np.random.Generator(substreams(t, streams.ADVERSARY)))
+    else:
+        unveiled = strategy.lie(bases, None)
+    sifted = sent_bases == unveiled
+    direct = np.count_nonzero(aligned & sifted, axis=1)
+    reverse = np.count_nonzero(crossed & sifted, axis=1)
+    direct, reverse = np.where(bits, reverse, direct), np.where(bits, direct, reverse)
+    decisions = decide(np.count_nonzero(sifted, axis=1), direct, reverse, policy)
+    if mode == "honest":
+        return np.count_nonzero(aligned), decisions
+    return np.count_nonzero(decisions == np.where(bits, Decision.BIT0, Decision.BIT1)), decisions

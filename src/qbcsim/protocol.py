@@ -234,9 +234,9 @@ def inject_errors(
     if mode not in ERROR_MODES:
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
     k = masked_count(error_fraction, len(outcomes))
-    positions, values = draw_mask(outcomes, k, rng, mode)
+    positions, coins = draw_mask(len(outcomes), k, rng, mode)
     masked = outcomes.copy()
-    masked[positions] = values
+    masked[positions] = outcomes[positions] ^ 1 if coins is None else coins
     return masked, positions
 
 
@@ -246,15 +246,16 @@ def masked_count(error_fraction: float, n: int) -> int:
 
 
 def draw_mask(
-    outcomes: np.ndarray, k: int, rng: np.random.Generator, mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``inject_errors``, unvalidated: (sorted positions, values)."""
+    n: int, k: int, rng: np.random.Generator, mode: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of ``inject_errors`` on n results, unvalidated: (sorted
+    positions, replacement coins), the coins None in "flip" mode."""
     if not k:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    positions = np.sort(rng.choice(len(outcomes), size=k, replace=False))
+    positions = np.sort(rng.choice(n, size=k, replace=False))
     if mode == "randomize":
-        return positions, rng.integers(0, 2, size=k).astype(np.uint8)
-    return positions, outcomes[positions] ^ 1
+        return positions, rng.integers(0, 2, size=k)
+    return positions, None
 
 
 def commit(outcomes, bit: int) -> Commitment:
@@ -278,25 +279,30 @@ def unveil(record: MeasurementRecord) -> np.ndarray:
 _RATE_EPS = 1e-12
 
 
-def decide(s: int, direct: int, reverse: int, policy: DecisionPolicy) -> Decision:
+#: The verdict of the first rule that holds, indexed by the bit mask of the
+#: rules that do: 8 the sift is too small, 4 both rates are below the floor,
+#: 2 the direct rate leads by delta, 1 the reverse rate does.
+_VERDICTS = np.array([Decision.AMBIGUOUS, Decision.BIT1, Decision.BIT0, Decision.BIT0]
+                     + [Decision.CHEAT_SUSPECTED] * 4 + [Decision.AMBIGUOUS] * 8, dtype=object)
+
+
+def decide(s, direct, reverse, policy: DecisionPolicy):
     """Turn sifted match counts (sift size, direct, reverse) into a verdict.
 
-    Order matters: the sift-size guard first, then the plausibility floor
-    (neither pairing looks honest -> cheating suspected), then the
-    separation test between the two rates.  Rates exactly at a threshold
-    count as meeting it.
+    Elementwise: integer counts give a ``Decision``, arrays of counts an
+    object array of them.  Order matters: the sift-size guard first, then
+    the plausibility floor (neither pairing looks honest -> cheating
+    suspected), then the separation test between the two rates.  Rates
+    exactly at a threshold count as meeting it.
     """
-    if s == 0 or s < policy.min_sift:
-        return Decision.AMBIGUOUS
-    d = direct / s
-    r = reverse / s
-    if max(d, r) < policy.plausibility_floor - _RATE_EPS:
-        return Decision.CHEAT_SUSPECTED
-    if d - r >= policy.separation_delta - _RATE_EPS:
-        return Decision.BIT0
-    if r - d >= policy.separation_delta - _RATE_EPS:
-        return Decision.BIT1
-    return Decision.AMBIGUOUS
+    size = s + (s == 0)  # s = 0 is ambiguous; this keeps 0 / 0 out of the rates
+    d = direct / size
+    r = reverse / size
+    floor = policy.plausibility_floor - _RATE_EPS
+    delta = policy.separation_delta - _RATE_EPS
+    rules = (8 * (s < max(policy.min_sift, 1)) + 4 * ((d < floor) & (r < floor))
+             + 2 * (d - r >= delta) + (r - d >= delta))
+    return _VERDICTS[rules]
 
 
 def raw_correlations(sent_bits, commitment: Commitment) -> tuple[float, float]:

@@ -24,7 +24,7 @@ That pass can be vectorised because ``SeedSequence``'s hash constants evolve
 by multiplication alone, independently of the data: for a 64-bit seed (two
 entropy words, the rest of the pool zero) the whole hash is one fixed
 sequence of uint32 xor/multiply/shift steps, applied element-wise.  Each
-generator is built only when asked for.  ``tests/test_rng.py`` pins the
+``PCG64`` is built only when asked for.  ``tests/test_rng.py`` pins the
 batch to ``substream``, state and draws, on edge-case and random seeds.
 """
 
@@ -132,9 +132,11 @@ class _StateWords(ISeedSequence):
 class SubstreamBatch:
     """The substreams of a block of trials, seeded in one vectorised pass.
 
-    ``batch(t, label)`` returns a fresh generator equal, state for state, to
-    ``substream(masters[t], label)``, for ``label`` in ``labels``: they are
-    hashed in bulk up front.
+    ``batch(t, label)`` returns a fresh bit generator equal, state for
+    state, to the one of ``substream(masters[t], label)``, for ``label`` in
+    ``labels``: they are hashed in bulk up front.  It is a bare ``PCG64``,
+    for the kernel reads most draws from its raw outputs; wrap it in
+    ``np.random.Generator`` for the rest.
     """
 
     def __init__(self, masters: Sequence[int], labels: Sequence[str]):
@@ -146,6 +148,5 @@ class SubstreamBatch:
         seeds = np.frombuffer(prefixes, "<u8").reshape(len(labels), len(masters))
         self._words = seed_state_words(seeds)
 
-    def __call__(self, t: int, label: str) -> np.random.Generator:
-        words = self._words[self._row[label], t]
-        return np.random.Generator(np.random.PCG64(_StateWords(words)))
+    def __call__(self, t: int, label: str) -> np.random.PCG64:
+        return np.random.PCG64(_StateWords(self._words[self._row[label], t]))

@@ -290,7 +290,11 @@ class SessionTranscript:
             if head is None:
                 raise ValueError(f"transcript line {number} does not begin with its seq and dir")
             wire = b"{" + line[head.end():]
-            entry = TranscriptEntry(int(head[1]), head[2].decode(), json.loads(wire), wire)
+            try:
+                message = json.loads(wire)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"transcript line {number} is not valid JSON: {exc}") from exc
+            entry = TranscriptEntry(int(head[1]), head[2].decode(), message, wire)
             transcript.entries.append(entry)
         return transcript
 

@@ -7,10 +7,11 @@ from itertools import product
 
 import pytest
 
+from qbcsim import kernel
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
-from qbcsim.kernel import BLOCK_TRIALS, run_trials
+from qbcsim.kernel import BLOCK_TRIALS, CHUNK_ELEMENTS, run_trials
 from qbcsim.protocol import (
     Decision,
     DecisionPolicy,
@@ -78,6 +79,31 @@ def test_kernel_equals_the_role_functions_across_seeding_blocks(mode, strategy):
     args = (8, 0.3, 0.1, mode, strategy, DecisionPolicy())
     assert run_trials(seeds, *args) == _role_functions(seeds, *args)
     assert run_trials(iter(seeds), *args) == run_trials(seeds, *args)
+
+
+@pytest.mark.parametrize("mode,strategy", MODES)
+def test_kernel_equals_the_role_functions_across_chunks(mode, strategy):
+    # At n = 4096 a chunk holds CHUNK_ELEMENTS // 4096 trials: 37 trials make
+    # several chunks and an uneven last one.
+    assert 37 % (CHUNK_ELEMENTS // 4096) and 37 > 2 * CHUNK_ELEMENTS // 4096
+    strategy = strategy and RebindStrategy.parse(strategy)
+    seeds = [streams.derive_seed(4096, t) for t in range(37)]
+    for e in (0.0, 0.5):
+        args = (4096, e, 0.1, mode, strategy, DecisionPolicy())
+        assert run_trials(seeds, *args) == _role_functions(seeds, *args), e
+
+
+@pytest.mark.parametrize("chunk_elements", (1, 2**30))
+@pytest.mark.parametrize("mode,strategy", MODES)
+def test_chunk_size_changes_no_result(mode, strategy, chunk_elements, monkeypatch):
+    strategy = strategy and RebindStrategy.parse(strategy)
+    seeds = [streams.derive_seed(577, t) for t in range(BLOCK_TRIALS + 37)]
+    for n, e, noise in ((0, 0.0, 0.0), (16, 0.5, 0.1), (257, 0.3, 0.0)):
+        args = (n, e, noise, mode, strategy, DecisionPolicy(min_sift=3))
+        want = run_trials(seeds, *args)
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel, "CHUNK_ELEMENTS", chunk_elements)
+            assert run_trials(seeds, *args) == want, (n, e, noise)
 
 
 def test_kernel_committed_bit_is_generator_integers():

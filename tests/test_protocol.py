@@ -282,6 +282,41 @@ def test_decode_exact_threshold_edges():
     assert decide(7, 7, 0, policy) is Decision.AMBIGUOUS
 
 
+def _scalar_decide(s, direct, reverse, policy):
+    """The receiver's rule on Python numbers, as written before ``decide``
+    took arrays."""
+    if s == 0 or s < policy.min_sift:
+        return Decision.AMBIGUOUS
+    d = direct / s
+    r = reverse / s
+    if max(d, r) < policy.plausibility_floor - 1e-12:
+        return Decision.CHEAT_SUSPECTED
+    if d - r >= policy.separation_delta - 1e-12:
+        return Decision.BIT0
+    if r - d >= policy.separation_delta - 1e-12:
+        return Decision.BIT1
+    return Decision.AMBIGUOUS
+
+
+@pytest.mark.parametrize("policy", [
+    DecisionPolicy(),
+    DecisionPolicy(separation_delta=0, plausibility_floor=0, min_sift=0),
+    DecisionPolicy(separation_delta=0.3, plausibility_floor=0.9, min_sift=3),
+    DecisionPolicy(separation_delta=1, plausibility_floor=1, min_sift=0),
+])
+def test_array_decide_equals_the_scalar_rule(policy):
+    counts = [(s, d, r) for s in range(41) for d in range(s + 1) for r in range(s + 1)]
+    # The 0.6 - 0.5 < 0.1 rounding edge, at s = 100, both ways round.
+    counts += [(100, 60, 50), (100, 50, 60), (100, 61, 50), (100, 59, 50)]
+    s, direct, reverse = (np.array(column) for column in zip(*counts))
+    want = [_scalar_decide(*case, policy) for case in counts]
+    assert decide(s, direct, reverse, policy).tolist() == want
+    assert [decide(*case, policy) for case in counts[-4:]] == want[-4:]
+    if policy == DecisionPolicy():
+        assert want[-4:] == [Decision.BIT0, Decision.BIT1, Decision.BIT0,
+                             Decision.CHEAT_SUSPECTED]
+
+
 # -- raw correlations --------------------------------------------------------
 
 def test_raw_correlation_values():

@@ -202,6 +202,17 @@ def test_transcript_load_refuses_a_line_it_did_not_write(tmp_path, second):
         SessionTranscript.load(path)
 
 
+def test_transcript_load_names_a_line_that_is_not_json(tmp_path):
+    # A transcript cut off in the middle of its second line.
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"seq":0,"dir":"bob->referee","type":"hello","role":"bob"}\n'
+                     b'{"seq":1,"dir":"bob->referee","type":"hel')
+    with pytest.raises(ValueError, match="^transcript line 2 is not valid JSON: "
+                                         "Unterminated string") as raised:
+        SessionTranscript.load(path)
+    assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+
+
 def test_transcript_ordering_checker():
     good = SessionTranscript()
     for mtype in ("prepare", "measure", "outcomes", "commit", "unveil", "decision"):
