@@ -29,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import noise_threshold
 from .protocol import Commitment, MeasurementRecord, raw_correlations
 
 
@@ -63,8 +64,8 @@ class RebindStrategy:
 
     @property
     def draws(self) -> bool:
-        """Whether ``lie`` asks for its generator (random-lies only)."""
-        return self.kind is RebindKind.RANDOM_LIES
+        """Whether ``lie`` asks for its generator (random-lies above 0 only)."""
+        return self.kind is RebindKind.RANDOM_LIES and self.lie_probability > 0
 
     @property
     def label(self) -> str:
@@ -75,14 +76,18 @@ class RebindStrategy:
     def lie(self, bases: np.ndarray, rng: Callable[[], np.random.Generator]) -> np.ndarray:
         """The basis list this schedule unveils for the true ``bases``.
 
-        Only random-lies draws (one uniform per basis); ``rng`` is called
-        for its generator then and only then.
+        Only random-lies above 0 draws: it lies at basis i when the i-th
+        raw output is at most ``channel.noise_threshold(p)``, which is
+        ``random(n) < p`` read from the raw words.  ``rng`` is called for
+        its generator then and only then.  At p = 0 it unveils the bases
+        as honest-bases does, at p = 1 flipped as flip-all-bases does.
         """
-        if self.kind is RebindKind.HONEST_BASES:
-            return bases.copy()
         if self.kind is RebindKind.FLIP_ALL_BASES:
             return bases ^ 1
-        return bases ^ (rng().random(len(bases)) < self.lie_probability)
+        if not self.draws:
+            return bases.copy()
+        raw = rng().bit_generator.random_raw(len(bases))
+        return bases ^ (raw <= noise_threshold(self.lie_probability))
 
     @classmethod
     def parse(cls, text: str) -> "RebindStrategy":

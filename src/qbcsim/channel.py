@@ -23,7 +23,10 @@ The array draws read PCG64's raw 64-bit outputs (``uniform_codes``,
 ``measure_states``) and return exactly what ``Generator.integers`` and
 ``Generator.random`` return from a fresh generator, without their
 per-call cost.  The trial kernel reads the same words by the same rules
-(``raw_top_bytes``, ``noise_threshold``, ``select_outcomes``).
+(``raw_top_bytes``, ``noise_threshold``, ``select_outcomes``).  Two more
+readers serve the protocol and the adversary: ``raw_coins`` gives
+``integers(0, 2, size=k)`` also after a ``Generator.choice`` (the mask
+coins), and ``noise_threshold`` also reads the random-lies schedule.
 """
 
 from __future__ import annotations
@@ -125,6 +128,25 @@ def raw_top_bytes(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
     return raw.view(np.uint8)[3:4 * n:4]
 
 
+def raw_coins(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """``integers(0, 2, size=n)`` of a generator on ``bit_generator``, as uint8.
+
+    A range of 2 never rejects in numpy's Lemire step, so each coin is the
+    top bit of the next 32-bit half.  A half left buffered by an earlier
+    32-bit draw (``state["has_uint32"]``, as ``Generator.choice`` can leave
+    one) comes first, then the raw outputs, low half first.  Unlike
+    ``integers``, it leaves the buffer as it found it: nothing may draw
+    32-bit halves from ``bit_generator`` after it.
+    """
+    state = bit_generator.state
+    if not state["has_uint32"]:
+        return raw_top_bytes(bit_generator, n) >> 7
+    coins = np.empty(n, dtype=np.uint8)
+    coins[0] = state["uinteger"] >> 31
+    coins[1:] = raw_top_bytes(bit_generator, n - 1) >> 7
+    return coins
+
+
 def measure_photon(state: PhotonState, basis: Basis, rng: np.random.Generator) -> int:
     """Measure one photon in the given basis.
 
@@ -180,8 +202,11 @@ def select_outcomes(prep_bases, prep_bits, bases, coins) -> np.ndarray:
     return coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
 
 
-def noise_threshold(noise_rate: float) -> np.uint64:
-    """For a rate above 0, ``rng.random(n) < noise_rate`` is ``random_raw(n) <=
-    noise_threshold(noise_rate)``: a double is (raw >> 11) * 2**-53, below the
-    rate exactly when raw is below ceil(noise_rate * 2**53) * 2**11."""
-    return np.uint64((math.ceil(noise_rate * 2**53) << 11) - 1)
+def noise_threshold(rate: float) -> np.uint64:
+    """For a rate in (0, 1], ``rng.random(n) < rate`` is ``random_raw(n) <=
+    noise_threshold(rate)``: a double is (raw >> 11) * 2**-53, below the
+    rate exactly when raw is below ceil(rate * 2**53) * 2**11.  At rate 0
+    the comparison is all false without a draw, so callers skip it."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"a raw-word threshold needs a rate in (0, 1], got {rate}")
+    return np.uint64((math.ceil(rate * 2**53) << 11) - 1)

@@ -127,7 +127,7 @@ def run_cell(
     Trial t is seeded by ``derive_seed(*path, t)``.  Returns the successes
     and the decision tallies of ``kernel.run_trials``.
     """
-    seeds = (streams.derive_seed(*path, t) for t in range(spec.trials_per_cell))
+    seeds = streams.trial_seeds(path, spec.trials_per_cell)
     return run_trials(seeds, n, e, noise, spec.mode.value, spec.strategy, spec.policy)
 
 

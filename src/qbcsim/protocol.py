@@ -43,6 +43,7 @@ from .channel import (
     PreparedSequence,
     as_bit_array,
     prepare_random_sequence,
+    raw_coins,
     transmit_and_measure,
     uniform_codes,
 )
@@ -224,19 +225,25 @@ def inject_errors(
     uniformly without replacement.  In "randomize" mode each chosen value
     is replaced by an independent fair coin (which may equal the original);
     in "flip" mode it is inverted.  Consumes the position draw first, then
-    (in randomize mode only) one replacement draw per chosen position.
-    Nothing is drawn when no position is chosen.  The positions come back
-    sorted, in direct (pre-ordering) index space.
+    (in randomize mode only) one replacement draw per chosen position, the
+    j-th for the j-th smallest position (``draw_mask``).  Nothing is drawn
+    when no position is chosen.  The positions come back sorted, in direct
+    (pre-ordering) index space.
     """
     outcomes = as_bit_array(outcomes)
     if not 0.0 <= error_fraction <= 1.0:
         raise ValueError(f"error_fraction must be in [0, 1], got {error_fraction}")
     if mode not in ERROR_MODES:
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
-    k = masked_count(error_fraction, len(outcomes))
-    positions, coins = draw_mask(len(outcomes), k, rng, mode)
+    n = len(outcomes)
+    k = masked_count(error_fraction, n)
+    positions, coins = draw_mask(n, k, rng, mode)
     masked = outcomes.copy()
-    masked[positions] = outcomes[positions] ^ 1 if coins is None else coins
+    if k:
+        marked = np.zeros(n, dtype=bool)
+        marked[positions] = True
+        positions = np.flatnonzero(marked)
+        masked[positions] = outcomes[positions] ^ 1 if coins is None else coins
     return masked, positions
 
 
@@ -248,13 +255,19 @@ def masked_count(error_fraction: float, n: int) -> int:
 def draw_mask(
     n: int, k: int, rng: np.random.Generator, mode: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draws of ``inject_errors`` on n results, unvalidated: (sorted
-    positions, replacement coins), the coins None in "flip" mode."""
+    """The draws of ``inject_errors`` on n results, unvalidated: (positions,
+    in ``choice``'s order, replacement coins), the coins None in "flip" mode.
+
+    The j-th coin replaces the result at the j-th smallest position: mark
+    the positions in a bool array and ``np.flatnonzero`` gives them sorted,
+    with no sort.  The coins are ``rng.integers(0, 2, size=k)``, read from
+    the raw words (``channel.raw_coins``).
+    """
     if not k:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    positions = np.sort(rng.choice(n, size=k, replace=False))
+    positions = rng.choice(n, size=k, replace=False)
     if mode == "randomize":
-        return positions, rng.integers(0, 2, size=k)
+        return positions, raw_coins(rng.bit_generator, k)
     return positions, None
 
 

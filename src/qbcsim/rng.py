@@ -13,25 +13,31 @@ channel referee each hold only the master seed and rebuild exactly the
 substreams they own, which makes a wire session reproduce the in-process
 session draw for draw.
 
-``substream`` is the reference path.  ``SubstreamBatch`` builds the same
-generators for a block of trials at once.  It hashes each (master, label)
-pair with one SHA-256 call and reads all the seeds with one
-``np.frombuffer``.  ``PCG64(seed)`` seeds itself from
-``SeedSequence(seed).generate_state(4, np.uint64)``, and the batch computes
-those words for every seed of the block in one vectorised numpy pass, then
-hands them to ``PCG64`` through a seed-sequence object that returns them.
+``substream`` is the reference path, and ``derive_seed`` the reference for
+``trial_seeds``, which derives a cell's trial seeds with the label path
+encoded once.  ``SubstreamBatch`` builds the same generators for a block
+of trials at once.  It hashes each (master, label) pair with one SHA-256
+call and reads all the seeds with one ``np.frombuffer``.  ``PCG64(seed)``
+seeds itself from ``SeedSequence(seed).generate_state(4, np.uint64)``, and
+the batch computes those words for every seed of the block in one
+vectorised numpy pass, then hands them to ``PCG64`` through a seed-sequence
+object that returns them.
 That pass can be vectorised because ``SeedSequence``'s hash constants evolve
 by multiplication alone, independently of the data: for a 64-bit seed (two
 entropy words, the rest of the pool zero) the whole hash is one fixed
 sequence of uint32 xor/multiply/shift steps, applied element-wise.  Each
-``PCG64`` is built only when asked for.  ``tests/test_rng.py`` pins the
-batch to ``substream``, state and draws, on edge-case and random seeds.
+``PCG64`` is built only when asked for.  Where a trial reads one raw output
+of a fresh generator and no more, the batch computes that output for the
+whole block from the same words (``first_raw``: PCG64's seeding, one LCG
+step and its XSL-RR output, in uint64 limbs), and builds nothing.
+``tests/test_rng.py`` pins the batch to ``substream``, state, draws and
+first outputs, on edge-case and random seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -56,6 +62,14 @@ def derive_seed(master: int, *labels: int | str) -> int:
     """
     path = "/".join([str(int(master)), *map(str, labels)])
     return int.from_bytes(hashlib.sha256(path.encode()).digest()[:8], "little")
+
+
+def trial_seeds(path: Sequence[int | str], trials: int) -> Iterator[int]:
+    """``derive_seed(*path, t)`` for t in ``range(trials)``, with the path
+    encoded once."""
+    head = "/".join([str(int(path[0])), *map(str, path[1:]), ""]).encode()
+    for t in range(trials):
+        yield int.from_bytes(hashlib.sha256(head + b"%d" % t).digest()[:8], "little")
 
 
 def substream(master: int, *labels: int | str) -> np.random.Generator:
@@ -118,6 +132,48 @@ def seed_state_words(seeds: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
+# numpy's PCG64: a 128-bit LCG with this multiplier and XSL-RR output.
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK64 = 2**64 - 1
+_LOW32, _U1, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (_MASK32, 1, 32, 58, 63, 64))
+
+
+def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b, by 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    carry = (low >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
+
+
+def _mul_128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * c modulo 2**128, as (hi, lo) uint64 limbs."""
+    c_hi, c_lo = np.uint64(c >> 64), np.uint64(c & _MASK64)
+    return _mul_hi(lo, c & _MASK64) + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+def first_raw_outputs(words: np.ndarray) -> np.ndarray:
+    """``PCG64(_StateWords(w)).random_raw()`` for every row w of ``words``.
+
+    PCG64 seeds itself from (state, sequence) = (w0:w1, w2:w3): its
+    increment is sequence * 2 + 1, and its state inc, plus the seed state,
+    stepped once.  Its first output steps once more and reads XSL-RR: the
+    high half xor the low half, rotated right by the top 6 bits.  So the
+    state read is (inc + seed state) * M**2 + inc * (M + 1), modulo 2**128.
+    """
+    seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(words, -1, 0)
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    start_lo = inc_lo + seed_lo
+    start_hi = inc_hi + seed_hi + (start_lo < inc_lo)
+    a_hi, a_lo = _mul_128(start_hi, start_lo, _PCG_MULT**2 % 2**128)
+    b_hi, b_lo = _mul_128(inc_hi, inc_lo, _PCG_MULT + 1)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    folded, rot = hi ^ lo, hi >> _U58
+    return folded >> rot | folded << ((_U64 - rot) & _U63)
+
+
 class _StateWords(ISeedSequence):
     """A seed sequence that hands a bit generator precomputed state words."""
 
@@ -150,3 +206,8 @@ class SubstreamBatch:
 
     def __call__(self, t: int, label: str) -> np.random.PCG64:
         return np.random.PCG64(_StateWords(self._words[self._row[label], t]))
+
+    def first_raw(self, label: str) -> np.ndarray:
+        """``batch(t, label).random_raw()`` for every trial t, as uint64,
+        computed from the state words without building a generator."""
+        return first_raw_outputs(self._words[self._row[label]])

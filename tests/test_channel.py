@@ -9,6 +9,7 @@ from qbcsim.channel import (
     PhotonState,
     measure_photon,
     measure_states,
+    noise_threshold,
     prepare_random_sequence,
     transmit_and_measure,
     uniform_codes,
@@ -149,3 +150,14 @@ def test_measure_states_draws_coins_then_noise_as_the_generator_does(noise):
         got = measure_states(sent_bases, sent_bits, bases, noise, rng)
         assert np.array_equal(got, want), n
         assert rng.random() == reference.random(), n
+
+
+@pytest.mark.parametrize("rate", (0.0, -0.1, 1.5, float("nan")))
+def test_noise_threshold_rejects_rates_outside_its_domain(rate):
+    # At rate 0 the comparison is all false with no draw: callers skip it.
+    with pytest.raises(ValueError, match=f"got {rate}"):
+        noise_threshold(rate)
+
+
+def test_noise_threshold_at_rate_one_admits_every_raw_word():
+    assert noise_threshold(1.0) == np.uint64(2**64 - 1)

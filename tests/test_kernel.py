@@ -27,8 +27,10 @@ MODES = (
     ("preunveil", None),
     ("binding", "honest-bases"),
     ("binding", "flip-all-bases"),
+    ("binding", "random-lies:0"),
     ("binding", "random-lies:0.1"),
     ("binding", "random-lies:0.5"),
+    ("binding", "random-lies:1"),
 )
 
 
@@ -104,6 +106,15 @@ def test_chunk_size_changes_no_result(mode, strategy, chunk_elements, monkeypatc
         with monkeypatch.context() as patched:
             patched.setattr(kernel, "CHUNK_ELEMENTS", chunk_elements)
             assert run_trials(seeds, *args) == want, (n, e, noise)
+
+
+@pytest.mark.parametrize("p,schedule", ((0, "honest-bases"), (1, "flip-all-bases")))
+def test_random_lies_at_the_ends_equal_the_blind_schedules(p, schedule):
+    # p = 0 lies nowhere and draws nothing; p = 1 lies everywhere.
+    seeds = [streams.derive_seed(1414, t) for t in range(64)]
+    args = (64, 0.3, 0.1, "binding")
+    assert (run_trials(seeds, *args, RebindStrategy.parse(f"random-lies:{p}"))
+            == run_trials(seeds, *args, RebindStrategy.parse(schedule)))
 
 
 def test_kernel_committed_bit_is_generator_integers():

@@ -12,12 +12,14 @@ from qbcsim.channel import PreparedSequence
 from qbcsim.protocol import (
     Commitment,
     Decision,
+    ERROR_MODES,
     DecisionPolicy,
     MeasurementRecord,
     SessionConfig,
     choose_random_bases,
     commit,
     decide,
+    draw_mask,
     inject_errors,
     raw_correlations,
     run_honest_session,
@@ -83,6 +85,39 @@ def test_inject_flip_mode_inverts_selected_positions():
     masked, positions = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
     assert np.array_equal(masked != outcomes, np.isin(np.arange(200), positions))
     assert len(positions) == 100
+
+
+MASK_SIZES = (1, 2, 3, 16, 17, 256, 4097, 10_001, 100_000)
+
+
+def test_mask_draws_are_sorted_choice_then_integers():
+    # The reference draws: sorted choice positions, then integers(0, 2) coins,
+    # on a twin generator.  n = 10 001 and 100 000 take choice's tail-shuffle
+    # path (the wire's n), the rest Floyd's.  choice can leave a 32-bit half
+    # buffered; the coins must read it first.
+    buffered = set()
+    for n in MASK_SIZES:
+        outcomes = streams.substream(n, "o").integers(0, 2, size=n).astype(np.uint8)
+        for k in sorted({1, n // 2, n}):
+            for rep in range(20):
+                path = (n, k, rep)
+                twin = streams.substream(*path, streams.ERROR)
+                want_positions = np.sort(twin.choice(n, size=k, replace=False))
+                buffered.add(bool(twin.bit_generator.state["has_uint32"]))
+                want_coins = twin.integers(0, 2, size=k)
+                positions, coins = draw_mask(n, k, streams.substream(*path, streams.ERROR),
+                                             "randomize")
+                assert np.array_equal(np.sort(positions), want_positions), path
+                assert np.array_equal(coins, want_coins), path  # j-th coin, j-th smallest
+                for mode in ERROR_MODES:
+                    want = outcomes.copy()
+                    want[want_positions] = (want_coins if mode == "randomize"
+                                            else want[want_positions] ^ 1)
+                    masked, positions = inject_errors(
+                        outcomes, k / n, streams.substream(*path, streams.ERROR), mode)
+                    assert np.array_equal(positions, want_positions), (path, mode)
+                    assert np.array_equal(masked, want), (path, mode)
+    assert buffered == {False, True}
 
 
 def test_inject_rejects_bad_inputs():

@@ -3,6 +3,7 @@
 import numpy as np
 
 from qbcsim import rng as streams
+from qbcsim.kernel import BLOCK_TRIALS
 
 
 def test_derivation_is_stable():
@@ -78,3 +79,21 @@ def test_substream_batch_equals_substream():
             assert got.bit_generator.state == want.bit_generator.state, (master, label)
             assert np.array_equal(got.integers(0, 2, size=8), want.integers(0, 2, size=8))
             assert np.array_equal(got.random(8), want.random(8))
+
+
+def test_substream_batch_first_raw_equals_random_raw():
+    masters = _masters()
+    batch = streams.SubstreamBatch(masters, LABELS)
+    for label in LABELS:
+        want = [streams.substream(m, label).bit_generator.random_raw() for m in masters]
+        got = batch.first_raw(label)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(want, dtype=np.uint64)), label
+
+
+def test_trial_seeds_equal_derive_seed():
+    # An attack's path is (seed,), a sweep's (master_seed, cell_index); t spans
+    # two of the kernel's seeding blocks.
+    for path in ((0,), (2**64 - 1,), (2024, 3), (7, "cell")):
+        got = list(streams.trial_seeds(path, BLOCK_TRIALS + 37))
+        assert got == [streams.derive_seed(*path, t) for t in range(BLOCK_TRIALS + 37)], path
