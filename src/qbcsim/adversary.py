@@ -8,13 +8,14 @@ Two directions:
   lowers his confidence (3/4 - e/4 against the 1/2 of the wrong pairing).
 
 * The committer tries to rebind after the fact.  Her commitment is
-  immutable; all she controls at unveil time is the basis list, and she
-  never learns the sender's preparation bases or bits, so every
-  implemented strategy is a blind basis-lying schedule.  Her unveil is
-  that basis list itself, a uint8 array in transmission order, as the
-  kernel and the wire pass it.  A rebind counts as a success only if the
-  receiver cleanly decodes the opposite bit; suspicion or ambiguity defeats
-  the cheat.
+  immutable; all she controls at unveil time is the basis list.  She never
+  learns the sender's preparation bases or bits, but she does hold her raw
+  outcomes and the values she revealed, which is enough for an informed
+  rebind.  The implemented strategies are blind basis-lying schedules by
+  choice: none of them reads her outcomes.  Her unveil is that basis list
+  itself, a uint8 array in transmission order, as the kernel and the wire
+  pass it.  A rebind counts as a success only if the receiver cleanly
+  decodes the opposite bit; suspicion or ambiguity defeats the cheat.
 
 No optimality claim is made for the strategy menu: these are the natural
 blind schedules, evaluated empirically by ``harness.run_cell`` in
@@ -23,7 +24,6 @@ preunveil and binding mode.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,7 +64,7 @@ class RebindStrategy:
 
     @property
     def draws(self) -> bool:
-        """Whether ``lie`` asks for its generator (random-lies above 0 only)."""
+        """Whether ``lie`` draws from its generator (random-lies above 0 only)."""
         return self.kind is RebindKind.RANDOM_LIES and self.lie_probability > 0
 
     @property
@@ -73,20 +73,21 @@ class RebindStrategy:
             return f"random-lies:{self.lie_probability:g}"
         return self.kind.value
 
-    def lie(self, bases: np.ndarray, rng: Callable[[], np.random.Generator]) -> np.ndarray:
+    def lie(self, bases: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
         """The basis list this schedule unveils for the true ``bases``.
 
         Only random-lies above 0 draws: it lies at basis i when the i-th
         raw output is at most ``channel.noise_threshold(p)``, which is
-        ``random(n) < p`` read from the raw words.  ``rng`` is called for
-        its generator then and only then.  At p = 0 it unveils the bases
-        as honest-bases does, at p = 1 flipped as flip-all-bases does.
+        ``random(n) < p`` read from the raw words; the other schedules
+        never touch ``rng``, which may then be None.  At p = 0 it unveils
+        the bases as honest-bases does, at p = 1 flipped as flip-all-bases
+        does.
         """
         if self.kind is RebindKind.FLIP_ALL_BASES:
             return bases ^ 1
         if not self.draws:
             return bases.copy()
-        raw = rng().bit_generator.random_raw(len(bases))
+        raw = rng.bit_generator.random_raw(len(bases))
         return bases ^ (raw <= noise_threshold(self.lie_probability))
 
     @classmethod
@@ -154,5 +155,5 @@ def alice_rebind_attack(
     strategy, but the implemented schedules are blind in the sender's bases.
     """
     if original_bit not in (0, 1):
-        raise ValueError("original_bit must be 0 or 1")
-    return strategy.lie(record.bases, lambda: rng)
+        raise ValueError(f"original_bit must be 0 or 1, got {original_bit}")
+    return strategy.lie(record.bases, rng)

@@ -20,7 +20,7 @@ themselves, which keeps honest and counterfactual replays of the same seed
 aligned.
 
 The array draws read PCG64's raw 64-bit outputs (``uniform_codes``,
-``measure_states``) and return exactly what ``Generator.integers`` and
+``transmit_and_measure``) and return exactly what ``Generator.integers`` and
 ``Generator.random`` return from a fresh generator, without their
 per-call cost.  The trial kernel reads the same words by the same rules
 (``raw_top_bytes``, ``noise_threshold``, ``select_outcomes``).  Two more
@@ -181,16 +181,8 @@ def transmit_and_measure(
         )
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
-    return measure_states(seq.bases, seq.bits, bases, noise_rate, rng)
-
-
-def measure_states(
-    prep_bases: np.ndarray, prep_bits: np.ndarray, bases: np.ndarray,
-    noise_rate: float, rng: np.random.Generator,
-) -> np.ndarray:
-    """The draws of ``transmit_and_measure`` on uint8 code arrays, unvalidated."""
     n = len(bases)
-    outcomes = select_outcomes(prep_bases, prep_bits, bases, uniform_codes(rng, n, 1))
+    outcomes = select_outcomes(seq.bases, seq.bits, bases, uniform_codes(rng, n, 1))
     if noise_rate > 0:
         outcomes ^= rng.bit_generator.random_raw(n) <= noise_threshold(noise_rate)
     return outcomes

@@ -46,17 +46,6 @@ from .protocol import Decision
 #: The wire format this module speaks; a hello carries it.
 FORMAT = 2
 
-MESSAGE_TYPES = (
-    "hello",
-    "prepare",
-    "measure",
-    "outcomes",
-    "commit",
-    "unveil",
-    "decision",
-    "error",
-)
-
 ROLES = ("alice", "bob", "referee")
 
 #: The receiver's verdicts, as a decision message names them.
@@ -75,6 +64,9 @@ SESSION_SCRIPT = (
 
 #: Required protocol order of the session-content message types.
 PROTOCOL_ORDER = tuple(mtype for _sender, mtype in SESSION_SCRIPT)
+
+#: Every message type: the hello handshake, the session steps, and error.
+MESSAGE_TYPES = ("hello", *PROTOCOL_ORDER, "error")
 
 
 class WireProtocolError(Exception):

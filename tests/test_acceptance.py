@@ -5,11 +5,10 @@ line per criterion with the measured values.
 """
 
 import dataclasses
-import socket
-import threading
 import time
 
 import numpy as np
+from test_wire import live_session
 
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy
@@ -27,7 +26,6 @@ from qbcsim.protocol import (
     run_honest_session,
     score_and_decide,
 )
-from qbcsim.referee import party_run, referee_serve
 from qbcsim.stats import decode_error_bound
 from qbcsim.wire import (
     SessionTranscript,
@@ -217,41 +215,6 @@ def test_criterion_09_measurement_unit_laws():
                    f"(0.5 +/- {tol:.4f})")
 
 
-def _wire_session(config, transcript_path=None):
-    """Serve one session and run both parties on threads, each with the
-    options of ``config`` that belong to it; their results and the
-    referee's transcript."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    addr = f"127.0.0.1:{port}"
-    results = {}
-    common = dict(n=config.n, seed=config.seed, timeout=15)
-    referee = threading.Thread(
-        target=lambda: results.setdefault(
-            "transcript",
-            referee_serve(addr, seed=config.seed, noise_rate=config.noise_rate,
-                          transcript_path=transcript_path, timeout=15),
-        ),
-        daemon=True,
-    )
-    referee.start()
-    time.sleep(0.2)
-    parties = (
-        threading.Thread(target=lambda: results.setdefault(
-            "bob", party_run("bob", addr, policy=config.policy, **common))),
-        threading.Thread(target=lambda: results.setdefault(
-            "alice", party_run("alice", addr, bit=config.committed_bit,
-                               error_fraction=config.error_fraction,
-                               error_mode=config.error_mode, **common))),
-    )
-    for party in parties:
-        party.start()
-    for thread in parties + (referee,):
-        thread.join(20)
-    return results
-
-
 def test_criterion_10_wire_equivalence(tmp_path):
     seed, n, bit, e = streams.derive_seed(MASTER, "wire"), 256, 1, 0.5
     base = SessionConfig(n=n, committed_bit=bit, error_fraction=e, seed=seed)
@@ -265,10 +228,9 @@ def test_criterion_10_wire_equivalence(tmp_path):
                dataclasses.replace(small, policy=strict))
     ok, first = True, None
     for config in configs:
-        results = _wire_session(config, tmp_path / "t.jsonl")
+        results, transcript, _wall = live_session(config, tmp_path / "t.jsonl")
         inproc = run_honest_session(config)
         seq, record, _mask, commitment = run_commit_phase(config)
-        transcript = results["transcript"]
         sent = {entry.message["type"]: entry.message for entry in transcript.entries}
         ok = ok and (
             results["bob"].exit_code == 0

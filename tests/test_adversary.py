@@ -213,6 +213,9 @@ def test_rebind_cannot_touch_the_commitment():
     assert np.array_equal(out, record.bases ^ 1)
     with pytest.raises(ValueError):
         commitment.revealed[0] ^= 1
+    with pytest.raises(ValueError, match=r"^original_bit must be 0 or 1, got 2$"):
+        alice_rebind_attack(record, positions, commitment, 2, RebindStrategy.flip_all_bases(),
+                            streams.substream(83, "adv"))
 
 
 def test_binding_honest_unveil_never_flips():

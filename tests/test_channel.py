@@ -7,8 +7,8 @@ from qbcsim import rng as streams
 from qbcsim.channel import (
     Basis,
     PhotonState,
+    PreparedSequence,
     measure_photon,
-    measure_states,
     noise_threshold,
     prepare_random_sequence,
     transmit_and_measure,
@@ -136,8 +136,8 @@ def test_uniform_codes_are_generator_integers(width, n):
 
 @pytest.mark.parametrize("noise", (0.0, 0.1, 1 / 3, 0.5, 1.0))
 def test_measure_states_draws_coins_then_noise_as_the_generator_does(noise):
-    # Coins are integers(0, 2, size=n), noise is random(n) < noise_rate; at
-    # rate 0 no noise is drawn at all.
+    # transmit_and_measure's coins are integers(0, 2, size=n), its noise is
+    # random(n) < noise_rate; at rate 0 no noise is drawn at all.
     for n in (0, 1, 17, 256):
         codes = streams.substream(n, "sent").integers(0, 4, size=n).astype(np.uint8)
         sent_bases, sent_bits = codes >> 1, codes & 1
@@ -147,7 +147,7 @@ def test_measure_states_draws_coins_then_noise_as_the_generator_does(noise):
         want = np.where(bases == sent_bases, sent_bits, coins).astype(np.uint8)
         if noise > 0:
             want ^= reference.random(n) < noise
-        got = measure_states(sent_bases, sent_bits, bases, noise, rng)
+        got = transmit_and_measure(PreparedSequence(sent_bases, sent_bits), bases, noise, rng)
         assert np.array_equal(got, want), n
         assert rng.random() == reference.random(), n
 

@@ -2,17 +2,14 @@
 
 import hashlib
 import json
-import socket
-import threading
-import time
 
 import pytest
 from test_kernel import FROZEN_CSV_SHA256
+from test_wire import Referee, free_address, run_parties, session_parties
 
 from qbcsim.cli import _policy, build_parser, cli_main
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
 from qbcsim.protocol import DecisionPolicy, SessionConfig, run_honest_session
-from qbcsim.referee import party_run
 
 
 def test_simulate_json_output(capsys):
@@ -232,73 +229,33 @@ def test_attack_rebind_bad_strategy_usage_error(capsys):
     capsys.readouterr()
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def test_referee_and_party_subcommands(capsys, tmp_path):
-    addr = f"127.0.0.1:{_free_port()}"
     transcript = tmp_path / "t.jsonl"
-    codes = {}
-
-    def run(name, argv):
-        codes[name] = cli_main(argv)
-
-    referee = threading.Thread(
-        target=run,
-        args=("referee",
-              ["referee", "--listen", addr, "--seed", "77",
-               "--transcript", str(transcript), "--timeout", "10"]),
+    referee = Referee(lambda addr: cli_main(
+        ["referee", "--listen", addr, "--seed", "77",
+         "--transcript", str(transcript), "--timeout", "10"]))
+    codes = run_parties(
+        referee.addr,
+        bob=lambda addr: cli_main(["party", "--role", "bob", "--connect", addr,
+                                   "--n", "128", "--seed", "77", "--timeout", "10"]),
+        alice=lambda addr: cli_main(["party", "--role", "alice", "--connect", addr,
+                                     "--n", "128", "--bit", "1", "--error-fraction", "0.5",
+                                     "--seed", "77", "--timeout", "10"]),
     )
-    referee.start()
-    import time
-
-    time.sleep(0.2)
-    bob = threading.Thread(
-        target=run,
-        args=("bob", ["party", "--role", "bob", "--connect", addr,
-                      "--n", "128", "--seed", "77", "--timeout", "10"]),
-    )
-    alice = threading.Thread(
-        target=run,
-        args=("alice", ["party", "--role", "alice", "--connect", addr,
-                        "--n", "128", "--bit", "1", "--error-fraction", "0.5",
-                        "--seed", "77", "--timeout", "10"]),
-    )
-    bob.start()
-    alice.start()
-    for t in (bob, alice, referee):
-        t.join(15)
-    assert codes == {"referee": 0, "bob": 0, "alice": 0}
+    assert referee.result() == 0 and codes == {"bob": 0, "alice": 0}
     assert transcript.exists()
     out = capsys.readouterr().out
     assert '"decision"' in out and "session complete" in out
 
 
 def test_referee_noise_rate_reproduces_simulate(tmp_path):
-    addr = f"127.0.0.1:{_free_port()}"
-    codes = {}
-    referee = threading.Thread(
-        target=lambda: codes.setdefault("referee", cli_main(
-            ["referee", "--listen", addr, "--seed", "78", "--noise-rate", "0.1",
-             "--transcript", str(tmp_path / "t.jsonl"), "--timeout", "10"])),
-    )
-    referee.start()
-    time.sleep(0.2)
-    results = {}
-    bob = threading.Thread(
-        target=lambda: results.setdefault("bob", party_run("bob", addr, n=256, seed=78,
-                                                           timeout=10)))
-    bob.start()
-    results["alice"] = party_run("alice", addr, n=256, bit=1, error_fraction=0.25,
-                                 seed=78, timeout=10)
-    for t in (bob, referee):
-        t.join(15)
-    inproc = run_honest_session(SessionConfig(n=256, committed_bit=1, error_fraction=0.25,
-                                              noise_rate=0.1, seed=78))
-    assert codes == {"referee": 0}
+    referee = Referee(lambda addr: cli_main(
+        ["referee", "--listen", addr, "--seed", "78", "--noise-rate", "0.1",
+         "--transcript", str(tmp_path / "t.jsonl"), "--timeout", "10"]))
+    config = SessionConfig(n=256, committed_bit=1, error_fraction=0.25, noise_rate=0.1, seed=78)
+    results = run_parties(referee.addr, **session_parties(config))
+    inproc = run_honest_session(config)
+    assert referee.result() == 0
     assert results["bob"].alignment == inproc.alignment
     assert results["bob"].raw_direct == inproc.raw_direct_correlation
 
@@ -309,22 +266,16 @@ def test_party_error_mode_and_policy_flags_reproduce_simulate(capsys, tmp_path):
     # (randomize masking or the default floor would read bit 1).
     flags = ["--n", "256", "--seed", "79", "--error-fraction", "0.25", "--error-mode", "flip",
              "--delta", "0.2", "--floor", "0.8", "--min-sift", "16"]
-    addr = f"127.0.0.1:{_free_port()}"
-    codes = {}
-    referee = threading.Thread(target=lambda: codes.setdefault("referee", cli_main(
+    referee = Referee(lambda addr: cli_main(
         ["referee", "--listen", addr, "--seed", "79",
-         "--transcript", str(tmp_path / "t.jsonl"), "--timeout", "10"])))
-    referee.start()
-    time.sleep(0.2)
-    bob = threading.Thread(target=lambda: codes.setdefault("bob", cli_main(
-        ["party", "--role", "bob", "--connect", addr, *flags])))
-    bob.start()
-    time.sleep(0.1)
-    codes["alice"] = cli_main(["party", "--role", "alice", "--connect", addr, "--bit", "1",
-                               *flags])
-    for t in (bob, referee):
-        t.join(15)
-    assert codes == {"referee": 0, "bob": 0, "alice": 0}
+         "--transcript", str(tmp_path / "t.jsonl"), "--timeout", "10"]))
+    codes = run_parties(
+        referee.addr,
+        bob=lambda addr: cli_main(["party", "--role", "bob", "--connect", addr, *flags]),
+        alice=lambda addr: cli_main(["party", "--role", "alice", "--connect", addr,
+                                     "--bit", "1", *flags]),
+    )
+    assert referee.result() == 0 and codes == {"bob": 0, "alice": 0}
     # Both parties print to one stream; each object is one write.
     out, decoder, objects = capsys.readouterr().out, json.JSONDecoder(), []
     start = out.find("{")
@@ -342,8 +293,8 @@ def test_party_error_mode_and_policy_flags_reproduce_simulate(capsys, tmp_path):
 
 
 def test_party_connection_refused_exit_one(capsys):
-    code = cli_main(["party", "--role", "bob", "--connect",
-                     f"127.0.0.1:{_free_port()}", "--n", "8", "--timeout", "2"])
+    code = cli_main(["party", "--role", "bob", "--connect", free_address(),
+                     "--n", "8", "--timeout", "2"])
     assert code == 1
     assert "failed" in capsys.readouterr().err
 
@@ -363,7 +314,7 @@ def test_out_of_range_ports_exit_one_naming_the_address(capsys, tmp_path):
 
 
 def test_referee_abort_names_its_cause(capsys, tmp_path):
-    code = cli_main(["referee", "--listen", f"127.0.0.1:{_free_port()}", "--timeout", "0.3",
+    code = cli_main(["referee", "--listen", free_address(), "--timeout", "0.3",
                      "--transcript", str(tmp_path / "t.jsonl")])
     assert code == 1
     assert capsys.readouterr().err == "session aborted: session timed out\n"

@@ -106,6 +106,8 @@ def test_packed_payloads_accept_only_digit_strings(line, field):
 
 
 def test_unknown_type_rejected():
+    assert MESSAGE_TYPES == ("hello", "prepare", "measure", "outcomes", "commit", "unveil",
+                             "decision", "error")
     with pytest.raises(WireProtocolError, match="unknown message type"):
         parse_message('{"type": "teleport"}\n')
 
@@ -429,11 +431,9 @@ def test_referee_refuses_other_wire_formats():
 
 def test_party_refused_for_its_wire_format_exits_one(monkeypatch):
     monkeypatch.setattr(referee_module, "FORMAT", FORMAT + 1)
-    results = {}
-    addr, ref_thread = _start_referee(results, timeout=1.0)
-    result = party_run("bob", addr, n=8, timeout=5)
-    ref_thread.join(5)
-    assert not ref_thread.is_alive()
+    referee = Referee(timeout=1.0)
+    result = party_run("bob", referee.addr, n=8, timeout=5)
+    referee.result()
     assert result.exit_code == 1
     assert result.diagnostic == (f"referee error: wire format {FORMAT} not supported: "
                                  f"this referee speaks format {FORMAT + 1}")
@@ -638,7 +638,7 @@ def test_referee_survives_any_message_sequence():
 
 
 def test_referee_rejects_a_bad_noise_rate_before_binding():
-    addr = f"127.0.0.1:{_free_port()}"
+    addr = free_address()
     start = time.perf_counter()
     with pytest.raises(ValueError, match="noise_rate"):
         referee_serve(addr, noise_rate=1.5, timeout=5.0)
@@ -648,7 +648,7 @@ def test_referee_rejects_a_bad_noise_rate_before_binding():
 
 
 def test_party_with_bad_parameters_exits_one_before_connecting():
-    addr = f"127.0.0.1:{_free_port()}"  # nobody listens here
+    addr = free_address()  # nobody listens here
     for role, kwargs, cause in (
         ("bob", dict(n=-1), "n must be"),
         ("alice", dict(n=8, bit=2), "committed_bit"),
@@ -660,66 +660,79 @@ def test_party_with_bad_parameters_exits_one_before_connecting():
 
 
 # -- live sessions ----------------------------------------------------------------
+# Every live session of the suite runs on these: the referee on a thread, then
+# each party on its own thread.
 
-def _free_port() -> int:
+def free_address() -> str:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+        return f"127.0.0.1:{s.getsockname()[1]}"
 
 
-def _serve(addr, results, **kwargs):
-    results["transcript"] = referee_serve(addr, **kwargs)
+class Referee:
+    """``serve(addr)`` on a thread at a free local address; by default
+    ``referee_serve`` with ``options``.
 
-
-def _start_referee(results, seed=0, timeout=10.0, transcript_path=None, noise_rate=0.0):
-    addr = f"127.0.0.1:{_free_port()}"
-    thread = threading.Thread(
-        target=_serve, args=(addr, results),
-        kwargs=dict(seed=seed, timeout=timeout, transcript_path=transcript_path,
-                    noise_rate=noise_rate),
-        daemon=True,
-    )
-    thread.start()
-    time.sleep(0.15)  # let the listener bind
-    return addr, thread
-
-
-def _live_session(config, transcript_path=None):
-    """Serve one session and run both parties on threads, as ``config`` says.
-
-    Returns the parties' results, the referee's transcript, and the wall
-    time from starting the parties until both have returned.
+    Returns once the referee's listener accepts: it connects until it is
+    let in and closes at once, without a line, which the referee drops
+    without a record.
     """
+
+    def __init__(self, serve=None, **options):
+        self.addr = free_address()
+        serve = serve or (lambda addr: referee_serve(addr, **{"timeout": 10.0, **options}))
+        self._thread = threading.Thread(
+            target=lambda: setattr(self, "_result", serve(self.addr)), daemon=True)
+        self._thread.start()
+        for _ in range(1000):
+            try:
+                socket.create_connection(parse_address(self.addr), timeout=5).close()
+                return
+            except ConnectionRefusedError:
+                assert self._thread.is_alive(), "the referee returned before listening"
+                self._thread.join(0.005)
+        raise AssertionError(f"no referee listening at {self.addr}")
+
+    def result(self):
+        """What ``serve`` returned (a transcript, or the CLI's exit code)."""
+        self._thread.join(15)
+        assert not self._thread.is_alive()
+        return self._result
+
+
+def run_parties(addr, **parties):
+    """Run each ``party(addr)`` on its own thread; their results by name."""
     results = {}
-    addr, ref_thread = _start_referee(results, seed=config.seed, noise_rate=config.noise_rate,
-                                      transcript_path=transcript_path)
-    outcomes, wall = _run_parties(addr, config)
-    ref_thread.join(15)
-    assert not ref_thread.is_alive()
-    return outcomes, results["transcript"], wall
-
-
-def _run_parties(addr, config):
-    """Run both parties on threads; their results and the wall time until
-    both have returned."""
-    outcomes = {}
-    common = dict(n=config.n, seed=config.seed, timeout=10)
-    threads = [
-        threading.Thread(target=lambda: outcomes.setdefault(
-            "bob", party_run("bob", addr, policy=config.policy, **common))),
-        threading.Thread(target=lambda: outcomes.setdefault(
-            "alice", party_run("alice", addr, bit=config.committed_bit,
-                               error_fraction=config.error_fraction,
-                               error_mode=config.error_mode, **common))),
-    ]
-    start = time.perf_counter()
+    threads = [threading.Thread(target=lambda name=name, party=party: results.setdefault(
+        name, party(addr))) for name, party in parties.items()]
     for t in threads:
         t.start()
     for t in threads:
         t.join(15)
-    wall = time.perf_counter() - start
     assert not any(t.is_alive() for t in threads)
-    return outcomes, wall
+    return results
+
+
+def session_parties(config):
+    """Bob and Alice of ``config``, each with the options that belong to it."""
+    common = dict(n=config.n, seed=config.seed, timeout=10)
+    return dict(
+        bob=lambda addr: party_run("bob", addr, policy=config.policy, **common),
+        alice=lambda addr: party_run("alice", addr, bit=config.committed_bit,
+                                     error_fraction=config.error_fraction,
+                                     error_mode=config.error_mode, **common),
+    )
+
+
+def live_session(config, transcript_path=None):
+    """Serve one session of ``config`` and run both parties: their results,
+    the referee's transcript, and the parties' wall time."""
+    referee = Referee(seed=config.seed, noise_rate=config.noise_rate,
+                      transcript_path=transcript_path)
+    start = time.perf_counter()
+    outcomes = run_parties(referee.addr, **session_parties(config))
+    wall = time.perf_counter() - start
+    return outcomes, referee.result(), wall
 
 
 def _raw_client(addr):
@@ -730,43 +743,16 @@ def _raw_client(addr):
 
 
 def test_wire_session_matches_in_process_run(tmp_path):
-    seed, n, bit, e = 1234, 256, 1, 0.5
-    results = {}
-    addr, ref_thread = _start_referee(
-        results, seed=seed, transcript_path=tmp_path / "t.jsonl"
-    )
-
-    party_results = {}
-    bob = threading.Thread(
-        target=lambda: party_results.setdefault(
-            "bob", party_run("bob", addr, n=n, seed=seed, timeout=10)
-        )
-    )
-    alice = threading.Thread(
-        target=lambda: party_results.setdefault(
-            "alice",
-            party_run("alice", addr, n=n, bit=bit, error_fraction=e, seed=seed, timeout=10),
-        )
-    )
-    bob.start()
-    alice.start()
-    bob.join(15)
-    alice.join(15)
-    ref_thread.join(15)
-
-    inproc = run_honest_session(
-        SessionConfig(n=n, committed_bit=bit, error_fraction=e, seed=seed)
-    )
-    bob_result = party_results["bob"]
-    alice_result = party_results["alice"]
+    config = SessionConfig(n=256, committed_bit=1, error_fraction=0.5, seed=1234)
+    outcomes, transcript, _wall = live_session(config, tmp_path / "t.jsonl")
+    inproc = run_honest_session(config)
+    bob_result, alice_result = outcomes["bob"], outcomes["alice"]
     assert bob_result.exit_code == 0 and alice_result.exit_code == 0
     assert bob_result.decision is inproc.decision
     assert alice_result.decision is inproc.decision
     assert bob_result.alignment == inproc.alignment
     assert bob_result.raw_direct == inproc.raw_direct_correlation
     assert bob_result.raw_reverse == inproc.raw_reverse_correlation
-
-    transcript = results["transcript"]
     assert not transcript.violated
     assert transcript.outcome == inproc.decision.value
     assert transcript.check_ordering()
@@ -777,9 +763,8 @@ def test_wire_session_matches_in_process_run(tmp_path):
 
 
 def test_measure_before_prepare_is_an_ordering_violation():
-    results = {}
-    addr, ref_thread = _start_referee(results, timeout=5.0)
-    sock, rfile = _raw_client(addr)
+    referee = Referee(timeout=5.0)
+    sock, rfile = _raw_client(referee.addr)
     try:
         sock.sendall(encode_message(hello_message("alice")).encode())
         # fire measure without waiting for the channel-ready hello
@@ -789,17 +774,15 @@ def test_measure_before_prepare_is_an_ordering_violation():
         assert "out-of-order" in reply["message"]
     finally:
         sock.close()
-    ref_thread.join(10)
-    transcript = results["transcript"]
+    transcript = referee.result()
     assert transcript.violated
     assert transcript.outcome is None
 
 
 def test_duplicate_role_is_rejected():
-    results = {}
-    addr, ref_thread = _start_referee(results, timeout=5.0)
-    first, first_file = _raw_client(addr)
-    second, second_file = _raw_client(addr)
+    referee = Referee(timeout=5.0)
+    first, first_file = _raw_client(referee.addr)
+    second, second_file = _raw_client(referee.addr)
     try:
         first.sendall(encode_message(hello_message("alice")).encode())
         time.sleep(0.1)  # ensure registration order
@@ -815,9 +798,7 @@ def test_duplicate_role_is_rejected():
         # and that hang-up, not the timeout, ends the session.
         first_file.close()
         first.close()
-    ref_thread.join(10)
-    assert not ref_thread.is_alive()
-    transcript = results["transcript"]
+    transcript = referee.result()
     assert transcript.violated
     last = transcript.entries[-1]
     assert last.direction == "alice->referee"
@@ -825,17 +806,14 @@ def test_duplicate_role_is_rejected():
 
 
 def test_a_last_line_without_newline_is_handled_before_the_hang_up():
-    results = {}
-    addr, ref_thread = _start_referee(results, timeout=5.0)
-    sock, rfile = _raw_client(addr)
+    referee = Referee(timeout=5.0)
+    sock, rfile = _raw_client(referee.addr)
     with sock, rfile:
         sock.sendall(encode_message(hello_message("bob")).rstrip("\n").encode())
         sock.shutdown(socket.SHUT_WR)
         assert parse_message(rfile.readline()) == hello_message("referee")
         assert rfile.readline() == ""
-    ref_thread.join(10)
-    assert not ref_thread.is_alive()
-    entries = results["transcript"].entries
+    entries = referee.result().entries
     assert [(e.direction, e.message) for e in entries] == [
         ("bob->referee", hello_message("bob")),
         ("referee->bob", hello_message("referee")),
@@ -858,16 +836,30 @@ def test_a_session_completes_after_strangers_are_turned_away():
     # The first stranger is gone before the second connects, so the referee
     # accepts the second on the descriptor number the first one had.
     config = SessionConfig(n=64, committed_bit=1, seed=21)
-    results = {}
-    addr, ref_thread = _start_referee(results, seed=config.seed)
+    referee = Referee(seed=config.seed)
     for _ in range(2):
-        assert _turn_away(addr, "referee") == error_message("role 'referee' rejected")
-    outcomes, _wall = _run_parties(addr, config)
-    ref_thread.join(15)
-    assert not ref_thread.is_alive()
+        assert _turn_away(referee.addr, "referee") == error_message("role 'referee' rejected")
+    outcomes = run_parties(referee.addr, **session_parties(config))
     assert outcomes["bob"].decision is run_honest_session(config).decision
     assert outcomes["alice"].exit_code == 0
-    assert results["transcript"].outcome == outcomes["bob"].decision.value
+    assert referee.result().outcome == outcomes["bob"].decision.value
+
+
+def test_a_connection_that_closes_without_a_line_leaves_no_record():
+    # The runner's readiness wait relies on this: such a connection is
+    # dropped unrecorded, and the session it came before goes on.
+    config = SessionConfig(n=64, committed_bit=1, error_fraction=0.25, seed=23)
+    referee = Referee(seed=config.seed)
+    socket.create_connection(parse_address(referee.addr), timeout=5).close()
+    outcomes = run_parties(referee.addr, **session_parties(config))
+    transcript, decision = referee.result(), run_honest_session(config).decision
+    assert outcomes["bob"].decision is outcomes["alice"].decision is decision
+    assert not transcript.violated and transcript.outcome == decision.value
+    # Two hellos, their acknowledgements and the nine lines of the session,
+    # all between the referee and a party.
+    assert len(transcript.entries) == 13
+    assert {e.direction for e in transcript.entries} == {
+        "alice->referee", "referee->alice", "bob->referee", "referee->bob"}
 
 
 def test_a_connection_after_both_parties_is_turned_away(monkeypatch):
@@ -882,21 +874,19 @@ def test_a_connection_after_both_parties_is_turned_away(monkeypatch):
 
     monkeypatch.setattr(referee_module, "choose_random_bases", choose_when_told)
     config = SessionConfig(n=64, committed_bit=0, error_fraction=0.25, seed=22)
-    results, parties = {}, {}
-    addr, ref_thread = _start_referee(results, seed=config.seed)
-    runner = threading.Thread(
-        target=lambda: parties.update(outcomes=_run_parties(addr, config)[0]))
+    referee, outcomes = Referee(seed=config.seed), {}
+    runner = threading.Thread(target=lambda: outcomes.update(
+        run_parties(referee.addr, **session_parties(config))))
     runner.start()
     try:
         assert registered.wait(10)
         time.sleep(0.2)  # well after both registered, not in the same instant
-        assert _turn_away(addr, "alice") == error_message("role 'alice' rejected")
+        assert _turn_away(referee.addr, "alice") == error_message("role 'alice' rejected")
     finally:
         go.set()
     runner.join(15)
-    ref_thread.join(15)
-    assert not runner.is_alive() and not ref_thread.is_alive()
-    outcomes, transcript = parties["outcomes"], results["transcript"]
+    assert not runner.is_alive()
+    transcript = referee.result()
     assert outcomes["alice"].exit_code == 0 and outcomes["bob"].exit_code == 0
     assert outcomes["bob"].decision is run_honest_session(config).decision
     assert transcript.entries[-1].message == decision_message(outcomes["bob"].decision.value)
@@ -907,7 +897,7 @@ def test_a_connection_after_both_parties_is_turned_away(monkeypatch):
 def test_referee_releases_its_port_on_return():
     # The listener is gone when referee_serve returns, so the same port can
     # be bound again at once (a fresh referee on a fixed port relies on it).
-    addr = f"127.0.0.1:{_free_port()}"
+    addr = free_address()
     transcript = referee_serve(addr, timeout=0.3)
     assert transcript.violated
     with socket.socket() as again:
@@ -917,7 +907,7 @@ def test_referee_releases_its_port_on_return():
 
 
 def test_party_without_referee_exits_one():
-    result = party_run("bob", f"127.0.0.1:{_free_port()}", n=8, timeout=2)
+    result = party_run("bob", free_address(), n=8, timeout=2)
     assert result.exit_code == 1
     assert "refused" in result.diagnostic or "failed" in result.diagnostic
 
@@ -962,23 +952,17 @@ def test_party_refuses_a_referee_of_another_wire_format():
 
 
 def test_mismatched_session_sizes_abort():
-    # alice announces fewer bases than bob prepared photons
-    results = {}
-    addr, ref_thread = _start_referee(results, timeout=6.0)
-    bob_result = {}
-    bob = threading.Thread(
-        target=lambda: bob_result.setdefault(
-            "r", party_run("bob", addr, n=16, seed=5, timeout=6)
-        )
+    # alice announces fewer bases than bob prepared photons (in either
+    # connection order: the referee lets her measure only once they exist)
+    referee = Referee(timeout=6.0)
+    outcomes = run_parties(
+        referee.addr,
+        bob=lambda addr: party_run("bob", addr, n=16, seed=5, timeout=6),
+        alice=lambda addr: party_run("alice", addr, n=8, seed=5, timeout=6),
     )
-    bob.start()
-    time.sleep(0.3)
-    alice_result = party_run("alice", addr, n=8, seed=5, timeout=6)
-    bob.join(10)
-    ref_thread.join(10)
-    assert alice_result.exit_code == 1
-    assert "size mismatch" in alice_result.diagnostic
-    assert results["transcript"].violated
+    assert outcomes["alice"].exit_code == 1
+    assert "size mismatch" in outcomes["alice"].diagnostic
+    assert referee.result().violated
 
 
 def test_wire_equivalence_across_parameters():
@@ -994,7 +978,7 @@ def test_wire_equivalence_across_parameters():
         SessionConfig(n=256, committed_bit=1, error_fraction=0.5, policy=strict, seed=6),
     )
     for config in configs:
-        outcomes, _transcript, _wall = _live_session(config)
+        outcomes, _transcript, _wall = live_session(config)
         inproc = run_honest_session(config)
         assert outcomes["bob"].decision is inproc.decision
         assert outcomes["alice"].decision is inproc.decision
@@ -1016,7 +1000,7 @@ def test_alice_commit_message_masks_a_quarter_of_her_outcomes(tmp_path):
     # commit message differs from the outcomes message in about n/4
     # positions (each selected result changes with probability 1/2).
     n, e, seed = 2000, 0.5, 606
-    _outcomes, transcript, _wall = _live_session(
+    _outcomes, transcript, _wall = live_session(
         SessionConfig(n=n, committed_bit=0, error_fraction=e, seed=seed),
         transcript_path=tmp_path / "t.jsonl",
     )
@@ -1034,7 +1018,7 @@ def test_alice_commit_message_masks_a_quarter_of_her_outcomes(tmp_path):
 def _fastest_of_three(n, seeds):
     walls = []
     for seed in seeds:
-        outcomes, _transcript, wall = _live_session(
+        outcomes, _transcript, wall = live_session(
             SessionConfig(n=n, committed_bit=1, seed=seed))
         assert outcomes["bob"].exit_code == 0 and outcomes["alice"].exit_code == 0
         walls.append(wall)
