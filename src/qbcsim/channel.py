@@ -22,11 +22,15 @@ aligned.
 The array draws read PCG64's raw 64-bit outputs (``uniform_codes``,
 ``transmit_and_measure``) and return exactly what ``Generator.integers`` and
 ``Generator.random`` return from a fresh generator, without their
-per-call cost.  The trial kernel reads the same words by the same rules
-(``raw_top_bytes``, ``noise_threshold``, ``select_outcomes``).  Two more
-readers serve the protocol and the adversary: ``raw_coins`` gives
+per-call cost.  The trial kernel reads the same words by the same rules,
+for a whole chunk of trials at once (``raw_top_bytes`` on a (b x words)
+array, ``noise_threshold``, ``select_outcomes``).  Two more readers serve
+the protocol and the adversary: ``raw_coins`` gives
 ``integers(0, 2, size=k)`` also after a ``Generator.choice`` (the mask
-coins), and ``noise_threshold`` also reads the random-lies schedule.
+coins), and ``noise_threshold`` also reads the random-lies schedule.  The
+kernel rebuilds small masks, ``choice`` and coins together, from the raw
+words (``kernel.raw_masks``); ``raw_coins`` serves the role functions and
+the kernel's larger masks and those a Lemire step rejects.
 """
 
 from __future__ import annotations
@@ -118,14 +122,14 @@ def uniform_codes(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
     ``Generator.random`` reads whole raw words either way, but a later
     ``integers`` on the same generator would differ.
     """
-    return raw_top_bytes(rng.bit_generator, n) >> (8 - width)
+    return raw_top_bytes(rng.bit_generator.random_raw((n + 1) // 2), n) >> (8 - width)
 
 
-def raw_top_bytes(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
-    """The top bytes of n successive 32-bit halves of the raw outputs, low
-    half first, as uint8: byte 3 and byte 7 of each little-endian raw word."""
-    raw = bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
-    return raw.view(np.uint8)[3:4 * n:4]
+def raw_top_bytes(raw: np.ndarray, n: int) -> np.ndarray:
+    """The top bytes of the first n 32-bit halves of raw outputs, low half
+    first, as uint8: byte 3 and byte 7 of each little-endian raw word.  On
+    a (b x words) array, the top bytes of each row."""
+    return raw.astype("<u8", copy=False).view(np.uint8)[..., 3:4 * n:4]
 
 
 def raw_coins(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
@@ -140,10 +144,10 @@ def raw_coins(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
     """
     state = bit_generator.state
     if not state["has_uint32"]:
-        return raw_top_bytes(bit_generator, n) >> 7
+        return raw_top_bytes(bit_generator.random_raw((n + 1) // 2), n) >> 7
     coins = np.empty(n, dtype=np.uint8)
     coins[0] = state["uinteger"] >> 31
-    coins[1:] = raw_top_bytes(bit_generator, n - 1) >> 7
+    coins[1:] = raw_top_bytes(bit_generator.random_raw(n // 2), n - 1) >> 7
     return coins
 
 

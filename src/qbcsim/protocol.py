@@ -261,7 +261,9 @@ def draw_mask(
     The j-th coin replaces the result at the j-th smallest position: mark
     the positions in a bool array and ``np.flatnonzero`` gives them sorted,
     with no sort.  The coins are ``rng.integers(0, 2, size=k)``, read from
-    the raw words (``channel.raw_coins``).
+    the raw words (``channel.raw_coins``).  ``kernel.raw_masks`` rebuilds
+    both from a fresh generator's raw words, for up to a few hundred
+    positions.
     """
     if not k:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)

@@ -26,16 +26,19 @@ That pass can be vectorised because ``SeedSequence``'s hash constants evolve
 by multiplication alone, independently of the data: for a 64-bit seed (two
 entropy words, the rest of the pool zero) the whole hash is one fixed
 sequence of uint32 xor/multiply/shift steps, applied element-wise.  Each
-``PCG64`` is built only when asked for.  Where a trial reads one raw output
-of a fresh generator and no more, the batch computes that output for the
-whole block from the same words (``first_raw``: PCG64's seeding, one LCG
-step and its XSL-RR output, in uint64 limbs), and builds nothing.
+``PCG64`` is built only when asked for.  Where a trial reads a few raw
+outputs of a fresh generator, the batch computes them for a whole block of
+trials from the same words (``SubstreamBatch.raw``, ``raw_outputs``:
+PCG64's seeding, its LCG steps and its XSL-RR output, in uint64 limbs), and
+builds nothing.  Above ``RAW_OUTPUTS_CROSSOVER`` outputs per generator a
+build and a read are the cheaper, and the batch reads them per trial.
 ``tests/test_rng.py`` pins the batch to ``substream``, state, draws and
-first outputs, on edge-case and random seeds.
+raw outputs, on edge-case and random seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Iterator, Sequence
 
@@ -134,40 +137,67 @@ def seed_state_words(seeds: np.ndarray) -> np.ndarray:
 
 # numpy's PCG64: a 128-bit LCG with this multiplier and XSL-RR output.
 _PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
-_MASK64 = 2**64 - 1
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 _LOW32, _U1, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (_MASK32, 1, 32, 58, 63, 64))
 
 
-def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of the 128-bit products a * b, by 32-bit limbs."""
+def _mul_hi(a: np.ndarray, b0, b1) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b, by 32-bit limbs, for
+    b = b1 * 2**32 + b0 given as its limbs."""
     a0, a1 = a & _LOW32, a >> _U32
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
     low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
     carry = (low >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
     return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
 
 
-def _mul_128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * c modulo 2**128, as (hi, lo) uint64 limbs."""
-    c_hi, c_lo = np.uint64(c >> 64), np.uint64(c & _MASK64)
-    return _mul_hi(lo, c & _MASK64) + hi * c_lo + lo * c_hi, lo * c_lo
+def _mul_128(hi: np.ndarray, lo: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * c modulo 2**128, as (hi, lo) uint64 limbs, for c given as
+    ``_limbs`` gives it."""
+    c_hi, c_lo, c_lo0, c_lo1 = c
+    return _mul_hi(lo, c_lo0, c_lo1) + hi * c_lo + lo * c_hi, lo * c_lo
 
 
-def first_raw_outputs(words: np.ndarray) -> np.ndarray:
-    """``PCG64(_StateWords(w)).random_raw()`` for every row w of ``words``.
+def _limbs(values: list[int]) -> tuple[np.ndarray, ...]:
+    """128-bit ints as uint64 arrays: high half, low half, and the low and
+    high 32 bits of the low half."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)
+    return hi, lo, lo & _LOW32, lo >> _U32
+
+
+@functools.cache
+def _output_multipliers(count: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The limbs of M**(t + 1) and of 1 + M + ... + M**t, t = 1 … count,
+    modulo 2**128: the state of output t is (inc + seed state) times the
+    first plus inc times the second."""
+    powers, sums = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(count):
+        total = (total + power) & _MASK128
+        power = power * _PCG_MULT & _MASK128
+        powers.append(power)
+        sums.append(total)
+    return _limbs(powers), _limbs(sums)
+
+
+def raw_outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """``PCG64(_StateWords(w)).random_raw(count)`` for every row w of the
+    (b x 4) ``words``, as a (b x count) uint64 array.
 
     PCG64 seeds itself from (state, sequence) = (w0:w1, w2:w3): its
     increment is sequence * 2 + 1, and its state inc, plus the seed state,
-    stepped once.  Its first output steps once more and reads XSL-RR: the
-    high half xor the low half, rotated right by the top 6 bits.  So the
-    state read is (inc + seed state) * M**2 + inc * (M + 1), modulo 2**128.
+    stepped once.  Output t steps t more times and reads XSL-RR: the high
+    half xor the low half, rotated right by the top 6 bits.  So the state
+    read is (inc + seed state) * M**(t + 1) + inc * (1 + M + ... + M**t),
+    modulo 2**128: two products per output by per-column constants.
     """
-    seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(words, -1, 0)
+    seed_hi, seed_lo, seq_hi, seq_lo = (w[:, None] for w in words.T)
     inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
     start_lo = inc_lo + seed_lo
     start_hi = inc_hi + seed_hi + (start_lo < inc_lo)
-    a_hi, a_lo = _mul_128(start_hi, start_lo, _PCG_MULT**2 % 2**128)
-    b_hi, b_lo = _mul_128(inc_hi, inc_lo, _PCG_MULT + 1)
+    powers, sums = _output_multipliers(count)
+    a_hi, a_lo = _mul_128(start_hi, start_lo, powers)
+    b_hi, b_lo = _mul_128(inc_hi, inc_lo, sums)
     lo = a_lo + b_lo
     hi = a_hi + b_hi + (lo < a_lo)
     folded, rot = hi ^ lo, hi >> _U58
@@ -183,6 +213,13 @@ class _StateWords(ISeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 asks for generate_state(4, np.uint64): exactly these words.
         return self.words
+
+
+#: Raw outputs per generator above which building each generator and reading
+#: them is faster than ``raw_outputs`` (CHANGES.md has the timings).
+RAW_OUTPUTS_CROSSOVER = 64
+#: Raw outputs ``SubstreamBatch.raw`` computes in one ``raw_outputs`` call.
+_PIECE_WORDS = 8192
 
 
 class SubstreamBatch:
@@ -207,7 +244,21 @@ class SubstreamBatch:
     def __call__(self, t: int, label: str) -> np.random.PCG64:
         return np.random.PCG64(_StateWords(self._words[self._row[label], t]))
 
-    def first_raw(self, label: str) -> np.ndarray:
-        """``batch(t, label).random_raw()`` for every trial t, as uint64,
-        computed from the state words without building a generator."""
-        return first_raw_outputs(self._words[self._row[label]])
+    def raw(self, label: str, count: int, trials: slice = slice(None), read=None) -> np.ndarray:
+        """``read(batch(t, label).random_raw(count))`` for every t in
+        ``trials``, one row each; without ``read``, the raw outputs as a
+        (trials x count) uint64 array.  ``read`` must work row by row, alike
+        on one row and on (rows x count).  Up to ``RAW_OUTPUTS_CROSSOVER``
+        words the rows are computed from the state words (``raw_outputs``),
+        with no generator built; above it each trial's generator reads its
+        row, and ``read`` takes it at once, so the chunk's raw words are
+        never all held."""
+        read = read or (lambda raw: raw)
+        words = self._words[self._row[label], trials]
+        if count <= RAW_OUTPUTS_CROSSOVER:
+            # In pieces whose temporaries stay small enough to be cached.
+            rows = max(1, _PIECE_WORDS // max(count, 1))
+            return read(np.concatenate([raw_outputs(words[i:i + rows], count)
+                                        for i in range(0, len(words), rows)]))
+        return np.array([read(np.random.PCG64(_StateWords(row)).random_raw(count))
+                         for row in words])

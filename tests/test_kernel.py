@@ -5,17 +5,27 @@ import hashlib
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from qbcsim import kernel
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
-from qbcsim.kernel import BLOCK_TRIALS, CHUNK_ELEMENTS, run_trials
+from qbcsim.kernel import (
+    BLOCK_TRIALS,
+    CHUNK_ELEMENTS,
+    MASK_CROSSOVER,
+    mask_words,
+    raw_masks,
+    run_trials,
+)
 from qbcsim.protocol import (
     Decision,
     DecisionPolicy,
     SessionConfig,
+    draw_mask,
+    masked_count,
     run_commit_phase,
     run_honest_session,
     score_and_decide,
@@ -62,11 +72,27 @@ def _role_functions(seeds, n, e, noise, mode, strategy, policy):
     return successes, tallies
 
 
+#: n = 128 reads 64 words per stream, at ``RAW_OUTPUTS_CROSSOVER``, and its
+#: noisy MEASURE stream 192; n = 130 reads 65.  At n = 1024, e = 0.3 masks
+#: 307 positions, e = 1 all of them, on either side of ``MASK_CROSSOVER``.
+KERNEL_GRID_N = (0, 1, 17, 128, 130, 256, 1024)
+KERNEL_GRID_E = (0.0, 0.3, 1.0)
+
+
+def test_kernel_grid_straddles_both_crossovers():
+    words = {(n + 1) // 2 for n in KERNEL_GRID_N}
+    assert min(words) <= streams.RAW_OUTPUTS_CROSSOVER < max(words)
+    masks = {(n, masked_count(e, n)) for n in KERNEL_GRID_N for e in KERNEL_GRID_E}
+    rebuilt = {mask_words(n, k) for n, k in masks if 0 < k <= MASK_CROSSOVER}
+    assert any(k > MASK_CROSSOVER for _, k in masks)
+    assert min(rebuilt) <= streams.RAW_OUTPUTS_CROSSOVER < max(rebuilt)
+
+
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("mode,strategy", MODES)
 def test_kernel_tallies_equal_the_role_functions(mode, strategy, policy):
     strategy = strategy and RebindStrategy.parse(strategy)
-    for cell, (n, e, noise) in enumerate(product((0, 1, 17, 256), (0.0, 0.3, 1.0), (0.0, 0.1))):
+    for cell, (n, e, noise) in enumerate(product(KERNEL_GRID_N, KERNEL_GRID_E, (0.0, 0.1))):
         seeds = [streams.derive_seed(2718, cell, t) for t in range(8)]
         args = (n, e, noise, mode, strategy, POLICIES[policy])
         assert run_trials(seeds, *args) == _role_functions(seeds, *args), (n, e, noise)
@@ -106,6 +132,72 @@ def test_chunk_size_changes_no_result(mode, strategy, chunk_elements, monkeypatc
         with monkeypatch.context() as patched:
             patched.setattr(kernel, "CHUNK_ELEMENTS", chunk_elements)
             assert run_trials(seeds, *args) == want, (n, e, noise)
+
+
+def _error_raw(seeds, count):
+    return np.array([streams.substream(s, streams.ERROR).bit_generator.random_raw(count)
+                     for s in seeds])
+
+
+#: (n, k) pairs for the mask: the ends of k, odd n, k on both sides of
+#: ``MASK_CROSSOVER``, and both sides of ``choice``'s switch to its
+#: tail-shuffle path (n > 10 000 and k > n // 50).
+MASK_CASES = ((1, 1), (2, 1), (2, 2), (17, 1), (17, 16), (17, 17), (64, 32), (256, 128),
+              (255, 254), (4096, MASK_CROSSOVER), (4096, MASK_CROSSOVER + 1),
+              (10_000, 200), (10_000, 201), (10_001, 200), (10_001, 201))
+
+
+@pytest.mark.parametrize("n,k", MASK_CASES)
+def test_chunk_masks_equal_draw_mask(n, k):
+    # The positions as a set, then the coins, j-th for the j-th smallest.
+    seeds = [streams.derive_seed(n, k, t) for t in range(24)]
+    want = [draw_mask(n, k, streams.substream(s, streams.ERROR), "randomize") for s in seeds]
+    marked, coins = kernel.chunk_masks(streams.SubstreamBatch(seeds, [streams.ERROR]),
+                                       slice(0, len(seeds)), n, k)
+    for i, (want_positions, want_coins) in enumerate(want):
+        assert np.array_equal(np.flatnonzero(marked[i]), np.sort(want_positions)), (n, k, i)
+        assert np.array_equal(coins[i], want_coins), (n, k, i)
+    if k <= MASK_CROSSOVER and not (n > 10_000 and k > n // 50):
+        # The rebuild itself, not the fallback: no Lemire step of these
+        # seeds rejects, so every row must be exact.
+        positions, raw_coins, exact = raw_masks(_error_raw(seeds, mask_words(n, k)), n, k)
+        assert exact.all()
+        for i, (want_positions, want_coins) in enumerate(want):
+            assert np.array_equal(np.sort(positions[i]), np.sort(want_positions)), (n, k, i)
+            assert np.array_equal(raw_coins[i], want_coins), (n, k, i)
+
+
+#: Trial seeds whose mask at n = 256, k = 128 meets a Lemire rejection
+#: (about 7.6e-6 of trials do): ``raw_masks`` cannot rebuild them.
+REJECTING_SEEDS = (streams.derive_seed(16, 1, 3554), streams.derive_seed(16, 8, 11205),
+                   streams.derive_seed(16, 9, 12655))
+
+
+def test_rejected_masks_are_drawn_again():
+    want = [draw_mask(256, 128, streams.substream(s, streams.ERROR), "randomize")
+            for s in REJECTING_SEEDS]
+    positions, coins, exact = raw_masks(_error_raw(REJECTING_SEEDS, mask_words(256, 128)),
+                                        256, 128)
+    assert not exact.any()
+    for i, (want_positions, want_coins) in enumerate(want):
+        assert not np.array_equal(np.sort(positions[i]), np.sort(want_positions))
+        assert not np.array_equal(coins[i], want_coins)
+    marked, coins = kernel.chunk_masks(streams.SubstreamBatch(REJECTING_SEEDS, [streams.ERROR]),
+                                       slice(0, len(REJECTING_SEEDS)), 256, 128)
+    for i, (want_positions, want_coins) in enumerate(want):
+        assert np.array_equal(np.flatnonzero(marked[i]), np.sort(want_positions)), i
+        assert np.array_equal(coins[i], want_coins), i
+
+
+@pytest.mark.parametrize("mode,strategy", MODES)
+def test_kernel_redraws_rejected_masks(mode, strategy):
+    strategy = strategy and RebindStrategy.parse(strategy)
+    seeds = [streams.derive_seed(99, t) for t in range(5)]
+    seeds[1:1] = REJECTING_SEEDS
+    args = (256, 0.5, 0.1, mode, strategy, DecisionPolicy())
+    assert run_trials(seeds, *args) == _role_functions(seeds, *args)
+    for seed in REJECTING_SEEDS:
+        assert run_trials([seed], *args) == _role_functions([seed], *args), seed
 
 
 @pytest.mark.parametrize("p,schedule", ((0, "honest-bases"), (1, "flip-all-bases")))

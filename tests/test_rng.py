@@ -81,14 +81,19 @@ def test_substream_batch_equals_substream():
             assert np.array_equal(got.random(8), want.random(8))
 
 
-def test_substream_batch_first_raw_equals_random_raw():
+def test_substream_batch_raw_equals_random_raw():
+    # Counts on both sides of the crossover: computed, then read per trial.
     masters = _masters()
     batch = streams.SubstreamBatch(masters, LABELS)
-    for label in LABELS:
-        want = [streams.substream(m, label).bit_generator.random_raw() for m in masters]
-        got = batch.first_raw(label)
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, np.array(want, dtype=np.uint64)), label
+    crossover = streams.RAW_OUTPUTS_CROSSOVER
+    for count in (0, 1, 2, crossover, crossover + 1):
+        for label in LABELS:
+            want = [streams.substream(m, label).bit_generator.random_raw(count)
+                    for m in masters]
+            got = batch.raw(label, count)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, np.array(want, dtype=np.uint64)), (count, label)
+            assert np.array_equal(batch.raw(label, count, slice(3, 7)), got[3:7])
 
 
 def test_trial_seeds_equal_derive_seed():
