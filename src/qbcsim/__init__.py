@@ -22,6 +22,7 @@ from .channel import (
     prepare_random_sequence,
     transmit_and_measure,
 )
+from .kernel import decide
 from .protocol import (
     AlignmentScore,
     Commitment,
@@ -32,7 +33,6 @@ from .protocol import (
     TrialReport,
     choose_random_bases,
     commit,
-    decide,
     inject_errors,
     raw_correlations,
     run_honest_session,

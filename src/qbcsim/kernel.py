@@ -1,19 +1,24 @@
-"""The trial loop behind ``harness.run_cell``, so behind every sweep and
-attack evaluation.
+"""The trial kernel behind every in-process session: sweeps and attacks
+(``run_trials``), single sessions (``run_sessions``; ``run_honest_session``
+is a block of one), and the receiver's score stage (``score_rows``), which
+``score_and_decide`` and the wire's Bob call too.  The verdict
+(``Decision``, ``DecisionPolicy``, ``decide``) and the mask draw
+(``masked_count``, ``draw_mask``) live here; ``protocol`` imports them.
 
 A trial makes the draws of ``run_commit_phase`` followed by
 ``bob_preunveil_guess`` or ``alice_rebind_attack`` and ``score_and_decide``,
-in the same order on the same substreams, so its tallies equal theirs.  It
-skips the per-trial dataclasses and their validation (the caller's
-``SweepSpec`` validates a cell's inputs once), and the generators that
-would draw nothing: ERROR when no position is masked, ADVERSARY except for
-random-lies above 0.  Trials run in blocks of ``BLOCK_TRIALS``; each block
-seeds every substream the cell can draw in one vectorised pass
-(``rng.SubstreamBatch``), with the same states as ``rng.substream``.
+in the same order on the same substreams, so its counts equal theirs.  It
+skips the per-trial dataclasses and their validation (``SweepSpec`` or
+``SessionConfig`` validates the inputs once), and the generators that
+would draw nothing: COMMITTED_BIT when the bit is given, ERROR when no
+position is masked, ADVERSARY except for random-lies above 0.  Trials run
+in blocks of ``BLOCK_TRIALS``; each block seeds every substream it can draw
+in one vectorised pass (``rng.SubstreamBatch``), with the same states as
+``rng.substream``.
 
 A block runs in chunks of about ``CHUNK_ELEMENTS`` photons, each as (b x n)
 arrays, in steps that move no draw, so the chunk size changes no result.
-Every stream's raw words come for the whole chunk from
+The draw stage reads every stream's raw words for the whole chunk from
 ``SubstreamBatch.raw``: computed from the seeding words, with no generator
 built, up to ``rng.RAW_OUTPUTS_CROSSOVER`` words per trial, and read from
 each trial's generator above it.  From them: the committed bit and the
@@ -24,25 +29,27 @@ it, once per block), the states, bases and coins
 coins, is rebuilt from the ERROR words for the whole chunk
 (``raw_masks``) on ``choice``'s Floyd path up to ``MASK_CROSSOVER``
 masked positions; above it, on ``choice``'s tail-shuffle path, and on the
-rare trial whose bounded draw rejects, ``protocol.draw_mask`` draws it on
-the trial's generator.  Then, on the arrays: the mask coins, scattered in
-row-major order so each row's j-th coin lands on its j-th smallest
-position, the measurement select, the pairings, the sift, the lies, the
-counts and ``protocol.decide``.
+rare trial whose bounded draw rejects, ``draw_mask`` draws it on the
+trial's generator.  "flip" inverts the marked results and uses no coin.
+Then the select, the order encoding and the score stage, on the arrays.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
+from dataclasses import dataclass
+from enum import Enum
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng as streams
-from .adversary import RebindStrategy
-from .channel import noise_threshold, raw_top_bytes, select_outcomes
-from .protocol import Decision, DecisionPolicy, decide, draw_mask, masked_count
+from .channel import noise_threshold, raw_coins, raw_top_bytes, select_outcomes
+
+if TYPE_CHECKING:
+    from .adversary import RebindStrategy
 
 #: Trials per seeding pass: bounds the pass's arrays whatever the trial count.
 BLOCK_TRIALS = 1024
@@ -61,15 +68,126 @@ _U1, _U31, _U32 = np.uint64(1), np.uint64(31), np.uint64(32)
 _LOW32, _MASK32 = np.uint64(2**32 - 1), 2**32 - 1
 
 
-def run_trials(
-    seeds: Iterable[int],
-    n: int,
-    error_fraction: float,
-    noise_rate: float,
-    mode: str,
-    strategy: RebindStrategy | None = None,
-    policy: DecisionPolicy = DecisionPolicy(),
-) -> tuple[int, Counter[Decision]]:
+class Decision(Enum):
+    """The receiver's verdict for one session."""
+
+    BIT0 = "bit0"
+    BIT1 = "bit1"
+    AMBIGUOUS = "ambiguous"
+    CHEAT_SUSPECTED = "cheat_suspected"
+
+
+@dataclass(frozen=True)
+class DecisionPolicy:
+    """Thresholds for turning an alignment score into a verdict.
+
+    ``separation_delta`` is the minimum gap between the two sifted match
+    rates for a clean read; ``plausibility_floor`` is the minimum best rate
+    below which neither pairing looks honest; ``min_sift`` guards against
+    sessions too short to say anything.
+    """
+
+    separation_delta: float = 0.10
+    plausibility_floor: float = 0.60
+    min_sift: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("separation_delta", "plausibility_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.min_sift < 0:
+            raise ValueError(f"min_sift must be >= 0, got {self.min_sift}")
+
+
+#: Absorbs float representation error in rate comparisons at exact rule
+#: boundaries (e.g. 60/100 - 50/100 vs a 0.10 threshold); far below the
+#: 1/sift_size rate granularity of any feasible session.
+_RATE_EPS = 1e-12
+
+
+#: The verdict of the first rule that holds, indexed by the bit mask of the
+#: rules that do: 8 the sift is too small, 4 both rates are below the floor,
+#: 2 the direct rate leads by delta, 1 the reverse rate does.
+_VERDICTS = np.array([Decision.AMBIGUOUS, Decision.BIT1, Decision.BIT0, Decision.BIT0]
+                     + [Decision.CHEAT_SUSPECTED] * 4 + [Decision.AMBIGUOUS] * 8, dtype=object)
+
+#: The clean read of each bit, indexed by the bit.
+_BITS = np.array([Decision.BIT0, Decision.BIT1], dtype=object)
+
+
+def decide(s, direct, reverse, policy: DecisionPolicy):
+    """Turn sifted match counts (sift size, direct, reverse) into a verdict.
+
+    Elementwise: integer counts give a ``Decision``, arrays of counts an
+    object array of them.  Order matters: the sift-size guard first, then
+    the plausibility floor (neither pairing looks honest -> cheating
+    suspected), then the separation test between the two rates.  Rates
+    exactly at a threshold count as meeting it.
+    """
+    size = s + (s == 0)  # s = 0 is ambiguous; this keeps 0 / 0 out of the rates
+    d = direct / size
+    r = reverse / size
+    floor = policy.plausibility_floor - _RATE_EPS
+    delta = policy.separation_delta - _RATE_EPS
+    rules = (8 * (s < max(policy.min_sift, 1)) + 4 * ((d < floor) & (r < floor))
+             + 2 * (d - r >= delta) + (r - d >= delta))
+    return _VERDICTS[rules]
+
+
+def masked_count(error_fraction: float, n: int) -> int:
+    """How many of n results ``protocol.inject_errors`` masks."""
+    return int(round(error_fraction * n))
+
+
+def draw_mask(
+    n: int, k: int, rng: np.random.Generator, mode: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of ``protocol.inject_errors`` on n results, unvalidated:
+    (positions, in ``choice``'s order, replacement coins), the coins None
+    in "flip" mode.  The j-th coin replaces the result at the j-th smallest
+    position.  The coins are ``rng.integers(0, 2, size=k)``, read from the
+    raw words (``channel.raw_coins``)."""
+    if not k:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    positions = rng.choice(n, size=k, replace=False)
+    if mode == "randomize":
+        return positions, raw_coins(rng.bit_generator, k)
+    return positions, None
+
+
+#: ``score_rows``' arrays, one entry per row: sift size, sifted and raw (all
+#: positions) matches under the direct and reverse pairings, and the verdict.
+Scores = namedtuple("Scores", "sift direct reverse raw_direct raw_reverse decisions")
+
+
+def score_rows(sent_bases, sent_bits, revealed, unveiled, policy: DecisionPolicy) -> Scores:
+    """The receiver's scores of (b x n) rows, unvalidated.  The direct
+    pairing compares revealed[i] with sent[i], the reverse revealed[n-1-i];
+    the sift keeps the positions where the sent and ``unveiled`` bases agree.
+    With ``unveiled`` None (the pre-unveil read) only the raw counts are set.
+    """
+    direct_pairs = revealed == sent_bits
+    reverse_pairs = revealed[:, ::-1] == sent_bits
+    raw_direct, raw_reverse = _row_counts(direct_pairs), _row_counts(reverse_pairs)
+    if unveiled is None:
+        return Scores(None, None, None, raw_direct, raw_reverse, None)
+    sifted = sent_bases == unveiled
+    s = _row_counts(sifted)
+    direct, reverse = _row_counts(direct_pairs & sifted), _row_counts(reverse_pairs & sifted)
+    return Scores(s, direct, reverse, raw_direct, raw_reverse, decide(s, direct, reverse, policy))
+
+
+def _row_counts(marks: np.ndarray) -> np.ndarray:
+    """Each row's True entries: count_nonzero's fast path on one row, else an int32 sum."""
+    if len(marks) == 1:
+        return np.array([np.count_nonzero(marks)])
+    return marks.sum(axis=1, dtype=np.int32)
+
+
+def run_trials(seeds: Iterable[int], n: int, error_fraction: float, noise_rate: float, mode: str,
+               strategy: RebindStrategy | None = None,
+               policy: DecisionPolicy = DecisionPolicy()) -> tuple[int, Counter[Decision]]:
     """Run one trial per seed; return (successes, decision tallies).
 
     Each trial draws its committed bit from its COMMITTED_BIT substream and
@@ -80,10 +198,42 @@ def run_trials(
     count the receiver's verdicts under ``policy``; in ``preunveil`` the
     guess fills BIT0/BIT1.  The inputs are taken as valid: ``SweepSpec`` checks them.
     """
-    k = masked_count(error_fraction, n)
     successes = 0
     tallies: Counter[Decision] = Counter()
-    labels = [streams.COMMITTED_BIT, streams.PREPARE, streams.BASES, streams.MEASURE]
+    for bits, scores in _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy):
+        tallies.update(scores.decisions.tolist())
+        if mode == "honest":
+            successes += np.where(bits, scores.raw_reverse, scores.raw_direct).sum()
+        else:
+            wanted = bits if mode == "preunveil" else 1 - bits
+            successes += np.count_nonzero(scores.decisions == _BITS[wanted])
+    return int(successes), tallies
+
+
+def run_sessions(seeds: Iterable[int], n: int, error_fraction: float, noise_rate: float,
+                 policy: DecisionPolicy = DecisionPolicy(), bit: int | None = None,
+                 error_mode: str = "randomize") -> tuple[np.ndarray, Scores]:
+    """Run one honest session per seed: (committed bits, ``Scores``).
+
+    Each commits ``bit``, or else the bit its COMMITTED_BIT substream draws,
+    and masks in ``error_mode``, with the draws of ``run_commit_phase`` on
+    that ``SessionConfig``.  The inputs are taken as valid: ``SessionConfig``
+    checks them.
+    """
+    bits, scores = zip(*_chunks(seeds, n, error_fraction, noise_rate, "honest", None, policy,
+                                bit, error_mode))
+    return np.concatenate(bits), Scores(*map(np.concatenate, zip(*scores)))
+
+
+def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=None,
+            error_mode="randomize"):
+    """Yield (committed bits, ``Scores``) for each chunk of the trials, in
+    seed order; in ``preunveil`` the verdicts are the guesses and the
+    sifted fields None."""
+    k = masked_count(error_fraction, n)
+    labels = [streams.PREPARE, streams.BASES, streams.MEASURE]
+    if bit is None:
+        labels.append(streams.COMMITTED_BIT)
     if k:
         labels.append(streams.ERROR)
     if mode == "preunveil" or (mode == "binding" and strategy.draws):
@@ -92,15 +242,13 @@ def run_trials(
     seeds = iter(seeds)
     while block := list(islice(seeds, BLOCK_TRIALS)):
         substreams = streams.SubstreamBatch(block, labels)
-        bits = _first_coins(substreams, streams.COMMITTED_BIT)
+        bits = (_first_coins(substreams, streams.COMMITTED_BIT) if bit is None
+                else np.full(len(block), bit, dtype=np.uint8))
         ties = _first_coins(substreams, streams.ADVERSARY) if mode == "preunveil" else None
         for start in range(0, len(block), chunk):
             trials = slice(start, min(start + chunk, len(block)))
-            hits, decisions = _run_chunk(substreams, trials, bits, ties, n, k, noise_rate,
-                                         mode, strategy, policy)
-            successes += hits
-            tallies.update(decisions.tolist())
-    return int(successes), tallies
+            yield bits[trials], _run_chunk(substreams, trials, bits[trials], ties, n, k,
+                                           noise_rate, mode, strategy, policy, error_mode)
 
 
 def _first_coins(substreams: streams.SubstreamBatch, label: str) -> np.ndarray:
@@ -109,11 +257,11 @@ def _first_coins(substreams: streams.SubstreamBatch, label: str) -> np.ndarray:
     return (substreams.raw(label, 1)[:, 0] >> _U31 & _U1).astype(np.uint8)
 
 
-def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy, policy):
-    """Run the trials of one chunk: (successes, verdicts).  ``trials`` is a
-    slice of the block; ``bits`` and ``ties`` hold the block's committed
-    bits and preunveil tie coins."""
-    bits = bits[trials]
+def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy, policy,
+               error_mode):
+    """The draw stage of one chunk, then its score stage: its ``Scores``.
+    ``trials`` is a slice of the block, ``bits`` the chunk's committed bits
+    and ``ties`` the block's preunveil tie coins."""
     words = (n + 1) // 2
 
     def top_bytes(raw):
@@ -137,21 +285,22 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
         results ^= measured[:, n:]
     if k:
         marked, coins = chunk_masks(substreams, trials, n, k)
-        # Row-major: each row's j-th coin to its j-th smallest position.  The
-        # flat view of the fresh (contiguous) results takes the coins several
-        # times faster than a boolean-mask assignment.
-        results.reshape(-1)[np.flatnonzero(marked)] = coins.ravel()
-    # Bit 0 reveals the results in order, bit 1 reversed, so the direct
-    # pairing compares the sent bits with `aligned` for bit 0 and with
-    # `crossed` for bit 1, and the reverse pairing the other way round.
-    aligned = results == sent_bits
-    crossed = results[:, ::-1] == sent_bits
+        if error_mode == "flip":
+            results ^= marked
+        else:
+            # Row-major: each row's j-th coin to its j-th smallest position.
+            # The flat view of the fresh (contiguous) results takes the coins
+            # several times faster than a boolean-mask assignment.
+            results.reshape(-1)[np.flatnonzero(marked)] = coins.ravel()
+    # The commitment, in place: bit 0 reveals the results in order, bit 1 reversed.
+    revealed, reversed_rows = results, bits == 1
+    revealed[reversed_rows] = results[reversed_rows, ::-1]
     if mode == "preunveil":
-        margin = np.count_nonzero(aligned, axis=1) - np.count_nonzero(crossed, axis=1)
+        scores = score_rows(sent_bases, sent_bits, revealed, None, policy)
+        margin = scores.raw_direct - scores.raw_reverse
         # A tie takes the ADVERSARY coin, read as the committed bit is.
-        guesses = np.where(margin == 0, ties[trials], np.where(margin > 0, bits, 1 - bits))
-        return (np.count_nonzero(guesses == bits),
-                np.where(guesses, Decision.BIT1, Decision.BIT0))
+        guesses = np.where(margin == 0, ties[trials], margin < 0)
+        return scores._replace(decisions=_BITS[guesses])
     if mode == "honest":
         unveiled = bases
     elif strategy.draws:  # RebindStrategy.lie's rule, on the raw words
@@ -160,14 +309,7 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
                                           lambda raw: raw <= threshold)
     else:
         unveiled = strategy.lie(bases, None)
-    sifted = sent_bases == unveiled
-    direct = np.count_nonzero(aligned & sifted, axis=1)
-    reverse = np.count_nonzero(crossed & sifted, axis=1)
-    direct, reverse = np.where(bits, reverse, direct), np.where(bits, direct, reverse)
-    decisions = decide(np.count_nonzero(sifted, axis=1), direct, reverse, policy)
-    if mode == "honest":
-        return np.count_nonzero(aligned), decisions
-    return np.count_nonzero(decisions == np.where(bits, Decision.BIT0, Decision.BIT1)), decisions
+    return score_rows(sent_bases, sent_bits, revealed, unveiled, policy)
 
 
 def chunk_masks(substreams: streams.SubstreamBatch, trials: slice, n: int, k: int):

@@ -26,15 +26,15 @@ fraction e):
   regardless of e (for even n; the middle element of an odd-length
   sequence pairs with itself).
 
-The role functions pass the unveiled bases and the masked positions as
-plain arrays, the ones the kernel and the wire use; ``score_and_decide``
-checks an unveiled basis list as bits where it arrives.
+The role functions make the wire parties' draws and are the reference the
+kernel is tested against.  ``run_honest_session`` is a block of one of the
+kernel, and ``score_and_decide`` scores with its ``score_rows`` once it has
+checked its inputs; the verdict and the mask draw are imported from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,9 +43,11 @@ from .channel import (
     PreparedSequence,
     as_bit_array,
     prepare_random_sequence,
-    raw_coins,
     transmit_and_measure,
     uniform_codes,
+)
+from .kernel import (
+    Decision, DecisionPolicy, Scores, draw_mask, masked_count, run_sessions, score_rows,
 )
 
 #: Result-masking semantics: replace selected results with fresh coin
@@ -53,15 +55,6 @@ from .channel import (
 #: fraction e leaves agreement 3/4 - e/4; deterministic flipping drives it
 #: to 3/4 - e/2, all the way down to 1/2 at e = 1/2.
 ERROR_MODES = ("randomize", "flip")
-
-
-class Decision(Enum):
-    """The receiver's verdict for one session."""
-
-    BIT0 = "bit0"
-    BIT1 = "bit1"
-    AMBIGUOUS = "ambiguous"
-    CHEAT_SUSPECTED = "cheat_suspected"
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +101,6 @@ class AlignmentScore:
     direct_matches: int
     reverse_matches: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.direct_matches <= self.sift_size:
-            raise ValueError("direct_matches out of range")
-        if not 0 <= self.reverse_matches <= self.sift_size:
-            raise ValueError("reverse_matches out of range")
-
     @property
     def direct_rate(self) -> float:
         return self.direct_matches / self.sift_size if self.sift_size else 0.0
@@ -121,29 +108,6 @@ class AlignmentScore:
     @property
     def reverse_rate(self) -> float:
         return self.reverse_matches / self.sift_size if self.sift_size else 0.0
-
-
-@dataclass(frozen=True)
-class DecisionPolicy:
-    """Thresholds for turning an alignment score into a verdict.
-
-    ``separation_delta`` is the minimum gap between the two sifted match
-    rates for a clean read; ``plausibility_floor`` is the minimum best rate
-    below which neither pairing looks honest; ``min_sift`` guards against
-    sessions too short to say anything.
-    """
-
-    separation_delta: float = 0.10
-    plausibility_floor: float = 0.60
-    min_sift: int = 8
-
-    def __post_init__(self) -> None:
-        for name in ("separation_delta", "plausibility_floor"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.min_sift < 0:
-            raise ValueError(f"min_sift must be >= 0, got {self.min_sift}")
 
 
 @dataclass(frozen=True)
@@ -183,27 +147,12 @@ class TrialReport:
     decoded_correctly: bool | None
 
     def to_dict(self) -> dict:
-        policy = self.config.policy
-        return {
-            "n": self.config.n,
-            "committed_bit": self.config.committed_bit,
-            "error_fraction": self.config.error_fraction,
-            "noise_rate": self.config.noise_rate,
-            "seed": self.config.seed,
-            "error_mode": self.config.error_mode,
-            "policy": {
-                "separation_delta": policy.separation_delta,
-                "plausibility_floor": policy.plausibility_floor,
-                "min_sift": policy.min_sift,
-            },
-            "raw_direct_correlation": self.raw_direct_correlation,
-            "raw_reverse_correlation": self.raw_reverse_correlation,
-            "sift_size": self.alignment.sift_size,
-            "direct_matches": self.alignment.direct_matches,
-            "reverse_matches": self.alignment.reverse_matches,
-            "decision": self.decision.value,
-            "decoded_correctly": self.decoded_correctly,
-        }
+        config = asdict(self.config)
+        config["policy"] = config.pop("policy")  # after error_mode, as reports have it
+        return {**config, "raw_direct_correlation": self.raw_direct_correlation,
+                "raw_reverse_correlation": self.raw_reverse_correlation,
+                **asdict(self.alignment), "decision": self.decision.value,
+                "decoded_correctly": self.decoded_correctly}
 
 
 def choose_random_bases(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,32 +196,6 @@ def inject_errors(
     return masked, positions
 
 
-def masked_count(error_fraction: float, n: int) -> int:
-    """How many of n results ``inject_errors`` masks."""
-    return int(round(error_fraction * n))
-
-
-def draw_mask(
-    n: int, k: int, rng: np.random.Generator, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draws of ``inject_errors`` on n results, unvalidated: (positions,
-    in ``choice``'s order, replacement coins), the coins None in "flip" mode.
-
-    The j-th coin replaces the result at the j-th smallest position: mark
-    the positions in a bool array and ``np.flatnonzero`` gives them sorted,
-    with no sort.  The coins are ``rng.integers(0, 2, size=k)``, read from
-    the raw words (``channel.raw_coins``).  ``kernel.raw_masks`` rebuilds
-    both from a fresh generator's raw words, for up to a few hundred
-    positions.
-    """
-    if not k:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    positions = rng.choice(n, size=k, replace=False)
-    if mode == "randomize":
-        return positions, raw_coins(rng.bit_generator, k)
-    return positions, None
-
-
 def commit(outcomes, bit: int) -> Commitment:
     """Order-encode the committed bit: direct order for 0, reversed for 1."""
     outcomes = as_bit_array(outcomes)
@@ -286,38 +209,6 @@ def unveil(record: MeasurementRecord) -> np.ndarray:
     """Publish the measurement bases, in transmission order regardless of
     the committed bit (only results carry the order encoding)."""
     return record.bases.copy()
-
-
-#: Absorbs float representation error in rate comparisons at exact rule
-#: boundaries (e.g. 60/100 - 50/100 vs a 0.10 threshold); far below the
-#: 1/sift_size rate granularity of any feasible session.
-_RATE_EPS = 1e-12
-
-
-#: The verdict of the first rule that holds, indexed by the bit mask of the
-#: rules that do: 8 the sift is too small, 4 both rates are below the floor,
-#: 2 the direct rate leads by delta, 1 the reverse rate does.
-_VERDICTS = np.array([Decision.AMBIGUOUS, Decision.BIT1, Decision.BIT0, Decision.BIT0]
-                     + [Decision.CHEAT_SUSPECTED] * 4 + [Decision.AMBIGUOUS] * 8, dtype=object)
-
-
-def decide(s, direct, reverse, policy: DecisionPolicy):
-    """Turn sifted match counts (sift size, direct, reverse) into a verdict.
-
-    Elementwise: integer counts give a ``Decision``, arrays of counts an
-    object array of them.  Order matters: the sift-size guard first, then
-    the plausibility floor (neither pairing looks honest -> cheating
-    suspected), then the separation test between the two rates.  Rates
-    exactly at a threshold count as meeting it.
-    """
-    size = s + (s == 0)  # s = 0 is ambiguous; this keeps 0 / 0 out of the rates
-    d = direct / size
-    r = reverse / size
-    floor = policy.plausibility_floor - _RATE_EPS
-    delta = policy.separation_delta - _RATE_EPS
-    rules = (8 * (s < max(policy.min_sift, 1)) + 4 * ((d < floor) & (r < floor))
-             + 2 * (d - r >= delta) + (r - d >= delta))
-    return _VERDICTS[rules]
 
 
 def raw_correlations(sent_bits, commitment: Commitment) -> tuple[float, float]:
@@ -388,30 +279,26 @@ def score_and_decide(
         raise ValueError(f"basis list lengths differ: {n} != {len(unveiled)}")
     if len(commitment) != n:
         raise ValueError(f"commitment length {len(commitment)} != sent length {n}")
-    sifted = seq.bases == unveiled
-    revealed = commitment.revealed
-    s = int(np.count_nonzero(sifted))
-    direct = int(np.count_nonzero(sifted & (revealed == seq.bits)))
-    reverse = int(np.count_nonzero(sifted & (revealed[::-1] == seq.bits)))
-    score = AlignmentScore(sift_size=s, direct_matches=direct, reverse_matches=reverse)
-    return score, decide(s, direct, reverse, policy)
+    scores = score_rows(seq.bases[None], seq.bits[None], commitment.revealed[None],
+                        unveiled[None], policy)
+    return session_scores(scores, n)[:2]
+
+
+def session_scores(scores: Scores, n: int) -> tuple[AlignmentScore, Decision, float, float]:
+    """Row 0 of ``scores``, a session of n photons: (alignment, verdict, and
+    the raw direct and reverse correlations, as ``raw_correlations`` gives)."""
+    sift, direct, reverse, raw_direct, raw_reverse, decisions = (v[0] for v in scores)
+    alignment = AlignmentScore(int(sift), int(direct), int(reverse))
+    return alignment, decisions, int(raw_direct) / max(n, 1), int(raw_reverse) / max(n, 1)
 
 
 def run_honest_session(config: SessionConfig) -> TrialReport:
-    """Run one complete honest session and report everything measured."""
-    seq, record, _positions, commitment = run_commit_phase(config)
-    score, decision = score_and_decide(seq, commitment, unveil(record), config.policy)
-    raw_direct, raw_reverse = raw_correlations(seq.bits, commitment)
-    if decision in (Decision.BIT0, Decision.BIT1):
-        decoded_bit = 0 if decision is Decision.BIT0 else 1
-        decoded_correctly = decoded_bit == config.committed_bit
-    else:
-        decoded_correctly = None
-    return TrialReport(
-        config=config,
-        raw_direct_correlation=raw_direct,
-        raw_reverse_correlation=raw_reverse,
-        alignment=score,
-        decision=decision,
-        decoded_correctly=decoded_correctly,
-    )
+    """Run one complete honest session and report everything measured: a
+    block of one of ``kernel.run_sessions``."""
+    _bits, scores = run_sessions([config.seed], config.n, config.error_fraction,
+                                 config.noise_rate, config.policy, config.committed_bit,
+                                 config.error_mode)
+    score, decision, raw_direct, raw_reverse = session_scores(scores, config.n)
+    correct = (Decision.BIT0, Decision.BIT1)[config.committed_bit]
+    decoded_correctly = decision is correct if decision in (Decision.BIT0, Decision.BIT1) else None
+    return TrialReport(config, raw_direct, raw_reverse, score, decision, decoded_correctly)

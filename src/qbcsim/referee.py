@@ -48,17 +48,16 @@ from pathlib import Path
 
 from . import rng as streams
 from .channel import PreparedSequence, prepare_random_sequence, transmit_and_measure
+from .kernel import score_rows
 from .protocol import (
     AlignmentScore,
-    Commitment,
     Decision,
     DecisionPolicy,
     SessionConfig,
     choose_random_bases,
     commit,
     inject_errors,
-    raw_correlations,
-    score_and_decide,
+    session_scores,
 )
 from .wire import (
     FORMAT, PACKED_FIELDS, SESSION_SCRIPT, SessionTranscript, WireProtocolError,
@@ -378,6 +377,14 @@ class _PartyLink:
             raise PartyError(f"expected {expected_type}, got {msg['type']}")
         return msg
 
+    def recv_digits(self, expected_type: str, n: int):
+        """The next message's packed payload, which must hold n digits."""
+        name = PACKED_FIELDS[expected_type][0]
+        digits = unpack_digits(self.recv(expected_type)[name])
+        if len(digits) != n:
+            raise PartyError(f"{expected_type} {name} has {len(digits)} digits, expected {n}")
+        return digits
+
     def close(self) -> None:
         try:
             self.sock.close()
@@ -390,9 +397,7 @@ def _run_alice(link: _PartyLink, config: SessionConfig) -> PartyResult:
     link.handshake("alice")  # the referee's hello: photons are stored
     bases = choose_random_bases(n, streams.substream(seed, streams.BASES))
     link.send(measure_message(bases))
-    outcomes = unpack_digits(link.recv("outcomes")["bits"])
-    if len(outcomes) != n:
-        raise PartyError(f"expected {n} outcomes, got {len(outcomes)}")
+    outcomes = link.recv_digits("outcomes", n)
     masked, _positions = inject_errors(
         outcomes, config.error_fraction, streams.substream(seed, streams.ERROR),
         mode=config.error_mode,
@@ -408,10 +413,11 @@ def _run_bob(link: _PartyLink, config: SessionConfig) -> PartyResult:
     link.handshake("bob")
     seq = prepare_random_sequence(config.n, streams.substream(config.seed, streams.PREPARE))
     link.send(prepare_message(seq))
-    commitment = Commitment(revealed=unpack_digits(link.recv("commit")["bits"]))
-    unveiled = unpack_digits(link.recv("unveil")["bases"])
-    score, decision = score_and_decide(seq, commitment, unveiled, config.policy)
-    raw_direct, raw_reverse = raw_correlations(seq.bits, commitment)
+    revealed = link.recv_digits("commit", config.n)
+    unveiled = link.recv_digits("unveil", config.n)
+    scores = score_rows(seq.bases[None], seq.bits[None], revealed[None], unveiled[None],
+                        config.policy)
+    score, decision, raw_direct, raw_reverse = session_scores(scores, config.n)
     link.send(decision_message(decision.value))
     return PartyResult(
         exit_code=0,

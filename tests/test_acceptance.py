@@ -14,6 +14,7 @@ from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy
 from qbcsim.channel import Basis, PhotonState, PreparedSequence, measure_photon
 from qbcsim.harness import SweepMode, SweepSpec, run_cell, run_sweep, write_report
+from qbcsim.kernel import run_sessions
 from qbcsim.protocol import (
     Commitment,
     Decision,
@@ -73,20 +74,14 @@ def test_criterion_02_raw_correlation_with_half_errors():
 
 
 def test_criterion_03_sifted_exactness_every_trial():
+    # Trial t has n = 1 + t % 200 and bit t % 2: one kernel call per n.
     failures = 0
-    for t in range(1000):
-        n = 1 + (t % 200)
-        bit = t % 2
-        r = run_honest_session(
-            SessionConfig(
-                n=n, committed_bit=bit, error_fraction=0.0,
-                seed=streams.derive_seed(MASTER, "exact", t),
-            )
-        )
-        correct = (
-            r.alignment.direct_matches if bit == 0 else r.alignment.reverse_matches
-        )
-        failures += correct != r.alignment.sift_size
+    for n in range(1, 201):
+        seeds = [streams.derive_seed(MASTER, "exact", t) for t in range(n - 1, 1000, 200)]
+        bit = (n - 1) % 2
+        _bits, scores = run_sessions(seeds, n, 0.0, 0.0, bit=bit)
+        correct = scores.reverse if bit else scores.direct
+        failures += np.count_nonzero(correct != scores.sift)
     _report(3, failures == 0,
             f"correct-pairing sifted matches == sift size in 1000/1000 trials "
             f"({failures} exceptions)")
@@ -105,18 +100,13 @@ def test_criterion_04_wrong_alignment_baseline():
 
 
 def test_criterion_05_honest_decode_reliability():
+    # Each session commits the bit its COMMITTED_BIT substream draws.
     trials = 10000
     start = time.perf_counter()
-    wrong = 0
-    bounds = []
-    for t in range(trials):
-        seed = streams.derive_seed(MASTER, "decode", t)
-        bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
-        r = run_honest_session(
-            SessionConfig(n=256, committed_bit=bit, error_fraction=0.5, seed=seed)
-        )
-        wrong += r.decoded_correctly is False
-        bounds.append(decode_error_bound(r.alignment.sift_size, 0.5, 0.10))
+    seeds = [streams.derive_seed(MASTER, "decode", t) for t in range(trials)]
+    bits, scores = run_sessions(seeds, 256, 0.5, 0.0)
+    wrong = np.count_nonzero(scores.decisions == np.where(bits, Decision.BIT0, Decision.BIT1))
+    bounds = [decode_error_bound(int(s), 0.5, 0.10) for s in scores.sift]
     elapsed = time.perf_counter() - start
     error_rate = wrong / trials
     mean_bound = float(np.mean(bounds))

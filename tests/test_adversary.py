@@ -10,6 +10,7 @@ import pytest
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
 from qbcsim.harness import SweepMode, SweepSpec, run_cell
+from qbcsim.kernel import run_sessions
 from qbcsim.protocol import (
     Commitment,
     Decision,
@@ -147,20 +148,13 @@ def test_preunveil_success_monotone_in_n():
 def test_error_injection_lowers_the_margin():
     # Mean correct-pairing raw correlation at e=0.5 sits 3 sigma below the
     # e=0 mean.
+    # Each session commits the bit its COMMITTED_BIT substream draws.
     trials = 10000
     margins = {}
     for e in (0.0, 0.5):
-        total = 0.0
-        for t in range(trials):
-            seed = streams.derive_seed(76, e, t)
-            bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
-            config = SessionConfig(n=64, committed_bit=bit, error_fraction=e, seed=seed)
-            seq, _rec, _mask, commitment = run_commit_phase(config)
-            guess = bob_preunveil_guess(
-                seq.bits, commitment, streams.substream(seed, streams.ADVERSARY)
-            )
-            total += max(guess.direct_raw, guess.reverse_raw)
-        margins[e] = total / trials
+        seeds = [streams.derive_seed(76, e, t) for t in range(trials)]
+        _bits, scores = run_sessions(seeds, 64, e, 0.0)
+        margins[e] = np.maximum(scores.raw_direct, scores.raw_reverse).sum() / 64 / trials
     sigma = np.sqrt(0.25 / (trials * 64)) * 3
     assert margins[0.5] < margins[0.0] - sigma
 

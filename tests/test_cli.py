@@ -47,6 +47,38 @@ def test_simulate_flip_error_mode(capsys):
     assert abs(report["raw_direct_correlation"] - 0.5) < 0.005
 
 
+#: SHA-256 of ``qbcsim simulate ... --output json`` stdout, for sessions
+#: that cross every path of the kernel: no photons, every result masked,
+#: noise, both error modes, a mask a Lemire step rejects (the seed below),
+#: a mask above ``kernel.MASK_CROSSOVER`` and one on ``choice``'s
+#: tail-shuffle path.
+SIMULATE_GOLDEN = (
+    ("--n 0 --bit 0 --seed 1",
+     "11e9c1e04ac70039c0d0542b919901cb99e72c31ce463dcd7b5487edb6ff076a"),
+    ("--n 17 --bit 1 --error-fraction 1 --seed 2",
+     "d049e0930d97008cbbda850ff64440387fa81ac084a3423529ce8e304ca54aff"),
+    ("--n 16 --bit 0 --error-fraction 0.5 --noise-rate 0.1 --seed 6",
+     "b9e9611adf66c53044a4babee83d369f118748f60d8407cd96a88b8d45768cdb"),
+    ("--n 256 --bit 1 --error-fraction 0.5 --seed 3",
+     "33cadec4a08870f194ecef7634962c8bf07043a6da32fdec942e46fdc339fea1"),
+    ("--n 256 --bit 0 --error-fraction 0.5 --error-mode flip --seed 3",
+     "6208006cd776de1b13bc635bf542fdb642614a17aa5ed2026830e4332868def4"),
+    ("--n 256 --bit 1 --error-fraction 0.5 --seed 6239659924206660975",
+     "81b7e64f255f9e5dbea1de44af2e0caf85f11a04291226a9eb9d934444023e85"),
+    ("--n 1024 --bit 1 --error-fraction 0.75 --noise-rate 0.1 --seed 4",
+     "8cf4fd8488cee3b0a524203ae8487874df505254478859bce203afdf290a17d2"),
+    ("--n 100000 --bit 0 --error-fraction 0.5 --error-mode flip --seed 9",
+     "e9d31139e65d3cadd4d0b1e8a3ab7b98403f0689bf464cd8f6aab9f63a97d924"),
+)
+
+
+@pytest.mark.parametrize("args,expected", SIMULATE_GOLDEN)
+def test_simulate_output_golden(args, expected, capsys):
+    assert cli_main(["simulate", *args.split(), "--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_flag_defaults_are_the_library_defaults():
     parser = build_parser()
     for argv in (["simulate", "--n", "8", "--bit", "0"],

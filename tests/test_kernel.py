@@ -18,17 +18,20 @@ from qbcsim.kernel import (
     MASK_CROSSOVER,
     mask_words,
     raw_masks,
+    run_sessions,
     run_trials,
 )
 from qbcsim.protocol import (
+    ERROR_MODES,
     Decision,
     DecisionPolicy,
     SessionConfig,
     draw_mask,
     masked_count,
+    raw_correlations,
     run_commit_phase,
-    run_honest_session,
     score_and_decide,
+    unveil,
 )
 
 POLICIES = {"default": DecisionPolicy(), "min_sift3": DecisionPolicy(min_sift=3)}
@@ -52,13 +55,12 @@ def _role_functions(seeds, n, e, noise, mode, strategy, policy):
         bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
         config = SessionConfig(n=n, committed_bit=bit, error_fraction=e,
                                noise_rate=noise, seed=seed, policy=policy)
-        if mode == "honest":
-            report = run_honest_session(config)
-            correct = report.raw_direct_correlation if bit == 0 else report.raw_reverse_correlation
-            successes += round(correct * n)
-            tallies[report.decision] += 1
-            continue
         seq, record, positions, commitment = run_commit_phase(config)
+        if mode == "honest":
+            _score, decision = score_and_decide(seq, commitment, unveil(record), policy)
+            successes += round(raw_correlations(seq.bits, commitment)[bit] * n)
+            tallies[decision] += 1
+            continue
         adversary = streams.substream(seed, streams.ADVERSARY)
         if mode == "preunveil":
             guess = bob_preunveil_guess(seq.bits, commitment, adversary)
@@ -132,6 +134,65 @@ def test_chunk_size_changes_no_result(mode, strategy, chunk_elements, monkeypatc
         with monkeypatch.context() as patched:
             patched.setattr(kernel, "CHUNK_ELEMENTS", chunk_elements)
             assert run_trials(seeds, *args) == want, (n, e, noise)
+
+
+def _role_sessions(seeds, n, e, noise, policy, bit, error_mode):
+    """Each honest session's (sift, direct, reverse, raw direct, raw reverse,
+    verdict), composed from the public role functions."""
+    rows = []
+    for seed in seeds:
+        config = SessionConfig(n=n, committed_bit=bit, error_fraction=e, noise_rate=noise,
+                               seed=seed, policy=policy, error_mode=error_mode)
+        seq, record, _positions, commitment = run_commit_phase(config)
+        score, decision = score_and_decide(seq, commitment, unveil(record), policy)
+        raw = [round(fraction * n) for fraction in raw_correlations(seq.bits, commitment)]
+        rows.append((score.sift_size, score.direct_matches, score.reverse_matches, *raw, decision))
+    return rows
+
+
+def _assert_sessions_equal_the_role_functions(seeds, n, e, noise, bit, error_mode,
+                                              policy=DecisionPolicy(min_sift=3)):
+    bits, scores = run_sessions(seeds, n, e, noise, policy, bit, error_mode)
+    assert bits.tolist() == [bit] * len(seeds)
+    got = [tuple(row) for row in zip(*(field.tolist() for field in scores))]
+    assert got == _role_sessions(seeds, n, e, noise, policy, bit, error_mode), (n, e, noise)
+
+
+@pytest.mark.parametrize("error_mode", ERROR_MODES)
+@pytest.mark.parametrize("bit", (0, 1))
+def test_sessions_equal_the_role_functions_trial_by_trial(bit, error_mode):
+    for cell, (n, e, noise) in enumerate(product(KERNEL_GRID_N, KERNEL_GRID_E, (0.0, 0.1))):
+        seeds = [streams.derive_seed(3141, cell, t) for t in range(4)]
+        _assert_sessions_equal_the_role_functions(seeds, n, e, noise, bit, error_mode)
+
+
+@pytest.mark.parametrize("error_mode", ERROR_MODES)
+@pytest.mark.parametrize("bit", (0, 1))
+def test_sessions_redraw_rejected_masks(bit, error_mode):
+    _assert_sessions_equal_the_role_functions(REJECTING_SEEDS, 256, 0.5, 0.1, bit, error_mode)
+
+
+@pytest.mark.parametrize("k", (10_001 // 50, 10_001 // 50 + 1))
+def test_flip_sessions_across_the_tail_shuffle_switch(k):
+    # choice draws by Floyd's algorithm up to k = n // 50, by a tail shuffle above.
+    e = k / 10_001
+    assert masked_count(e, 10_001) == k
+    seeds = [streams.derive_seed(10_001, k, t) for t in range(2)]
+    for bit in (0, 1):
+        _assert_sessions_equal_the_role_functions(seeds, 10_001, e, 0.0, bit, "flip")
+
+
+def test_drawn_bits_are_the_committed_bit_substreams():
+    seeds = [streams.derive_seed(271, t) for t in range(16)]
+    bits, scores = run_sessions(seeds, 64, 0.5, 0.1)
+    drawn = [int(streams.substream(s, streams.COMMITTED_BIT).integers(0, 2)) for s in seeds]
+    assert bits.tolist() == drawn and 0 < sum(drawn) < len(drawn)
+    for bit in (0, 1):
+        rows = bits == bit
+        _bits, given = run_sessions([s for s, b in zip(seeds, drawn) if b == bit], 64, 0.5, 0.1,
+                                    bit=bit)
+        for field, want in zip(given, scores):
+            assert np.array_equal(field, want[rows])
 
 
 def _error_raw(seeds, count):

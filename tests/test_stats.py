@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbcsim import rng as streams
-from qbcsim.protocol import SessionConfig, run_honest_session
+from qbcsim.kernel import run_sessions
+from qbcsim.protocol import Decision, SessionConfig, run_honest_session
 from qbcsim.stats import (
     binomial_ci,
     decode_error_bound,
@@ -159,15 +160,8 @@ def test_decode_error_bound_is_conservative_empirically():
     # Wrong-bit decode failures at n=256, e=0.5 over seeded trials never
     # exceed the mean per-trial bound.
     trials = 2000
-    failures = 0
-    bounds = []
-    for t in range(trials):
-        report = run_honest_session(
-            SessionConfig(
-                n=256, committed_bit=1, error_fraction=0.5,
-                seed=streams.derive_seed(505, t),
-            )
-        )
-        failures += report.decoded_correctly is False
-        bounds.append(decode_error_bound(report.alignment.sift_size, 0.5, 0.10))
+    seeds = [streams.derive_seed(505, t) for t in range(trials)]
+    _bits, scores = run_sessions(seeds, 256, 0.5, 0.0, bit=1)
+    failures = np.count_nonzero(scores.decisions == Decision.BIT0)
+    bounds = [decode_error_bound(int(s), 0.5, 0.10) for s in scores.sift]
     assert failures / trials <= float(np.mean(bounds))

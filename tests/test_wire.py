@@ -951,6 +951,18 @@ def test_party_refuses_a_referee_of_another_wire_format():
                                  f"this party speaks format {FORMAT}")
 
 
+@pytest.mark.parametrize("commit_bits,unveil_bases,expected", (
+    ([0, 1, 1], [0, 1, 1, 0], "commit bits has 3 digits, expected 4"),
+    ([0, 1, 1, 0], [1], "unveil bases has 1 digits, expected 4"),
+))
+def test_bob_refuses_payloads_of_another_size(commit_bits, unveil_bases, expected):
+    # Plain arrays would broadcast a 1-digit payload against n photons.
+    result = _run_against_fake_referee(
+        "bob", *(encode_message(msg).encode() for msg in (
+            hello_message("referee"), commit_message(commit_bits), unveil_message(unveil_bases))))
+    assert result.diagnostic == expected
+
+
 def test_mismatched_session_sizes_abort():
     # alice announces fewer bases than bob prepared photons (in either
     # connection order: the referee lets her measure only once they exist)
