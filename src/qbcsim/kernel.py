@@ -1,7 +1,7 @@
 """The trial kernel behind every in-process session: sweeps and attacks
 (``run_trials``), single sessions (``run_sessions``; ``run_honest_session``
 is a block of one), and the receiver's score stage (``score_rows``), which
-``score_and_decide`` and the wire's Bob call too.  The verdict
+``score_and_decide`` and the wire's Bob call on their (n,) row.  The verdict
 (``Decision``, ``DecisionPolicy``, ``decide``) and the mask draw
 (``masked_count``, ``draw_mask``) live here; ``protocol`` imports them.
 
@@ -31,7 +31,8 @@ coins, is rebuilt from the ERROR words for the whole chunk
 masked positions; above it, on ``choice``'s tail-shuffle path, and on the
 rare trial whose bounded draw rejects, ``draw_mask`` draws it on the
 trial's generator.  "flip" inverts the marked results and uses no coin.
-Then the select, the order encoding and the score stage, on the arrays.
+Then the select, the order encoding and the score stage, on the arrays, or
+on its (n,) row in a chunk of one (as is every chunk above n = 16 384).
 """
 
 from __future__ import annotations
@@ -156,19 +157,18 @@ def draw_mask(
     return positions, None
 
 
-#: ``score_rows``' arrays, one entry per row: sift size, sifted and raw (all
-#: positions) matches under the direct and reverse pairings, and the verdict.
+#: ``score_rows``' fields, arrays over a block's rows or ints for one row: sift size,
+#: sifted and raw (all positions) matches under both pairings, and the verdict.
 Scores = namedtuple("Scores", "sift direct reverse raw_direct raw_reverse decisions")
 
 
 def score_rows(sent_bases, sent_bits, revealed, unveiled, policy: DecisionPolicy) -> Scores:
-    """The receiver's scores of (b x n) rows, unvalidated.  The direct
-    pairing compares revealed[i] with sent[i], the reverse revealed[n-1-i];
-    the sift keeps the positions where the sent and ``unveiled`` bases agree.
-    With ``unveiled`` None (the pre-unveil read) only the raw counts are set.
-    """
+    """The receiver's scores of one session's (n,) row, as ints and a ``Decision``, or of
+    (b x n) rows, as arrays; unvalidated.  Direct pairs revealed[i] with sent[i], reverse
+    revealed[n-1-i] (a contiguous copy: the reversed view is slower); the sift keeps the
+    positions where the sent and ``unveiled`` bases agree.  ``unveiled`` None: raw counts only."""
     direct_pairs = revealed == sent_bits
-    reverse_pairs = revealed[:, ::-1] == sent_bits
+    reverse_pairs = np.ascontiguousarray(revealed[..., ::-1]) == sent_bits
     raw_direct, raw_reverse = _row_counts(direct_pairs), _row_counts(reverse_pairs)
     if unveiled is None:
         return Scores(None, None, None, raw_direct, raw_reverse, None)
@@ -178,11 +178,9 @@ def score_rows(sent_bases, sent_bits, revealed, unveiled, policy: DecisionPolicy
     return Scores(s, direct, reverse, raw_direct, raw_reverse, decide(s, direct, reverse, policy))
 
 
-def _row_counts(marks: np.ndarray) -> np.ndarray:
-    """Each row's True entries: count_nonzero's fast path on one row, else an int32 sum."""
-    if len(marks) == 1:
-        return np.array([np.count_nonzero(marks)])
-    return marks.sum(axis=1, dtype=np.int32)
+def _row_counts(marks: np.ndarray) -> int | np.ndarray:
+    """The True entries of an (n,) row as an int, or of each (b x n) row as an int32 array."""
+    return int(np.count_nonzero(marks)) if marks.ndim == 1 else marks.sum(axis=1, dtype=np.int32)
 
 
 def run_trials(seeds: Iterable[int], n: int, error_fraction: float, noise_rate: float, mode: str,
@@ -295,21 +293,24 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
     # The commitment, in place: bit 0 reveals the results in order, bit 1 reversed.
     revealed, reversed_rows = results, bits == 1
     revealed[reversed_rows] = results[reversed_rows, ::-1]
-    if mode == "preunveil":
-        scores = score_rows(sent_bases, sent_bits, revealed, None, policy)
-        margin = scores.raw_direct - scores.raw_reverse
-        # A tie takes the ADVERSARY coin, read as the committed bit is.
-        guesses = np.where(margin == 0, ties[trials], margin < 0)
-        return scores._replace(decisions=_BITS[guesses])
-    if mode == "honest":
-        unveiled = bases
+    if mode != "binding":
+        unveiled = bases if mode == "honest" else None
     elif strategy.draws:  # RebindStrategy.lie's rule, on the raw words
         threshold = noise_threshold(strategy.lie_probability)
         unveiled = bases ^ substreams.raw(streams.ADVERSARY, n, trials,
                                           lambda raw: raw <= threshold)
     else:
         unveiled = strategy.lie(bases, None)
-    return score_rows(sent_bases, sent_bits, revealed, unveiled, policy)
+    if len(revealed) > 1:
+        scores = score_rows(sent_bases, sent_bits, revealed, unveiled, policy)
+    else:  # One row: count_nonzero counts its (n,) row faster than a (1 x n) row sum.
+        row = score_rows(sent_bases[0], sent_bits[0], revealed[0],
+                         None if unveiled is None else unveiled[0], policy)
+        scores = Scores._make(None if field is None else np.array([field]) for field in row)
+    if mode == "preunveil":  # The guess; a tie takes the ADVERSARY coin, read as the bit is.
+        margin = scores.raw_direct - scores.raw_reverse
+        scores = scores._replace(decisions=_BITS[np.where(margin == 0, ties[trials], margin < 0)])
+    return scores
 
 
 def chunk_masks(substreams: streams.SubstreamBatch, trials: slice, n: int, k: int):

@@ -28,8 +28,8 @@ fraction e):
 
 The role functions make the wire parties' draws and are the reference the
 kernel is tested against.  ``run_honest_session`` is a block of one of the
-kernel, and ``score_and_decide`` scores with its ``score_rows`` once it has
-checked its inputs; the verdict and the mask draw are imported from it.
+kernel, and ``score_and_decide`` checks its inputs, then scores their (n,) row
+with its ``score_rows``; the verdict and the mask draw are imported from it.
 """
 
 from __future__ import annotations
@@ -279,17 +279,15 @@ def score_and_decide(
         raise ValueError(f"basis list lengths differ: {n} != {len(unveiled)}")
     if len(commitment) != n:
         raise ValueError(f"commitment length {len(commitment)} != sent length {n}")
-    scores = score_rows(seq.bases[None], seq.bits[None], commitment.revealed[None],
-                        unveiled[None], policy)
+    scores = score_rows(seq.bases, seq.bits, commitment.revealed, unveiled, policy)
     return session_scores(scores, n)[:2]
 
 
 def session_scores(scores: Scores, n: int) -> tuple[AlignmentScore, Decision, float, float]:
-    """Row 0 of ``scores``, a session of n photons: (alignment, verdict, and
-    the raw direct and reverse correlations, as ``raw_correlations`` gives)."""
-    sift, direct, reverse, raw_direct, raw_reverse, decisions = (v[0] for v in scores)
-    alignment = AlignmentScore(int(sift), int(direct), int(reverse))
-    return alignment, decisions, int(raw_direct) / max(n, 1), int(raw_reverse) / max(n, 1)
+    """One session's ``scores``, of n photons: (alignment, verdict, and the
+    raw direct and reverse correlations, as ``raw_correlations`` gives)."""
+    alignment, n = AlignmentScore(scores.sift, scores.direct, scores.reverse), max(n, 1)
+    return alignment, scores.decisions, scores.raw_direct / n, scores.raw_reverse / n
 
 
 def run_honest_session(config: SessionConfig) -> TrialReport:
@@ -298,7 +296,8 @@ def run_honest_session(config: SessionConfig) -> TrialReport:
     _bits, scores = run_sessions([config.seed], config.n, config.error_fraction,
                                  config.noise_rate, config.policy, config.committed_bit,
                                  config.error_mode)
-    score, decision, raw_direct, raw_reverse = session_scores(scores, config.n)
+    score, decision, raw_direct, raw_reverse = session_scores(
+        Scores._make(field.tolist()[0] for field in scores), config.n)
     correct = (Decision.BIT0, Decision.BIT1)[config.committed_bit]
     decoded_correctly = decision is correct if decision in (Decision.BIT0, Decision.BIT1) else None
     return TrialReport(config, raw_direct, raw_reverse, score, decision, decoded_correctly)

@@ -415,8 +415,7 @@ def _run_bob(link: _PartyLink, config: SessionConfig) -> PartyResult:
     link.send(prepare_message(seq))
     revealed = link.recv_digits("commit", config.n)
     unveiled = link.recv_digits("unveil", config.n)
-    scores = score_rows(seq.bases[None], seq.bits[None], revealed[None], unveiled[None],
-                        config.policy)
+    scores = score_rows(seq.bases, seq.bits, revealed, unveiled, config.policy)
     score, decision, raw_direct, raw_reverse = session_scores(scores, config.n)
     link.send(decision_message(decision.value))
     return PartyResult(

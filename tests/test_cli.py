@@ -121,6 +121,7 @@ def test_runtime_errors_exit_one(capsys, tmp_path):
         ([*simulate, "--delta", "2"], "separation_delta must be in [0, 1], got 2.0"),
         ([*simulate, "--floor", "1.5"], "plausibility_floor must be in [0, 1], got 1.5"),
         ([*simulate, "--min-sift", "-1"], "min_sift must be >= 0, got -1"),
+        ([*simulate, "--noise-rate", "2"], "noise_rate must be in [0, 1], got 2.0"),
     ):
         assert cli_main(argv) == 1, argv
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -157,6 +157,15 @@ def test_json_round_trip_is_structurally_equal(tmp_path):
     assert doc["schema_version"] == 1
 
 
+def test_read_report_refuses_another_schema_version(tmp_path):
+    path = tmp_path / "r.json"
+    write_report(run_sweep(_honest_spec(n_values=(4,), trials_per_cell=1)), "json", path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "schema_version": 2}))
+    with pytest.raises(ValueError, match="^unsupported schema_version 2$"):
+        read_report(path)
+
+
 def test_unwritable_path_error_names_the_path(tmp_path):
     report = run_sweep(_honest_spec(n_values=(16,)))
     bogus = tmp_path / "no-such-dir" / "r.csv"

@@ -195,6 +195,42 @@ def test_drawn_bits_are_the_committed_bit_substreams():
             assert np.array_equal(field, want[rows])
 
 
+def test_a_row_scores_as_its_row_of_a_block():
+    # Honest rows, and rows whose unveil flips every basis: their sift keeps
+    # only the positions measured in the other basis, where neither pairing
+    # reads better than a coin, so enough of them are cheat-suspected.
+    seen, sifts = set(), set()
+    for (name, policy), (cell, (n, e, noise)) in product(
+            POLICIES.items(), enumerate(product(KERNEL_GRID_N, KERNEL_GRID_E, (0.0, 0.1)))):
+        rows = []
+        for t in range(4):
+            config = SessionConfig(n=n, committed_bit=t % 2, error_fraction=e, noise_rate=noise,
+                                   seed=streams.derive_seed(1729, cell, t), policy=policy)
+            seq, record, _positions, commitment = run_commit_phase(config)
+            unveiled = record.bases ^ 1 if t >= 2 else record.bases
+            rows.append((seq.bases, seq.bits, commitment.revealed, unveiled))
+        block = [np.stack(column) for column in zip(*rows)]
+        scored, raw = kernel.score_rows(*block, policy), kernel.score_rows(*block[:3], None, policy)
+        for i, row in enumerate(rows):
+            for unveiled, want in ((row[3], scored), (None, raw)):
+                got = kernel.score_rows(*row[:3], unveiled, policy)
+                for field, value in zip(got._fields[:-1], got[:-1]):
+                    if unveiled is None and field in ("sift", "direct", "reverse"):
+                        assert value is None and getattr(want, field) is None
+                    else:
+                        assert type(value) is int, (field, n, e, noise, i)
+                        assert value == getattr(want, field)[i], (field, n, e, noise, i)
+                if unveiled is None:
+                    assert got.decisions is None and want.decisions is None
+                    continue
+                assert got.decisions is want.decisions[i], (name, n, e, noise, i)
+                seen.add(got.decisions)
+                sifts.add((got.sift > 0) + (got.sift >= policy.min_sift))
+    assert seen == set(Decision)
+    # n = 0 sifts nothing; some rows sift fewer than min_sift, some enough.
+    assert sifts == {0, 1, 2}
+
+
 def _error_raw(seeds, count):
     return np.array([streams.substream(s, streams.ERROR).bit_generator.random_raw(count)
                      for s in seeds])

@@ -1,5 +1,6 @@
 """Protocol operations: order encoding, sifting, scoring, deciding."""
 
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -118,6 +119,19 @@ def test_mask_draws_are_sorted_choice_then_integers():
                     assert np.array_equal(positions, want_positions), (path, mode)
                     assert np.array_equal(masked, want), (path, mode)
     assert buffered == {False, True}
+
+
+@pytest.mark.parametrize("build,message", (
+    (lambda: SessionConfig(n=4, committed_bit=0, error_mode="bogus"),
+     "error_mode must be one of ('randomize', 'flip'), got 'bogus'"),
+    (lambda: commit([0, 1], 2), "bit must be 0 or 1, got 2"),
+    (lambda: choose_random_bases(-1, streams.substream(1, "b")), "n must be >= 0, got -1"),
+    (lambda: MeasurementRecord(bases=[0, 1], outcomes=[0]), "bases length 2 != outcomes length 1"),
+    (lambda: PreparedSequence(bases=[0, 1], bits=[0]), "basis/bit length mismatch: 2 != 1"),
+), ids=("session-config", "commit", "choose-bases", "measurement-record", "prepared-sequence"))
+def test_bad_values_are_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_inject_rejects_bad_inputs():

@@ -657,6 +657,8 @@ def test_party_with_bad_parameters_exits_one_before_connecting():
         result = party_run(role, addr, timeout=2, **kwargs)
         assert result.exit_code == 1
         assert cause in result.diagnostic, result.diagnostic
+    with pytest.raises(ValueError, match="^role must be alice or bob, got 'carol'$"):
+        party_run("carol", addr, n=8, timeout=2)
 
 
 # -- live sessions ----------------------------------------------------------------
@@ -960,6 +962,16 @@ def test_bob_refuses_payloads_of_another_size(commit_bits, unveil_bases, expecte
     result = _run_against_fake_referee(
         "bob", *(encode_message(msg).encode() for msg in (
             hello_message("referee"), commit_message(commit_bits), unveil_message(unveil_bases))))
+    assert result.diagnostic == expected
+
+
+@pytest.mark.parametrize("role,message,expected", (
+    ("alice", decision_message("bit0"), "expected outcomes, got decision"),
+    ("bob", unveil_message([0, 1, 1, 0]), "expected commit, got unveil"),
+))
+def test_party_refuses_a_message_of_another_type(role, message, expected):
+    result = _run_against_fake_referee(
+        role, *(encode_message(msg).encode() for msg in (hello_message("referee"), message)))
     assert result.diagnostic == expected
 
 
