@@ -64,7 +64,7 @@ class RebindStrategy:
 
     @property
     def draws(self) -> bool:
-        """Whether ``lie`` draws from its generator (random-lies above 0 only)."""
+        """Whether ``lie`` reads raw words (random-lies above 0 only)."""
         return self.kind is RebindKind.RANDOM_LIES and self.lie_probability > 0
 
     @property
@@ -73,21 +73,21 @@ class RebindStrategy:
             return f"random-lies:{self.lie_probability:g}"
         return self.kind.value
 
-    def lie(self, bases: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-        """The basis list this schedule unveils for the true ``bases``.
+    def lie(self, bases: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
+        """The basis list this schedule unveils for the true ``bases``: one
+        session's (n,) row, or a block's (b x n) rows.
 
-        Only random-lies above 0 draws: it lies at basis i when the i-th
-        raw output is at most ``channel.noise_threshold(p)``, which is
-        ``random(n) < p`` read from the raw words; the other schedules
-        never touch ``rng``, which may then be None.  At p = 0 it unveils
-        the bases as honest-bases does, at p = 1 flipped as flip-all-bases
-        does.
+        ``raw`` holds the ADVERSARY stream's first n raw words, in the shape
+        of ``bases``; only random-lies above 0 reads them (``draws``), and
+        the other schedules take None.  Random-lies lies at basis i when
+        raw word i is at most ``channel.noise_threshold(p)``, which is
+        ``random(n) < p`` read from the raw words.  At p = 0 it unveils the
+        bases as honest-bases does, at p = 1 flipped as flip-all-bases does.
         """
         if self.kind is RebindKind.FLIP_ALL_BASES:
             return bases ^ 1
         if not self.draws:
             return bases.copy()
-        raw = rng.bit_generator.random_raw(len(bases))
         return bases ^ (raw <= noise_threshold(self.lie_probability))
 
     @classmethod
@@ -152,8 +152,11 @@ def alice_rebind_attack(
     The commitment itself is read-only; lying is confined to the basis
     list, in direct order.  The committer's full knowledge (her record,
     her masked positions, her commitment, her bit) is available to the
-    strategy, but the implemented schedules are blind in the sender's bases.
+    strategy, but the implemented schedules are blind in the sender's bases:
+    ``strategy.lie`` on her bases and, for a schedule that draws, the first
+    n raw words of ``rng``, as the kernel reads them for a block.
     """
     if original_bit not in (0, 1):
         raise ValueError(f"original_bit must be 0 or 1, got {original_bit}")
-    return strategy.lie(record.bases, rng)
+    raw = rng.bit_generator.random_raw(len(record.bases)) if strategy.draws else None
+    return strategy.lie(record.bases, raw)

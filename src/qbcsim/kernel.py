@@ -18,19 +18,20 @@ in one vectorised pass (``rng.SubstreamBatch``), with the same states as
 
 A block runs in chunks of about ``CHUNK_ELEMENTS`` photons, each as (b x n)
 arrays, in steps that move no draw, so the chunk size changes no result.
-The draw stage reads every stream's raw words for the whole chunk from
-``SubstreamBatch.raw``: computed from the seeding words, with no generator
-built, up to ``rng.RAW_OUTPUTS_CROSSOVER`` words per trial, and read from
-each trial's generator above it.  From them: the committed bit and the
-preunveil tie coin (bit 31 of the first word, as ``integers(0, 2)`` reads
-it, once per block), the states, bases and coins
-(``channel.raw_top_bytes``), the noise and the random lies
-(``channel.noise_threshold``).  The mask, ``Generator.choice`` and its
-coins, is rebuilt from the ERROR words for the whole chunk
-(``raw_masks``) on ``choice``'s Floyd path up to ``MASK_CROSSOVER``
-masked positions; above it, on ``choice``'s tail-shuffle path, and on the
-rare trial whose bounded draw rejects, ``draw_mask`` draws it on the
-trial's generator.  "flip" inverts the marked results and uses no coin.
+The draw stage reads every stream's raw words for the whole chunk as one
+(b x count) array from ``SubstreamBatch.raw``: computed from the seeding
+words, with no generator built, up to ``rng.RAW_OUTPUTS_CROSSOVER`` words
+per trial, and filled from each trial's generator above it.  Each array is
+reduced once: the committed bit and the preunveil tie coin (bit 31 of the
+first word, as ``integers(0, 2)`` reads it, once per block), the states,
+bases and coins (``channel.raw_top_bytes``), the noise
+(``channel.noise_threshold``), and the lies (``RebindStrategy.lie``, the
+rule ``alice_rebind_attack`` applies to one session's row).  The mask,
+``Generator.choice`` and its coins, is rebuilt from the ERROR words for the
+whole chunk (``raw_masks``) on ``choice``'s Floyd path up to
+``MASK_CROSSOVER`` masked positions; above it, on ``choice``'s tail-shuffle
+path, and on the rare trial whose bounded draw rejects, ``draw_mask`` draws
+it on the trial's generator.  "flip" inverts the marked results and uses no coin.
 Then the select, the order encoding and the score stage, on the arrays, or
 on its (n,) row in a chunk of one (as is every chunk above n = 16 384).
 """
@@ -261,26 +262,15 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
     ``trials`` is a slice of the block, ``bits`` the chunk's committed bits
     and ``ties`` the block's preunveil tie coins."""
     words = (n + 1) // 2
-
-    def top_bytes(raw):
-        return raw_top_bytes(raw, n)
-
-    def top_bytes_then_noise(raw):
-        return np.concatenate([top_bytes(raw), raw[..., words:] <= threshold], axis=-1)
-
-    sent = substreams.raw(streams.PREPARE, words, trials, top_bytes)
-    bases = substreams.raw(streams.BASES, words, trials, top_bytes) >> 7
+    sent = raw_top_bytes(substreams.raw(streams.PREPARE, words, trials), n)
+    bases = raw_top_bytes(substreams.raw(streams.BASES, words, trials), n) >> 7
     # The coins, then only above rate 0 the noise, from one stream.
-    if noise_rate > 0:
-        threshold = noise_threshold(noise_rate)
-        measured = substreams.raw(streams.MEASURE, words + n, trials, top_bytes_then_noise)
-    else:
-        measured = substreams.raw(streams.MEASURE, words, trials, top_bytes)
+    measured = substreams.raw(streams.MEASURE, words + (n if noise_rate > 0 else 0), trials)
     # The top bits of each byte, as uniform_codes reads them.
     sent_bases, sent_bits = sent >> 7, sent >> 6 & 1
-    results = select_outcomes(sent_bases, sent_bits, bases, measured[:, :n] >> 7)
+    results = select_outcomes(sent_bases, sent_bits, bases, raw_top_bytes(measured, n) >> 7)
     if noise_rate > 0:
-        results ^= measured[:, n:]
+        results ^= measured[:, words:] <= noise_threshold(noise_rate)
     if k:
         marked, coins = chunk_masks(substreams, trials, n, k)
         if error_mode == "flip":
@@ -293,14 +283,11 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
     # The commitment, in place: bit 0 reveals the results in order, bit 1 reversed.
     revealed, reversed_rows = results, bits == 1
     revealed[reversed_rows] = results[reversed_rows, ::-1]
-    if mode != "binding":
-        unveiled = bases if mode == "honest" else None
-    elif strategy.draws:  # RebindStrategy.lie's rule, on the raw words
-        threshold = noise_threshold(strategy.lie_probability)
-        unveiled = bases ^ substreams.raw(streams.ADVERSARY, n, trials,
-                                          lambda raw: raw <= threshold)
+    if mode == "binding":
+        unveiled = strategy.lie(bases, substreams.raw(streams.ADVERSARY, n, trials)
+                                if strategy.draws else None)
     else:
-        unveiled = strategy.lie(bases, None)
+        unveiled = bases if mode == "honest" else None
     if len(revealed) > 1:
         scores = score_rows(sent_bases, sent_bits, revealed, unveiled, policy)
     else:  # One row: count_nonzero counts its (n,) row faster than a (1 x n) row sum.

@@ -31,7 +31,8 @@ outputs of a fresh generator, the batch computes them for a whole block of
 trials from the same words (``SubstreamBatch.raw``, ``raw_outputs``:
 PCG64's seeding, its LCG steps and its XSL-RR output, in uint64 limbs), and
 builds nothing.  Above ``RAW_OUTPUTS_CROSSOVER`` outputs per generator a
-build and a read are the cheaper, and the batch reads them per trial.
+build and a read are the cheaper, and each trial's generator fills its row
+of the block's array.
 ``tests/test_rng.py`` pins the batch to ``substream``, state, draws and
 raw outputs, on edge-case and random seeds.
 """
@@ -244,21 +245,19 @@ class SubstreamBatch:
     def __call__(self, t: int, label: str) -> np.random.PCG64:
         return np.random.PCG64(_StateWords(self._words[self._row[label], t]))
 
-    def raw(self, label: str, count: int, trials: slice = slice(None), read=None) -> np.ndarray:
-        """``read(batch(t, label).random_raw(count))`` for every t in
-        ``trials``, one row each; without ``read``, the raw outputs as a
-        (trials x count) uint64 array.  ``read`` must work row by row, alike
-        on one row and on (rows x count).  Up to ``RAW_OUTPUTS_CROSSOVER``
+    def raw(self, label: str, count: int, trials: slice = slice(None)) -> np.ndarray:
+        """``batch(t, label).random_raw(count)`` for every t in ``trials``,
+        as a (trials x count) uint64 array.  Up to ``RAW_OUTPUTS_CROSSOVER``
         words the rows are computed from the state words (``raw_outputs``),
-        with no generator built; above it each trial's generator reads its
-        row, and ``read`` takes it at once, so the chunk's raw words are
-        never all held."""
-        read = read or (lambda raw: raw)
+        with no generator built; above it each trial's generator fills its
+        row of the array."""
         words = self._words[self._row[label], trials]
         if count <= RAW_OUTPUTS_CROSSOVER:
             # In pieces whose temporaries stay small enough to be cached.
             rows = max(1, _PIECE_WORDS // max(count, 1))
-            return read(np.concatenate([raw_outputs(words[i:i + rows], count)
-                                        for i in range(0, len(words), rows)]))
-        return np.array([read(np.random.PCG64(_StateWords(row)).random_raw(count))
-                         for row in words])
+            return np.concatenate([raw_outputs(words[i:i + rows], count)
+                                   for i in range(0, len(words), rows)])
+        raw = np.empty((len(words), count), dtype=np.uint64)
+        for out, row in zip(raw, words):
+            out[:] = np.random.PCG64(_StateWords(row)).random_raw(count)
+        return raw

@@ -198,6 +198,28 @@ def test_rebind_random_lies_hamming_distance():
     assert abs(distance - 50000) <= 500
 
 
+@pytest.mark.parametrize("n", [1, 17, 130])
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_rebind_lie_on_a_block_equals_each_row_and_each_session(p, n):
+    # The kernel lies on a chunk's (b x n) rows of ADVERSARY words, a session
+    # on its (n,) row; n = 130 reads its words past RAW_OUTPUTS_CROSSOVER.
+    seeds = [streams.derive_seed(87, n, t) for t in range(24)]
+    bases = streams.substream(87, "bases", n).integers(0, 2, size=(len(seeds), n),
+                                                       dtype=np.uint8)
+    raw = streams.SubstreamBatch(seeds, [streams.ADVERSARY]).raw(streams.ADVERSARY, n)
+    strategy = RebindStrategy.random_lies(p)
+    block = strategy.lie(bases, raw)
+    for seed, row_bases, row_raw, row_lies in zip(seeds, bases, raw, block):
+        assert np.array_equal(strategy.lie(row_bases, row_raw), row_lies)
+        record = MeasurementRecord(bases=row_bases, outcomes=np.zeros(n, dtype=np.uint8))
+        commitment = Commitment(revealed=np.zeros(n, dtype=np.uint8))
+        attack = alice_rebind_attack(record, np.empty(0, dtype=np.int64), commitment, 0,
+                                     strategy, streams.substream(seed, streams.ADVERSARY))
+        assert np.array_equal(attack, row_lies)
+    assert np.array_equal(RebindStrategy.honest_bases().lie(bases, None), bases)
+    assert np.array_equal(RebindStrategy.flip_all_bases().lie(bases, None), bases ^ 1)
+
+
 def test_rebind_cannot_touch_the_commitment():
     _seq, record, positions, commitment = _session_artifacts()
     out = alice_rebind_attack(

@@ -23,6 +23,8 @@ def test_matching_basis_is_deterministic_exhaustively():
             state = PhotonState(basis, bit)
             rng = streams.substream(31, "table", basis.value, bit)
             assert all(measure_photon(state, basis, rng) == bit for _ in range(200))
+    with pytest.raises(ValueError, match="^bit must be 0 or 1, got 2$"):
+        PhotonState(Basis.RECTILINEAR, 2)
 
 
 def test_conjugate_basis_is_a_fair_coin():

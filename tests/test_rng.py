@@ -82,11 +82,12 @@ def test_substream_batch_equals_substream():
 
 
 def test_substream_batch_raw_equals_random_raw():
-    # Counts on both sides of the crossover: computed, then read per trial.
+    # Counts on both sides of the crossover: computed, then filled per trial,
+    # up to the 2048 words a stream reads at n = 4096.
     masters = _masters()
     batch = streams.SubstreamBatch(masters, LABELS)
     crossover = streams.RAW_OUTPUTS_CROSSOVER
-    for count in (0, 1, 2, crossover, crossover + 1):
+    for count in (0, 1, 2, crossover, crossover + 1, 2048):
         for label in LABELS:
             want = [streams.substream(m, label).bit_generator.random_raw(count)
                     for m in masters]

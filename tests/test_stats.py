@@ -12,6 +12,7 @@ from qbcsim import rng as streams
 from qbcsim.kernel import run_sessions
 from qbcsim.protocol import Decision, SessionConfig, run_honest_session
 from qbcsim.stats import (
+    ConfidenceInterval,
     binomial_ci,
     decode_error_bound,
     expected_raw_correlation,
@@ -110,6 +111,8 @@ def test_wilson_rejects_bad_inputs():
         binomial_ci(5, 4)
     with pytest.raises(ValueError):
         binomial_ci(1, 2, 1.0)
+    with pytest.raises(ValueError, match=r"^invalid interval \[0.6, 0.4\]$"):
+        ConfidenceInterval(0.6, 0.4, 0.95)
 
 
 def _exact_coverage(n: int, p: float, level: float) -> float:

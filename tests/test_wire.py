@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+import selectors
 import socket
 import tempfile
 import threading
@@ -32,7 +33,14 @@ from qbcsim.protocol import (
     choose_random_bases,
     run_honest_session,
 )
-from qbcsim.referee import _RefereeSession, parse_address, party_run, referee_serve
+from qbcsim.referee import (
+    _Conn,
+    _RefereeSession,
+    _serve_session,
+    parse_address,
+    party_run,
+    referee_serve,
+)
 from qbcsim.wire import (
     FORMAT,
     MESSAGE_TYPES,
@@ -659,6 +667,128 @@ def test_party_with_bad_parameters_exits_one_before_connecting():
         assert cause in result.diagnostic, result.diagnostic
     with pytest.raises(ValueError, match="^role must be alice or bob, got 'carol'$"):
         party_run("carol", addr, n=8, timeout=2)
+
+
+# -- socket failures, on fake sockets ----------------------------------------------
+
+class _FailingSocket:
+    """A socket whose ``recv`` hands out ``chunks`` and then fails, and whose
+    ``sendall`` fails when ``send_error`` is set; it counts its sends."""
+
+    def __init__(self, chunks=(), send_error=None, read_error=None):
+        self.chunks = list(chunks)
+        self.send_error = send_error
+        self.read_error = read_error
+        self.sends = 0
+        self.closed = False
+
+    def recv(self, _size):
+        if self.chunks:
+            return self.chunks.pop(0)
+        raise OSError("connection reset")
+
+    def sendall(self, _data):
+        self.sends += 1
+        if self.send_error:
+            raise self.send_error
+
+    def settimeout(self, _timeout):
+        pass
+
+    def setsockopt(self, *_args):
+        pass
+
+    def makefile(self, _mode):
+        return self
+
+    def readline(self):
+        raise self.read_error
+
+    def close(self):
+        self.closed = True
+
+
+class _FakeSelector:
+    def __init__(self):
+        self.registered = set()
+
+    def register(self, sock, _events, _data=None):
+        self.registered.add(sock)
+
+    def unregister(self, sock):
+        self.registered.remove(sock)
+
+
+def test_a_failed_recv_reads_as_a_hang_up():
+    # An unterminated last line still counts, then the failure reads as the end.
+    conn = _Conn(_FailingSocket([b"{}\n{", b"}"]), _FakeSelector())
+    assert conn.read_lines() == [b"{}"]
+    assert conn.read_lines() == []
+    assert conn.read_lines() == [b"{}"]
+    assert conn.read_lines() is None
+
+
+def test_a_failed_send_closes_the_connection_and_later_sends_are_dropped():
+    sock, selector = _FailingSocket(send_error=BrokenPipeError("gone")), _FakeSelector()
+    conn = _Conn(sock, selector)
+    conn.send(b"{}\n")
+    assert not conn.open and sock.closed and selector.registered == set()
+    conn.send(b"{}\n")
+    assert sock.sends == 1
+
+
+class _FlakyListener:
+    """A listening socket whose first ``accept`` fails."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.accepts = 0
+
+    def fileno(self):
+        return self.sock.fileno()
+
+    def accept(self):
+        self.accepts += 1
+        if self.accepts == 1:
+            raise ConnectionAbortedError("the peer gave up")
+        return self.sock.accept()
+
+
+def test_a_failed_accept_leaves_the_session_running():
+    session = _RefereeSession(seed=3, noise_rate=0.0)
+    with socket.create_server(("127.0.0.1", 0)) as server, \
+            selectors.DefaultSelector() as selector, \
+            socket.create_connection(server.getsockname(), timeout=5) as bob:
+        server.setblocking(False)
+        listener = _FlakyListener(server)
+        selector.register(listener, selectors.EVENT_READ)
+        bob.sendall(encode_message(hello_message("bob")).encode())
+        bob.shutdown(socket.SHUT_WR)
+        try:
+            _serve_session(session, listener, selector, timeout=5.0)
+        finally:
+            for key in list(selector.get_map().values()):
+                if key.data is not None:
+                    key.data.close()
+    assert listener.accepts == 2
+    assert [(entry.direction, entry.message) for entry in session.transcript.entries] == [
+        ("bob->referee", hello_message("bob")),
+        ("referee->bob", hello_message("referee")),
+        ("bob->referee", error_message("connection closed unexpectedly")),
+    ]
+
+
+@pytest.mark.parametrize("role", ["alice", "bob"])
+@pytest.mark.parametrize("failure, cause", [
+    (dict(send_error=BrokenPipeError("gone")), "send failed: gone"),
+    (dict(read_error=ConnectionResetError("reset")), "receive failed: reset"),
+])
+def test_a_party_whose_socket_fails_exits_one(monkeypatch, role, failure, cause):
+    sock = _FailingSocket(**failure)
+    monkeypatch.setattr(referee_module.socket, "create_connection", lambda *_a, **_k: sock)
+    result = party_run(role, "127.0.0.1:9", n=8, timeout=2)
+    assert result.exit_code == 1 and result.diagnostic == cause
+    assert sock.closed
 
 
 # -- live sessions ----------------------------------------------------------------
