@@ -29,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import noise_threshold
 from .protocol import Commitment, MeasurementRecord, raw_correlations
+from .rng import noise_threshold
 
 
 class RebindKind(Enum):
@@ -80,7 +80,7 @@ class RebindStrategy:
         ``raw`` holds the ADVERSARY stream's first n raw words, in the shape
         of ``bases``; only random-lies above 0 reads them (``draws``), and
         the other schedules take None.  Random-lies lies at basis i when
-        raw word i is at most ``channel.noise_threshold(p)``, which is
+        raw word i is at most ``rng.noise_threshold(p)``, which is
         ``random(n) < p`` read from the raw words.  At p = 0 it unveils the
         bases as honest-bases does, at p = 1 flipped as flip-all-bases does.
         """

@@ -2,8 +2,8 @@
 (``run_trials``), single sessions (``run_sessions``; ``run_honest_session``
 is a block of one), and the receiver's score stage (``score_rows``), which
 ``score_and_decide`` and the wire's Bob call on their (n,) row.  The verdict
-(``Decision``, ``DecisionPolicy``, ``decide``) and the mask draw
-(``masked_count``, ``draw_mask``) live here; ``protocol`` imports them.
+(``Decision``, ``DecisionPolicy``, ``decide``) and ``masked_count`` live
+here; ``protocol`` imports them.
 
 A trial makes the draws of ``run_commit_phase`` followed by
 ``bob_preunveil_guess`` or ``alice_rebind_attack`` and ``score_and_decide``,
@@ -14,26 +14,20 @@ would draw nothing: COMMITTED_BIT when the bit is given, ERROR when no
 position is masked, ADVERSARY except for random-lies above 0.  Trials run
 in blocks of ``BLOCK_TRIALS``; each block seeds every substream it can draw
 in one vectorised pass (``rng.SubstreamBatch``), with the same states as
-``rng.substream``.
+``rng.substream``, and takes its committed bits and preunveil tie coins
+from it (``SubstreamBatch.coins``).
 
 A block runs in chunks of about ``CHUNK_ELEMENTS`` photons, each as (b x n)
 arrays, in steps that move no draw, so the chunk size changes no result.
-The draw stage reads every stream's raw words for the whole chunk as one
-(b x count) array from ``SubstreamBatch.raw``: computed from the seeding
-words, with no generator built, up to ``rng.RAW_OUTPUTS_CROSSOVER`` words
-per trial, and filled from each trial's generator above it.  Each array is
-reduced once: the committed bit and the preunveil tie coin (bit 31 of the
-first word, as ``integers(0, 2)`` reads it, once per block), the states,
-bases and coins (``channel.raw_top_bytes``), the noise
-(``channel.noise_threshold``), and the lies (``RebindStrategy.lie``, the
-rule ``alice_rebind_attack`` applies to one session's row).  The mask,
-``Generator.choice`` and its coins, is rebuilt from the ERROR words for the
-whole chunk (``raw_masks``) on ``choice``'s Floyd path up to
-``MASK_CROSSOVER`` masked positions; above it, on ``choice``'s tail-shuffle
-path, and on the rare trial whose bounded draw rejects, ``draw_mask`` draws
-it on the trial's generator.  "flip" inverts the marked results and uses no coin.
-Then the select, the order encoding and the score stage, on the arrays, or
-on its (n,) row in a chunk of one (as is every chunk above n = 16 384).
+The draw stage reads each stream's raw words for the whole chunk as one
+(b x count) array (``SubstreamBatch.raw``) and reduces it once by ``rng``'s
+readers: the states, bases and coins (``top_bits``), the noise
+(``noise_threshold``), and the lies (``RebindStrategy.lie``, the rule
+``alice_rebind_attack`` applies to one session's row).  The masks come
+from ``SubstreamBatch.masks``; "flip" inverts the marked results and uses
+no coin.  Then the select, the order encoding and the score stage, on the
+arrays, or on its (n,) row in a chunk of one (as is every chunk above
+n = 16 384).
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import rng as streams
-from .channel import noise_threshold, raw_coins, raw_top_bytes, select_outcomes
+from .channel import select_outcomes
 
 if TYPE_CHECKING:
     from .adversary import RebindStrategy
@@ -57,18 +51,6 @@ if TYPE_CHECKING:
 BLOCK_TRIALS = 1024
 #: Photons per chunk of a block: bounds the chunk's (b x n) arrays.
 CHUNK_ELEMENTS = 2**15
-
-#: Mask sizes above which ``Generator.choice`` beats ``raw_masks`` (CHANGES.md
-#: has the timings).
-MASK_CROSSOVER = 384
-
-#: ``choice(n, k, replace=False)`` shuffles a whole arange in place of
-#: Floyd's draws when n is above this and k above n // 50.
-_CHOICE_TAIL_SHUFFLE_N = 10_000
-
-_U1, _U31, _U32 = np.uint64(1), np.uint64(31), np.uint64(32)
-_LOW32, _MASK32 = np.uint64(2**32 - 1), 2**32 - 1
-
 
 class Decision(Enum):
     """The receiver's verdict for one session."""
@@ -140,22 +122,6 @@ def decide(s, direct, reverse, policy: DecisionPolicy):
 def masked_count(error_fraction: float, n: int) -> int:
     """How many of n results ``protocol.inject_errors`` masks."""
     return int(round(error_fraction * n))
-
-
-def draw_mask(
-    n: int, k: int, rng: np.random.Generator, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draws of ``protocol.inject_errors`` on n results, unvalidated:
-    (positions, in ``choice``'s order, replacement coins), the coins None
-    in "flip" mode.  The j-th coin replaces the result at the j-th smallest
-    position.  The coins are ``rng.integers(0, 2, size=k)``, read from the
-    raw words (``channel.raw_coins``)."""
-    if not k:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    positions = rng.choice(n, size=k, replace=False)
-    if mode == "randomize":
-        return positions, raw_coins(rng.bit_generator, k)
-    return positions, None
 
 
 #: ``score_rows``' fields, arrays over a block's rows or ints for one row: sift size,
@@ -241,19 +207,13 @@ def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=No
     seeds = iter(seeds)
     while block := list(islice(seeds, BLOCK_TRIALS)):
         substreams = streams.SubstreamBatch(block, labels)
-        bits = (_first_coins(substreams, streams.COMMITTED_BIT) if bit is None
+        bits = (substreams.coins(streams.COMMITTED_BIT) if bit is None
                 else np.full(len(block), bit, dtype=np.uint8))
-        ties = _first_coins(substreams, streams.ADVERSARY) if mode == "preunveil" else None
+        ties = substreams.coins(streams.ADVERSARY) if mode == "preunveil" else None
         for start in range(0, len(block), chunk):
             trials = slice(start, min(start + chunk, len(block)))
             yield bits[trials], _run_chunk(substreams, trials, bits[trials], ties, n, k,
                                            noise_rate, mode, strategy, policy, error_mode)
-
-
-def _first_coins(substreams: streams.SubstreamBatch, label: str) -> np.ndarray:
-    """``integers(0, 2)`` on each fresh ``label`` generator of the block, as
-    uint8: bit 31 of its first raw output."""
-    return (substreams.raw(label, 1)[:, 0] >> _U31 & _U1).astype(np.uint8)
 
 
 def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy, policy,
@@ -262,17 +222,16 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
     ``trials`` is a slice of the block, ``bits`` the chunk's committed bits
     and ``ties`` the block's preunveil tie coins."""
     words = (n + 1) // 2
-    sent = raw_top_bytes(substreams.raw(streams.PREPARE, words, trials), n)
-    bases = raw_top_bytes(substreams.raw(streams.BASES, words, trials), n) >> 7
+    codes = streams.top_bits(substreams.raw(streams.PREPARE, words, trials), n, 2)
+    sent_bases, sent_bits = codes >> 1, codes & 1
+    bases = streams.top_bits(substreams.raw(streams.BASES, words, trials), n, 1)
     # The coins, then only above rate 0 the noise, from one stream.
     measured = substreams.raw(streams.MEASURE, words + (n if noise_rate > 0 else 0), trials)
-    # The top bits of each byte, as uniform_codes reads them.
-    sent_bases, sent_bits = sent >> 7, sent >> 6 & 1
-    results = select_outcomes(sent_bases, sent_bits, bases, raw_top_bytes(measured, n) >> 7)
+    results = select_outcomes(sent_bases, sent_bits, bases, streams.top_bits(measured, n, 1))
     if noise_rate > 0:
-        results ^= measured[:, words:] <= noise_threshold(noise_rate)
+        results ^= measured[:, words:] <= streams.noise_threshold(noise_rate)
     if k:
-        marked, coins = chunk_masks(substreams, trials, n, k)
+        marked, coins = substreams.masks(trials, n, k)
         if error_mode == "flip":
             results ^= marked
         else:
@@ -298,83 +257,3 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
         margin = scores.raw_direct - scores.raw_reverse
         scores = scores._replace(decisions=_BITS[np.where(margin == 0, ties[trials], margin < 0)])
     return scores
-
-
-def chunk_masks(substreams: streams.SubstreamBatch, trials: slice, n: int, k: int):
-    """The chunk's masks: their positions marked in a (b x n) bool array,
-    and their coins (b x k).  Rebuilt from raw ERROR words (``raw_masks``)
-    where ``choice`` takes Floyd's path and k is at most ``MASK_CROSSOVER``;
-    elsewhere, and on a row a Lemire step rejects, ``draw_mask`` draws them
-    on the trial's generator."""
-    b = trials.stop - trials.start
-    if k <= MASK_CROSSOVER and not (n > _CHOICE_TAIL_SHUFFLE_N and k > n // 50):
-        raw = substreams.raw(streams.ERROR, mask_words(n, k), trials)
-        positions, coins, exact = raw_masks(raw, n, k)
-    else:
-        positions, coins = np.empty((b, k), dtype=np.int64), np.empty((b, k), dtype=np.uint8)
-        exact = np.zeros(b, dtype=bool)
-    for i in np.flatnonzero(~exact):
-        error = np.random.Generator(substreams(trials.start + i, streams.ERROR))
-        positions[i], coins[i] = draw_mask(n, k, error, "randomize")
-    marked = np.zeros((b, n), dtype=bool)
-    marked.reshape(-1)[(positions + np.arange(b)[:, None] * n).ravel()] = True
-    return marked, coins
-
-
-def _choice_bounds(n: int, k: int) -> np.ndarray:
-    """The ranges of the bounded draws of ``choice(n, k, replace=False)`` on
-    Floyd's path: Floyd's n - k + 1 … n (a range of 1 draws nothing), then
-    the shuffle's k … 2."""
-    return np.concatenate([np.arange(max(n - k + 1, 2), n + 1),
-                           np.arange(k, 1, -1)]).astype(np.uint64)
-
-
-def mask_words(n: int, k: int) -> int:
-    """The raw outputs that ``draw_mask(n, k, rng, "randomize")`` reads from
-    a fresh generator on ``choice``'s Floyd path when no Lemire step
-    rejects: the bounded draws, then k coins, one 32-bit half each."""
-    return (len(_choice_bounds(n, k)) + k + 1) // 2
-
-
-def raw_masks(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``draw_mask(n, k, Generator(g), "randomize")`` for every row of
-    ``raw``, each the first ``mask_words(n, k)`` raw outputs of a fresh
-    generator g, for 0 < k <= n on ``choice``'s Floyd path (not n > 10 000
-    with k > n // 50): (positions (b x k), in no set order, coins (b x k),
-    exact (b,)).  A row is exact unless a Lemire step rejects; the others
-    read more halves than these, and hold no mask.
-
-    ``choice`` draws 32-bit halves, low half first, each bounded draw by
-    Lemire's rule: the high word of half * range, unless the low word falls
-    below (2**32 - range) % range.  Floyd's step i (i < k) draws v in
-    [0, n - k + i] and adds v, or n - k + i when v is in already; then
-    ``_shuffle_int`` permutes the k positions, which moves none of them
-    into or out of the set; then the k coins are the top bits of the next
-    halves.  v is in already when an earlier step drew it too, or when step
-    v - (n - k), before i, added its own n - k + i' in place of its draw.
-    A stable sort of (v, i) finds the first; the second follows a chain of
-    such steps back, resolved by iterating to a fixed point.
-    """
-    b = len(raw)
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    bounds = _choice_bounds(n, k)
-    drawn = halves[:, :len(bounds)] * bounds
-    exact = np.all(drawn & _LOW32 >= (2**32 - bounds) % bounds, axis=1)
-    coins = (halves[:, len(bounds):len(bounds) + k] >> 31).astype(np.uint8)
-    values = np.zeros((b, k), dtype=np.int64)
-    values[:, int(k == n):] = drawn[:, :len(bounds) - (k - 1)] >> _U32
-    steps = np.arange(k)
-    keys = np.sort(values << 32 | steps, axis=1)
-    offsets = np.arange(b)[:, None] * k
-    repeat = np.zeros((b, k), dtype=bool)
-    repeat.reshape(-1)[offsets + (keys[:, 1:] & _MASK32)] = keys[:, 1:] >> 32 == keys[:, :-1] >> 32
-    earlier = values - (n - k)
-    linked = (earlier >= 0) & (earlier < steps) & ~repeat
-    links = offsets + np.where(linked, earlier, 0)
-    replaced = repeat
-    while True:
-        nxt = repeat | linked & replaced.reshape(-1)[links]
-        if np.array_equal(nxt, replaced):
-            break
-        replaced = nxt
-    return np.where(replaced, n - k + steps, values), coins, exact

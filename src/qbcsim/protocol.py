@@ -29,7 +29,8 @@ fraction e):
 The role functions make the wire parties' draws and are the reference the
 kernel is tested against.  ``run_honest_session`` is a block of one of the
 kernel, and ``score_and_decide`` checks its inputs, then scores their (n,) row
-with its ``score_rows``; the verdict and the mask draw are imported from it.
+with its ``score_rows``; the verdict is imported from it.  The draws are read
+off raw PCG64 words by ``rng``'s readers, the mask's by ``rng.draw_mask``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ from .channel import (
     as_bit_array,
     prepare_random_sequence,
     transmit_and_measure,
-    uniform_codes,
 )
-from .kernel import (
-    Decision, DecisionPolicy, Scores, draw_mask, masked_count, run_sessions, score_rows,
-)
+from .kernel import Decision, DecisionPolicy, Scores, masked_count, run_sessions, score_rows
 
 #: Result-masking semantics: replace selected results with fresh coin
 #: flips ("randomize", the default) or invert them ("flip").  Randomizing a
@@ -159,7 +157,7 @@ def choose_random_bases(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform basis choices, one draw each."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return uniform_codes(rng, n, 1)
+    return streams.uniform_codes(rng, n, 1)
 
 
 def inject_errors(
@@ -175,7 +173,7 @@ def inject_errors(
     is replaced by an independent fair coin (which may equal the original);
     in "flip" mode it is inverted.  Consumes the position draw first, then
     (in randomize mode only) one replacement draw per chosen position, the
-    j-th for the j-th smallest position (``draw_mask``).  Nothing is drawn
+    j-th for the j-th smallest position (``rng.draw_mask``).  Nothing is drawn
     when no position is chosen.  The positions come back sorted, in direct
     (pre-ordering) index space.
     """
@@ -186,7 +184,7 @@ def inject_errors(
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
     n = len(outcomes)
     k = masked_count(error_fraction, n)
-    positions, coins = draw_mask(n, k, rng, mode)
+    positions, coins = streams.draw_mask(n, k, rng, mode)
     masked = outcomes.copy()
     if k:
         marked = np.zeros(n, dtype=bool)

@@ -1,4 +1,5 @@
-"""Deterministic seed derivation and named random substreams.
+"""Deterministic seed derivation, named random substreams, and the rules
+that read their draws off raw PCG64 words.
 
 Every random decision in a session comes from its own named substream, so
 replaying a session with one participant's behaviour changed leaves every
@@ -25,22 +26,34 @@ object that returns them.
 That pass can be vectorised because ``SeedSequence``'s hash constants evolve
 by multiplication alone, independently of the data: for a 64-bit seed (two
 entropy words, the rest of the pool zero) the whole hash is one fixed
-sequence of uint32 xor/multiply/shift steps, applied element-wise.  Each
-``PCG64`` is built only when asked for.  Where a trial reads a few raw
-outputs of a fresh generator, the batch computes them for a whole block of
-trials from the same words (``SubstreamBatch.raw``, ``raw_outputs``:
-PCG64's seeding, its LCG steps and its XSL-RR output, in uint64 limbs), and
-builds nothing.  Above ``RAW_OUTPUTS_CROSSOVER`` outputs per generator a
-build and a read are the cheaper, and each trial's generator fills its row
-of the block's array.
-``tests/test_rng.py`` pins the batch to ``substream``, state, draws and
-raw outputs, on edge-case and random seeds.
+sequence of uint32 xor/multiply/shift steps, applied element-wise.
+
+Stream contract 1: every draw equals what numpy's ``Generator`` makes on
+its substream, and every rule that reads those draws off PCG64's raw 64-bit
+outputs, without the generator's per-call cost, is in this module.
+``raw_outputs`` computes a fresh generator's first raw outputs from its
+seeding words (PCG64's seeding, its LCG steps and its XSL-RR output, in
+uint64 limbs); ``SubstreamBatch.raw`` uses it for a block of trials up to
+``RAW_OUTPUTS_CROSSOVER`` outputs per generator, and above it each trial's
+generator fills its row.  ``integers`` on a power-of-two range returns the
+top bits of successive 32-bit halves (``top_bits``): the states, bases and
+coins (``uniform_codes``), the mask coins, also after a half that
+``Generator.choice`` left buffered (``raw_coins``), and a fresh generator's
+first coin (``SubstreamBatch.coins``).  ``random() < rate`` is a raw-word
+comparison (``noise_threshold``): the noise and the random-lies schedule.
+``choice(n, k, replace=False)`` and its coins, the mask, are rebuilt from
+the raw words on ``choice``'s Floyd path up to ``MASK_CROSSOVER`` positions
+(``raw_masks``), and drawn on the generator elsewhere (``draw_mask``);
+``SubstreamBatch.masks`` gives a chunk's.  ``tests/test_rng.py`` pins the
+batch to ``substream``, and the channel, protocol and kernel tests pin the
+readers to ``Generator``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -205,6 +218,142 @@ def raw_outputs(words: np.ndarray, count: int) -> np.ndarray:
     return folded >> rot | folded << ((_U64 - rot) & _U63)
 
 
+def top_bits(raw: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The top ``width`` bits (1 <= width <= 8) of the first n 32-bit
+    halves of raw outputs, low half first, as uint8: the top bits of byte 3
+    and byte 7 of each little-endian raw word.  On a (b x words) array, of
+    each row.  A contiguous array: numpy reads the strided view of the
+    words slower."""
+    return raw.astype("<u8", copy=False).view(np.uint8)[..., 3:4 * n:4].copy() >> (8 - width)
+
+
+def uniform_codes(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """n uniform integers in [0, 2**width) as uint8, for 1 <= width <= 8.
+
+    Equal to ``rng.integers(0, 2**width, size=n)`` when ``rng`` holds no
+    buffered 32-bit half, as every fresh substream does.  For a power-of-two
+    range numpy's ``integers`` never rejects: it returns the top ``width``
+    bits of successive 32-bit halves of the raw outputs, low half first.
+    Unlike ``integers``, an odd n leaves no buffered half behind: a later
+    ``Generator.random`` reads whole raw words either way, but a later
+    ``integers`` on the same generator would differ.
+    """
+    return top_bits(rng.bit_generator.random_raw((n + 1) // 2), n, width)
+
+
+def raw_coins(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """``integers(0, 2, size=n)`` of a generator on ``bit_generator``, as uint8.
+
+    A range of 2 never rejects in numpy's Lemire step, so each coin is the
+    top bit of the next 32-bit half.  A half left buffered by an earlier
+    32-bit draw (``state["has_uint32"]``, as ``Generator.choice`` can leave
+    one) comes first, then the raw outputs, low half first.  Unlike
+    ``integers``, it leaves the buffer as it found it: nothing may draw
+    32-bit halves from ``bit_generator`` after it.
+    """
+    state = bit_generator.state
+    if not state["has_uint32"]:
+        return top_bits(bit_generator.random_raw((n + 1) // 2), n, 1)
+    coins = np.empty(n, dtype=np.uint8)
+    coins[0] = state["uinteger"] >> 31
+    coins[1:] = top_bits(bit_generator.random_raw(n // 2), n - 1, 1)
+    return coins
+
+
+def noise_threshold(rate: float) -> np.uint64:
+    """For a rate in (0, 1], ``rng.random(n) < rate`` is ``random_raw(n) <=
+    noise_threshold(rate)``: a double is (raw >> 11) * 2**-53, below the
+    rate exactly when raw is below ceil(rate * 2**53) * 2**11.  At rate 0
+    the comparison is all false without a draw, so callers skip it."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"a raw-word threshold needs a rate in (0, 1], got {rate}")
+    return np.uint64((math.ceil(rate * 2**53) << 11) - 1)
+
+
+def draw_mask(
+    n: int, k: int, rng: np.random.Generator, mode: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of ``protocol.inject_errors`` on n results, unvalidated:
+    (positions, in ``choice``'s order, replacement coins), the coins None
+    in "flip" mode.  The j-th coin replaces the result at the j-th smallest
+    position.  The coins are ``rng.integers(0, 2, size=k)``, read from the
+    raw words (``raw_coins``)."""
+    if not k:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    positions = rng.choice(n, size=k, replace=False)
+    if mode == "randomize":
+        return positions, raw_coins(rng.bit_generator, k)
+    return positions, None
+
+
+#: Mask sizes above which ``Generator.choice`` beats ``raw_masks`` (CHANGES.md
+#: has the timings).
+MASK_CROSSOVER = 384
+
+#: ``choice(n, k, replace=False)`` shuffles a whole arange in place of
+#: Floyd's draws when n is above this and k above n // 50.
+_CHOICE_TAIL_SHUFFLE_N = 10_000
+
+
+def _choice_bounds(n: int, k: int) -> np.ndarray:
+    """The ranges of the bounded draws of ``choice(n, k, replace=False)`` on
+    Floyd's path: Floyd's n - k + 1 … n (a range of 1 draws nothing), then
+    the shuffle's k … 2."""
+    return np.concatenate([np.arange(max(n - k + 1, 2), n + 1),
+                           np.arange(k, 1, -1)]).astype(np.uint64)
+
+
+def mask_words(n: int, k: int) -> int:
+    """The raw outputs that ``draw_mask(n, k, rng, "randomize")`` reads from
+    a fresh generator on ``choice``'s Floyd path when no Lemire step
+    rejects: the bounded draws, then k coins, one 32-bit half each."""
+    return (len(_choice_bounds(n, k)) + k + 1) // 2
+
+
+def raw_masks(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``draw_mask(n, k, Generator(g), "randomize")`` for every row of
+    ``raw``, each the first ``mask_words(n, k)`` raw outputs of a fresh
+    generator g, for 0 < k <= n on ``choice``'s Floyd path (not n > 10 000
+    with k > n // 50): (positions (b x k), in no set order, coins (b x k),
+    exact (b,)).  A row is exact unless a Lemire step rejects; the others
+    read more halves than these, and hold no mask.
+
+    ``choice`` draws 32-bit halves, low half first, each bounded draw by
+    Lemire's rule: the high word of half * range, unless the low word falls
+    below (2**32 - range) % range.  Floyd's step i (i < k) draws v in
+    [0, n - k + i] and adds v, or n - k + i when v is in already; then
+    ``_shuffle_int`` permutes the k positions, which moves none of them
+    into or out of the set; then the k coins are the top bits of the next
+    halves.  v is in already when an earlier step drew it too, or when step
+    v - (n - k), before i, added its own n - k + i' in place of its draw.
+    A stable sort of (v, i) finds the first; the second follows a chain of
+    such steps back, resolved by iterating to a fixed point.
+    """
+    b = len(raw)
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    bounds = _choice_bounds(n, k)
+    drawn = halves[:, :len(bounds)] * bounds
+    exact = np.all(drawn & _LOW32 >= (2**32 - bounds) % bounds, axis=1)
+    coins = (halves[:, len(bounds):len(bounds) + k] >> 31).astype(np.uint8)
+    values = np.zeros((b, k), dtype=np.int64)
+    values[:, int(k == n):] = drawn[:, :len(bounds) - (k - 1)] >> _U32
+    steps = np.arange(k)
+    keys = np.sort(values << 32 | steps, axis=1)
+    offsets = np.arange(b)[:, None] * k
+    repeat = np.zeros((b, k), dtype=bool)
+    repeat.reshape(-1)[offsets + (keys[:, 1:] & _MASK32)] = keys[:, 1:] >> 32 == keys[:, :-1] >> 32
+    earlier = values - (n - k)
+    linked = (earlier >= 0) & (earlier < steps) & ~repeat
+    links = offsets + np.where(linked, earlier, 0)
+    replaced = repeat
+    while True:
+        nxt = repeat | linked & replaced.reshape(-1)[links]
+        if np.array_equal(nxt, replaced):
+            break
+        replaced = nxt
+    return np.where(replaced, n - k + steps, values), coins, exact
+
+
 class _StateWords(ISeedSequence):
     """A seed sequence that hands a bit generator precomputed state words."""
 
@@ -214,6 +363,11 @@ class _StateWords(ISeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 asks for generate_state(4, np.uint64): exactly these words.
         return self.words
+
+
+def _pcg64(words: np.ndarray) -> np.random.PCG64:
+    """A PCG64 seeded from its precomputed state words."""
+    return np.random.PCG64(_StateWords(words))
 
 
 #: Raw outputs per generator above which building each generator and reading
@@ -243,7 +397,7 @@ class SubstreamBatch:
         self._words = seed_state_words(seeds)
 
     def __call__(self, t: int, label: str) -> np.random.PCG64:
-        return np.random.PCG64(_StateWords(self._words[self._row[label], t]))
+        return _pcg64(self._words[self._row[label], t])
 
     def raw(self, label: str, count: int, trials: slice = slice(None)) -> np.ndarray:
         """``batch(t, label).random_raw(count)`` for every t in ``trials``,
@@ -259,5 +413,29 @@ class SubstreamBatch:
                                    for i in range(0, len(words), rows)])
         raw = np.empty((len(words), count), dtype=np.uint64)
         for out, row in zip(raw, words):
-            out[:] = np.random.PCG64(_StateWords(row)).random_raw(count)
+            out[:] = _pcg64(row).random_raw(count)
         return raw
+
+    def coins(self, label: str) -> np.ndarray:
+        """``integers(0, 2)`` on each fresh ``label`` generator of the block,
+        as uint8: the top bit of its first 32-bit half."""
+        return top_bits(self.raw(label, 1), 1, 1)[:, 0]
+
+    def masks(self, trials: slice, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ERROR masks of the trials ``trials``: their positions marked in
+        a (b x n) bool array, and their coins (b x k).  Rebuilt from the raw
+        words (``raw_masks``) where ``choice`` takes Floyd's path and k is at
+        most ``MASK_CROSSOVER``; elsewhere, and on a row a Lemire step
+        rejects, ``draw_mask`` draws them on the trial's generator."""
+        b = trials.stop - trials.start
+        if k <= MASK_CROSSOVER and not (n > _CHOICE_TAIL_SHUFFLE_N and k > n // 50):
+            positions, coins, exact = raw_masks(self.raw(ERROR, mask_words(n, k), trials), n, k)
+        else:
+            positions, coins = np.empty((b, k), dtype=np.int64), np.empty((b, k), dtype=np.uint8)
+            exact = np.zeros(b, dtype=bool)
+        for i in np.flatnonzero(~exact):
+            error = np.random.Generator(self(trials.start + i, ERROR))
+            positions[i], coins[i] = draw_mask(n, k, error, "randomize")
+        marked = np.zeros((b, n), dtype=bool)
+        marked.reshape(-1)[(positions + np.arange(b)[:, None] * n).ravel()] = True
+        return marked, coins

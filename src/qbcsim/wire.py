@@ -143,12 +143,16 @@ def encode_message(msg: dict) -> str:
 
 
 def parse_message(line: str | bytes) -> dict:
-    """Decode and validate one wire line, as text or as the bytes received."""
+    """Decode and validate one wire line, as text or as the bytes received.
+
+    Any line fails as a ``WireProtocolError``: one nested too deep for the
+    decoder, or holding an integer too long for ``int``, is not valid JSON.
+    """
     try:
         obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
     except UnicodeDecodeError as exc:
         raise WireProtocolError(f"not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise WireProtocolError(f"not valid JSON: {exc}") from exc
     return validate_message(obj)
 
@@ -284,7 +288,7 @@ class SessionTranscript:
             wire = b"{" + line[head.end():]
             try:
                 message = json.loads(wire)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # as in parse_message
                 raise ValueError(f"transcript line {number} is not valid JSON: {exc}") from exc
             entry = TranscriptEntry(int(head[1]), head[2].decode(), message, wire)
             transcript.entries.append(entry)

@@ -9,11 +9,10 @@ from qbcsim.channel import (
     PhotonState,
     PreparedSequence,
     measure_photon,
-    noise_threshold,
     prepare_random_sequence,
     transmit_and_measure,
-    uniform_codes,
 )
+from qbcsim.rng import noise_threshold, uniform_codes
 
 
 def test_matching_basis_is_deterministic_exhaustively():

@@ -50,7 +50,7 @@ def test_simulate_flip_error_mode(capsys):
 #: SHA-256 of ``qbcsim simulate ... --output json`` stdout, for sessions
 #: that cross every path of the kernel: no photons, every result masked,
 #: noise, both error modes, a mask a Lemire step rejects (the seed below),
-#: a mask above ``kernel.MASK_CROSSOVER`` and one on ``choice``'s
+#: a mask above ``rng.MASK_CROSSOVER`` and one on ``choice``'s
 #: tail-shuffle path.
 SIMULATE_GOLDEN = (
     ("--n 0 --bit 0 --seed 1",

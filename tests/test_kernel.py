@@ -12,27 +12,19 @@ from qbcsim import kernel
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
-from qbcsim.kernel import (
-    BLOCK_TRIALS,
-    CHUNK_ELEMENTS,
-    MASK_CROSSOVER,
-    mask_words,
-    raw_masks,
-    run_sessions,
-    run_trials,
-)
+from qbcsim.kernel import BLOCK_TRIALS, CHUNK_ELEMENTS, run_sessions, run_trials
 from qbcsim.protocol import (
     ERROR_MODES,
     Decision,
     DecisionPolicy,
     SessionConfig,
-    draw_mask,
     masked_count,
     raw_correlations,
     run_commit_phase,
     score_and_decide,
     unveil,
 )
+from qbcsim.rng import MASK_CROSSOVER, draw_mask, mask_words, raw_masks
 
 POLICIES = {"default": DecisionPolicy(), "min_sift3": DecisionPolicy(min_sift=3)}
 MODES = (
@@ -126,12 +118,15 @@ def test_kernel_equals_the_role_functions_across_chunks(mode, strategy):
 @pytest.mark.parametrize("chunk_elements", (1, 2**30))
 @pytest.mark.parametrize("mode,strategy", MODES)
 def test_chunk_size_changes_no_result(mode, strategy, chunk_elements, monkeypatch):
+    # Blocks of 16 trials: one-row or whole-block chunks across two block
+    # boundaries and an uneven last block, against the real constants.
     strategy = strategy and RebindStrategy.parse(strategy)
-    seeds = [streams.derive_seed(577, t) for t in range(BLOCK_TRIALS + 37)]
+    seeds = [streams.derive_seed(577, t) for t in range(2 * 16 + 5)]
     for n, e, noise in ((0, 0.0, 0.0), (16, 0.5, 0.1), (257, 0.3, 0.0)):
         args = (n, e, noise, mode, strategy, DecisionPolicy(min_sift=3))
         want = run_trials(seeds, *args)
         with monkeypatch.context() as patched:
+            patched.setattr(kernel, "BLOCK_TRIALS", 16)
             patched.setattr(kernel, "CHUNK_ELEMENTS", chunk_elements)
             assert run_trials(seeds, *args) == want, (n, e, noise)
 
@@ -249,8 +244,8 @@ def test_chunk_masks_equal_draw_mask(n, k):
     # The positions as a set, then the coins, j-th for the j-th smallest.
     seeds = [streams.derive_seed(n, k, t) for t in range(24)]
     want = [draw_mask(n, k, streams.substream(s, streams.ERROR), "randomize") for s in seeds]
-    marked, coins = kernel.chunk_masks(streams.SubstreamBatch(seeds, [streams.ERROR]),
-                                       slice(0, len(seeds)), n, k)
+    marked, coins = streams.SubstreamBatch(seeds, [streams.ERROR]).masks(
+        slice(0, len(seeds)), n, k)
     for i, (want_positions, want_coins) in enumerate(want):
         assert np.array_equal(np.flatnonzero(marked[i]), np.sort(want_positions)), (n, k, i)
         assert np.array_equal(coins[i], want_coins), (n, k, i)
@@ -279,8 +274,8 @@ def test_rejected_masks_are_drawn_again():
     for i, (want_positions, want_coins) in enumerate(want):
         assert not np.array_equal(np.sort(positions[i]), np.sort(want_positions))
         assert not np.array_equal(coins[i], want_coins)
-    marked, coins = kernel.chunk_masks(streams.SubstreamBatch(REJECTING_SEEDS, [streams.ERROR]),
-                                       slice(0, len(REJECTING_SEEDS)), 256, 128)
+    marked, coins = streams.SubstreamBatch(REJECTING_SEEDS, [streams.ERROR]).masks(
+        slice(0, len(REJECTING_SEEDS)), 256, 128)
     for i, (want_positions, want_coins) in enumerate(want):
         assert np.array_equal(np.flatnonzero(marked[i]), np.sort(want_positions)), i
         assert np.array_equal(coins[i], want_coins), i

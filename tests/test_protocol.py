@@ -20,13 +20,13 @@ from qbcsim.protocol import (
     SessionConfig,
     choose_random_bases,
     commit,
-    draw_mask,
     inject_errors,
     raw_correlations,
     run_honest_session,
     score_and_decide,
     unveil,
 )
+from qbcsim.rng import draw_mask
 
 bit_lists = st.lists(st.integers(0, 1), max_size=64)
 

@@ -141,6 +141,12 @@ def test_messages_may_not_carry_transcript_fields(name, value):
         parse_message(line)
 
 
+#: Lines json.loads fails on with neither a JSONDecodeError nor a
+#: UnicodeDecodeError: nested past the recursion limit, and a hello whose
+#: format has more digits than int() converts.
+HOSTILE_LINES = (b"[" * 5000, b'{"type":"hello","role":"alice","format":' + b"1" * 5000 + b"}")
+
+
 def test_malformed_payloads_rejected():
     bad = [
         "not json at all\n",
@@ -150,9 +156,13 @@ def test_malformed_payloads_rejected():
         '{"type": "prepare", "states": [{"basis": 0}]}\n',
         '{"type": "decision", "value": "maybe"}\n',
         '{"type": "error"}\n',
+        *HOSTILE_LINES,
     ]
     for line in bad:
         with pytest.raises(WireProtocolError):
+            parse_message(line)
+    for line in HOSTILE_LINES:
+        with pytest.raises(WireProtocolError, match="^not valid JSON: "):
             parse_message(line)
 
 
@@ -221,6 +231,11 @@ def test_transcript_load_names_a_line_that_is_not_json(tmp_path):
                                          "Unterminated string") as raised:
         SessionTranscript.load(path)
     assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+    for line in HOSTILE_LINES:
+        path.write_bytes(b'{"seq":0,"dir":"bob->referee","type":"hello","role":"bob"}\n'
+                         b'{"seq":1,"dir":"alice->referee","x":' + line + b"}\n")
+        with pytest.raises(ValueError, match="^transcript line 2 is not valid JSON: "):
+            SessionTranscript.load(path)
 
 
 def test_transcript_ordering_checker():
@@ -366,6 +381,11 @@ def test_a_session_that_turned_a_stranger_away_ends_in_its_decision():
     stranger = _FakeConn()
     assert session.receive(stranger, _line(hello_message("alice"))) is False
     assert stranger.sent == [error_message("role 'alice' rejected")]
+    for line in HOSTILE_LINES:
+        stranger = _FakeConn()
+        assert session.receive(stranger, line) is False
+        (refusal,) = stranger.sent
+        assert refusal["message"].startswith("bad message: not valid JSON: ")
     for sender, mtype in SESSION_SCRIPT:
         if sender != "referee":
             ended = session.receive(conns[sender], _line(_wire_message(mtype, n=32)))
@@ -416,12 +436,14 @@ def test_transcript_lines_end_at_a_newline_alone(tmp_path):
 
 
 def test_a_party_line_that_is_not_utf8_is_a_violation():
-    session, conns = _session_at(0)
-    assert session.receive(conns["bob"], b'{"type":"prepare","codes":"\xff"}')
-    (error,) = _errors(conns)
-    assert conns["bob"].sent[-1] is error
-    assert error["message"].startswith("bad message: not valid UTF-8")
-    assert session.transcript.violated and session.step == 0
+    for line, cause in ((b'{"type":"prepare","codes":"\xff"}', "not valid UTF-8"),
+                        *((line, "not valid JSON: ") for line in HOSTILE_LINES)):
+        session, conns = _session_at(0)
+        assert session.receive(conns["bob"], line)
+        (error,) = _errors(conns)
+        assert conns["bob"].sent[-1] is error
+        assert error["message"].startswith(f"bad message: {cause}")
+        assert session.transcript.violated and session.step == 0
 
 
 def test_referee_refuses_other_wire_formats():
@@ -953,24 +975,28 @@ def test_a_last_line_without_newline_is_handled_before_the_hang_up():
     ]
 
 
-def _turn_away(addr, role):
-    """Connect, say hello as ``role``, and return the referee's refusal once
-    it has closed the connection."""
+def _turn_away(addr, line):
+    """Connect, send ``line``, and return the referee's refusal once it has
+    closed the connection."""
     sock, rfile = _raw_client(addr)
     with sock, rfile:
-        sock.sendall(encode_message(hello_message(role)).encode())
+        sock.sendall(line + b"\n")
         reply = parse_message(rfile.readline())
         assert rfile.readline() == ""
     return reply
 
 
 def test_a_session_completes_after_strangers_are_turned_away():
-    # The first stranger is gone before the second connects, so the referee
-    # accepts the second on the descriptor number the first one had.
+    # Each stranger is gone before the next connects, so the referee
+    # accepts the next on the descriptor number the last one had.
     config = SessionConfig(n=64, committed_bit=1, seed=21)
     referee = Referee(seed=config.seed)
     for _ in range(2):
-        assert _turn_away(referee.addr, "referee") == error_message("role 'referee' rejected")
+        refusal = _turn_away(referee.addr, _line(hello_message("referee")))
+        assert refusal == error_message("role 'referee' rejected")
+    for line in HOSTILE_LINES:
+        refusal = _turn_away(referee.addr, line)
+        assert refusal["message"].startswith("bad message: not valid JSON: ")
     outcomes = run_parties(referee.addr, **session_parties(config))
     assert outcomes["bob"].decision is run_honest_session(config).decision
     assert outcomes["alice"].exit_code == 0
@@ -1013,7 +1039,8 @@ def test_a_connection_after_both_parties_is_turned_away(monkeypatch):
     try:
         assert registered.wait(10)
         time.sleep(0.2)  # well after both registered, not in the same instant
-        assert _turn_away(referee.addr, "alice") == error_message("role 'alice' rejected")
+        refusal = _turn_away(referee.addr, _line(hello_message("alice")))
+        assert refusal == error_message("role 'alice' rejected")
     finally:
         go.set()
     runner.join(15)
@@ -1069,6 +1096,9 @@ def _run_against_fake_referee(role, *replies):
 def test_party_on_malformed_referee_exits_one():
     result = _run_against_fake_referee("alice", b"{this is not json\n")
     assert "JSON" in result.diagnostic or "valid" in result.diagnostic
+    for line in HOSTILE_LINES:
+        result = _run_against_fake_referee("bob", line + b"\n")
+        assert result.diagnostic.startswith("not valid JSON: "), result.diagnostic
 
 
 def test_party_on_a_referee_line_that_is_not_utf8_exits_one():
