@@ -19,7 +19,8 @@ Two directions:
 
 No optimality claim is made for the strategy menu: these are the natural
 blind schedules, evaluated empirically by ``harness.run_cell`` in
-preunveil and binding mode.
+preunveil and binding mode.  The lie (``RebindStrategy.lie``) and the early
+guess (``kernel.early_guess``) each serve a session's row and a chunk's rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from enum import Enum
 
 import numpy as np
 
+from .kernel import early_guess
 from .protocol import Commitment, MeasurementRecord, raw_correlations
 from .rng import noise_threshold
 
@@ -124,16 +126,11 @@ def bob_preunveil_guess(
 
     Direct pairing stronger -> 0, reverse stronger -> 1; an exact tie is
     broken by one coin from the adversary stream (the only case where a
-    draw is consumed).
+    draw is consumed): the kernel's ``early_guess`` on the session's margin.
     """
     direct, reverse = raw_correlations(sent_bits, commitment)
     margin = direct - reverse
-    if margin > 0:
-        guessed = 0
-    elif margin < 0:
-        guessed = 1
-    else:
-        guessed = int(rng.integers(0, 2))
+    guessed = int(early_guess(margin, lambda: rng.integers(0, 2)))
     return PreUnveilGuess(
         guessed_bit=guessed, direct_raw=direct, reverse_raw=reverse, margin=margin
     )

@@ -11,13 +11,17 @@ Canonical polarization table (basis code, bit) <-> angle:
     (rectilinear, 1) <-> 90 deg     (diagonal, 1) <-> 135 deg
 
 Draw discipline: ``measure_photon`` consumes exactly one draw from its
-stream whether or not the bases match, and ``transmit_and_measure``
-consumes n outcome draws, then n noise draws only when the noise rate is
-above 0.  Nothing draws from the measurement stream after the noise, so
-skipping it at rate 0 moves no later draw.  Stream positions therefore
-depend only on how many photons were processed, never on the random values
-themselves, which keeps honest and counterfactual replays of the same seed
-aligned.
+stream whether or not the bases match, and the measurement stage
+(``measure_rows``) consumes n outcome draws, then n noise draws only when
+the noise rate is above 0.  Nothing draws from the measurement stream after
+the noise, so skipping it at rate 0 moves no later draw.  Stream positions
+therefore depend only on how many photons were processed, never on the
+random values themselves, which keeps honest and counterfactual replays of
+the same seed aligned.
+
+The state split (``split_states``) and the measurement stage take one
+session's (n,) row or a chunk's (b x n) rows and validate nothing: the role
+functions, the referee and the kernel (``qbcsim.kernel``) all call them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .rng import noise_threshold, uniform_codes
+from .rng import noise_threshold, top_bits, uniform_codes
 
 
 class Basis(IntEnum):
@@ -95,8 +99,13 @@ def prepare_random_sequence(n: int, rng: np.random.Generator) -> PreparedSequenc
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    codes = uniform_codes(rng, n, 2)
-    return PreparedSequence(bases=codes >> 1, bits=codes & 1)
+    return PreparedSequence(*split_states(uniform_codes(rng, n, 2)))
+
+
+def split_states(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (bases, bits) of state codes in [0, 4), elementwise: code // 2 is the
+    basis and code % 2 the bit."""
+    return codes >> 1, codes & 1
 
 
 def measure_photon(state: PhotonState, basis: Basis, rng: np.random.Generator) -> int:
@@ -122,9 +131,8 @@ def transmit_and_measure(
     """Measure a whole sequence, then apply independent bit-flip noise.
 
     Element i equals ``measure_photon(seq[i], bases[i])``, flipped with
-    probability ``noise_rate``.  Consumes n outcome draws from ``rng``,
-    then, only when ``noise_rate`` is above 0, n noise draws.  Nothing is
-    drawn from ``rng`` after the noise, so skipping it shifts no later draw.
+    probability ``noise_rate``: the checked inputs' measurement stage
+    (``measure_rows``) on the raw words of ``rng``.
     """
     bases = as_bit_array(bases)
     if len(bases) != len(seq):
@@ -133,14 +141,23 @@ def transmit_and_measure(
         )
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
-    n = len(bases)
-    outcomes = select_outcomes(seq.bases, seq.bits, bases, uniform_codes(rng, n, 1))
+    return measure_rows(seq.bases, seq.bits, bases, noise_rate, rng.bit_generator.random_raw)
+
+
+def measure_rows(prep_bases, prep_bits, bases, noise_rate: float, read) -> np.ndarray:
+    """The measured results of one session's (n,) row or a chunk's (b x n)
+    rows, unvalidated: the prepared bit where the bases match, a coin
+    elsewhere, each flipped at ``noise_rate``.  ``read(count)`` gives the
+    MEASURE stream's first ``count`` raw words, in the rows' shape: the coins
+    are the top bits of the first (n + 1) // 2 (``integers(0, 2, size=n)``),
+    then, only above rate 0, n noise words follow (``random(n) < rate``).
+    """
+    n = bases.shape[-1]
+    words = (n + 1) // 2
+    raw = read(words + (n if noise_rate > 0 else 0))
+    coins = top_bits(raw, n, 1)
+    # A bitwise select: several times faster than np.where on uint8.
+    results = coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
     if noise_rate > 0:
-        outcomes ^= rng.bit_generator.random_raw(n) <= noise_threshold(noise_rate)
-    return outcomes
-
-
-def select_outcomes(prep_bases, prep_bits, bases, coins) -> np.ndarray:
-    """The prepared bit where the bases match, the coin elsewhere, elementwise
-    (a bitwise select: several times faster than np.where on uint8)."""
-    return coins ^ ((coins ^ prep_bits) & (bases == prep_bases))
+        results ^= raw[..., words:] <= noise_threshold(noise_rate)
+    return results

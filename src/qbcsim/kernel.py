@@ -17,17 +17,19 @@ in one vectorised pass (``rng.SubstreamBatch``), with the same states as
 ``rng.substream``, and takes its committed bits and preunveil tie coins
 from it (``SubstreamBatch.coins``).
 
-A block runs in chunks of about ``CHUNK_ELEMENTS`` photons, each as (b x n)
-arrays, in steps that move no draw, so the chunk size changes no result.
-The draw stage reads each stream's raw words for the whole chunk as one
-(b x count) array (``SubstreamBatch.raw``) and reduces it once by ``rng``'s
-readers: the states, bases and coins (``top_bits``), the noise
-(``noise_threshold``), and the lies (``RebindStrategy.lie``, the rule
-``alice_rebind_attack`` applies to one session's row).  The masks come
-from ``SubstreamBatch.masks``; "flip" inverts the marked results and uses
-no coin.  Then the select, the order encoding and the score stage, on the
-arrays, or on its (n,) row in a chunk of one (as is every chunk above
-n = 16 384).
+Each protocol rule is one stage that takes one session's (n,) row or a
+chunk's (b x n) rows and validates nothing, and the role functions, the
+wire parties and the kernel all call it: the state split and the
+measurement (``channel.split_states``, ``channel.measure_rows``), the mask
+(``mask_rows``), the order encoding (``order_rows``), the score stage
+(``score_rows``), the lie (``RebindStrategy.lie``) and the early guess
+(``early_guess``).  A block runs in chunks of about ``CHUNK_ELEMENTS``
+photons, each as (b x n) arrays, in steps that move no draw, so the chunk
+size changes no result.  ``_run_chunk`` holds no protocol rule: it reads
+each stream's raw words for the whole chunk as one (b x count) array
+(``SubstreamBatch.raw``, the masks ``SubstreamBatch.masks``) and hands
+them to the stages; the score stage takes its (n,) row in a chunk of one
+(as is every chunk above n = 16 384).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import rng as streams
-from .channel import select_outcomes
+from .channel import measure_rows, split_states
 
 if TYPE_CHECKING:
     from .adversary import RebindStrategy
@@ -122,6 +124,36 @@ def decide(s, direct, reverse, policy: DecisionPolicy):
 def masked_count(error_fraction: float, n: int) -> int:
     """How many of n results ``protocol.inject_errors`` masks."""
     return int(round(error_fraction * n))
+
+
+def mask_rows(results: np.ndarray, marked: np.ndarray, coins, mode: str) -> None:
+    """Mask one session's (n,) row or a chunk's (b x n) rows of ``results`` in
+    place, unvalidated.  ``marked`` flags the masked positions in the shape of
+    ``results``; in "randomize" mode each row's j-th ``coins`` goes to its j-th
+    smallest marked position, in "flip" mode the marked results are inverted."""
+    if mode == "flip":
+        results ^= marked
+    else:
+        # Row-major: the flat view of the (contiguous) results takes the
+        # coins several times faster than a boolean-mask assignment.
+        results.reshape(-1)[np.flatnonzero(marked)] = coins.ravel()
+
+
+def order_rows(results: np.ndarray, bits) -> np.ndarray:
+    """The order encoding, in place: one session's (n,) row of ``results``
+    with its committed bit, or a chunk's (b x n) rows with theirs.  Bit 0
+    reveals a row's results in order, bit 1 reversed.  Returns ``results``."""
+    results[bits == 1] = results[bits == 1, ::-1]
+    return results
+
+
+def early_guess(margin, tie):
+    """The receiver's early read of the committed bit off the raw pairings:
+    0 where the direct pairing leads (``margin``, direct minus reverse
+    matches or rates, is above 0), 1 where the reverse one does, and on a
+    tie the ADVERSARY coin ``tie()``, called only when some margin is 0.
+    On one session's margin a 0-d array, on a chunk's an array."""
+    return np.where(margin == 0, tie() if np.any(margin == 0) else 0, margin < 0)
 
 
 #: ``score_rows``' fields, arrays over a block's rows or ints for one row: sift size,
@@ -218,30 +250,17 @@ def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=No
 
 def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy, policy,
                error_mode):
-    """The draw stage of one chunk, then its score stage: its ``Scores``.
-    ``trials`` is a slice of the block, ``bits`` the chunk's committed bits
-    and ``ties`` the block's preunveil tie coins."""
-    words = (n + 1) // 2
-    codes = streams.top_bits(substreams.raw(streams.PREPARE, words, trials), n, 2)
-    sent_bases, sent_bits = codes >> 1, codes & 1
-    bases = streams.top_bits(substreams.raw(streams.BASES, words, trials), n, 1)
-    # The coins, then only above rate 0 the noise, from one stream.
-    measured = substreams.raw(streams.MEASURE, words + (n if noise_rate > 0 else 0), trials)
-    results = select_outcomes(sent_bases, sent_bits, bases, streams.top_bits(measured, n, 1))
-    if noise_rate > 0:
-        results ^= measured[:, words:] <= streams.noise_threshold(noise_rate)
+    """One chunk's ``Scores``: its raw words, read once per stream, through
+    the stages.  ``trials`` is a slice of the block, ``bits`` the chunk's
+    committed bits and ``ties`` the block's preunveil tie coins."""
+    sent_bases, sent_bits = split_states(
+        streams.top_bits(substreams.raw(streams.PREPARE, (n + 1) // 2, trials), n, 2))
+    bases = streams.top_bits(substreams.raw(streams.BASES, (n + 1) // 2, trials), n, 1)
+    results = measure_rows(sent_bases, sent_bits, bases, noise_rate,
+                           lambda count: substreams.raw(streams.MEASURE, count, trials))
     if k:
-        marked, coins = substreams.masks(trials, n, k)
-        if error_mode == "flip":
-            results ^= marked
-        else:
-            # Row-major: each row's j-th coin to its j-th smallest position.
-            # The flat view of the fresh (contiguous) results takes the coins
-            # several times faster than a boolean-mask assignment.
-            results.reshape(-1)[np.flatnonzero(marked)] = coins.ravel()
-    # The commitment, in place: bit 0 reveals the results in order, bit 1 reversed.
-    revealed, reversed_rows = results, bits == 1
-    revealed[reversed_rows] = results[reversed_rows, ::-1]
+        mask_rows(results, *substreams.masks(trials, n, k), error_mode)
+    revealed = order_rows(results, bits)
     if mode == "binding":
         unveiled = strategy.lie(bases, substreams.raw(streams.ADVERSARY, n, trials)
                                 if strategy.draws else None)
@@ -253,7 +272,7 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
         row = score_rows(sent_bases[0], sent_bits[0], revealed[0],
                          None if unveiled is None else unveiled[0], policy)
         scores = Scores._make(None if field is None else np.array([field]) for field in row)
-    if mode == "preunveil":  # The guess; a tie takes the ADVERSARY coin, read as the bit is.
-        margin = scores.raw_direct - scores.raw_reverse
-        scores = scores._replace(decisions=_BITS[np.where(margin == 0, ties[trials], margin < 0)])
+    if mode == "preunveil":
+        guesses = early_guess(scores.raw_direct - scores.raw_reverse, lambda: ties[trials])
+        scores = scores._replace(decisions=_BITS[guesses])
     return scores

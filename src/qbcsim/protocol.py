@@ -26,10 +26,14 @@ fraction e):
   regardless of e (for even n; the middle element of an odd-length
   sequence pairs with itself).
 
-The role functions make the wire parties' draws and are the reference the
-kernel is tested against.  ``run_honest_session`` is a block of one of the
-kernel, and ``score_and_decide`` checks its inputs, then scores their (n,) row
-with its ``score_rows``; the verdict is imported from it.  The draws are read
+The role functions make the wire parties' draws, on one session's
+generators, and are the reference the kernel's streams are tested against.
+Each checks its inputs, then runs the kernel's stage on its (n,) row:
+``inject_errors`` the mask (``mask_rows``), ``commit`` the order encoding
+(``order_rows``), ``score_and_decide`` the score stage (``score_rows``); the
+verdict is imported from it.  ``raw_correlations`` counts on its own, as the
+tests' reference for the score stage's raw counts.
+``run_honest_session`` is a block of one of the kernel.  The draws are read
 off raw PCG64 words by ``rng``'s readers, the mask's by ``rng.draw_mask``.
 """
 
@@ -46,7 +50,8 @@ from .channel import (
     prepare_random_sequence,
     transmit_and_measure,
 )
-from .kernel import Decision, DecisionPolicy, Scores, masked_count, run_sessions, score_rows
+from .kernel import (Decision, DecisionPolicy, Scores, mask_rows, masked_count, order_rows,
+                     run_sessions, score_rows)
 
 #: Result-masking semantics: replace selected results with fresh coin
 #: flips ("randomize", the default) or invert them ("flip").  Randomizing a
@@ -174,7 +179,8 @@ def inject_errors(
     in "flip" mode it is inverted.  Consumes the position draw first, then
     (in randomize mode only) one replacement draw per chosen position, the
     j-th for the j-th smallest position (``rng.draw_mask``).  Nothing is drawn
-    when no position is chosen.  The positions come back sorted, in direct
+    when no position is chosen.  The masking is the kernel's mask stage
+    (``mask_rows``) on the row.  The positions come back sorted, in direct
     (pre-ordering) index space.
     """
     outcomes = as_bit_array(outcomes)
@@ -183,24 +189,21 @@ def inject_errors(
     if mode not in ERROR_MODES:
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
     n = len(outcomes)
-    k = masked_count(error_fraction, n)
-    positions, coins = streams.draw_mask(n, k, rng, mode)
+    positions, coins = streams.draw_mask(n, masked_count(error_fraction, n), rng, mode)
+    marked = np.zeros(n, dtype=bool)
+    marked[positions] = True
     masked = outcomes.copy()
-    if k:
-        marked = np.zeros(n, dtype=bool)
-        marked[positions] = True
-        positions = np.flatnonzero(marked)
-        masked[positions] = outcomes[positions] ^ 1 if coins is None else coins
-    return masked, positions
+    mask_rows(masked, marked, coins, mode)
+    return masked, np.flatnonzero(marked)
 
 
 def commit(outcomes, bit: int) -> Commitment:
-    """Order-encode the committed bit: direct order for 0, reversed for 1."""
+    """Order-encode the committed bit: direct order for 0, reversed for 1 (the
+    kernel's ``order_rows`` on a copy of the row)."""
     outcomes = as_bit_array(outcomes)
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    revealed = outcomes.copy() if bit == 0 else outcomes[::-1].copy()
-    return Commitment(revealed=revealed)
+    return Commitment(revealed=order_rows(outcomes.copy(), bit))
 
 
 def unveil(record: MeasurementRecord) -> np.ndarray:

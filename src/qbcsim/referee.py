@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import rng as streams
-from .channel import PreparedSequence, prepare_random_sequence, transmit_and_measure
+from .channel import PreparedSequence, prepare_random_sequence, split_states, transmit_and_measure
 from .kernel import score_rows
 from .protocol import (
     AlignmentScore,
@@ -246,8 +246,7 @@ class _RefereeSession:
         self.step += 1
 
         if mtype == "prepare":
-            codes = unpack_digits(msg["codes"])
-            self.prepared = PreparedSequence(bases=codes >> 1, bits=codes & 1)
+            self.prepared = PreparedSequence(*split_states(unpack_digits(msg["codes"])))
             alice = self.parties.get("alice")
             if alice is not None:
                 self._send(alice, "alice", hello_message("referee"))

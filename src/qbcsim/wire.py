@@ -142,14 +142,30 @@ def encode_message(msg: dict) -> str:
     return f'{rest[:-1]},"{name}":"{msg[name]}"}}\n'
 
 
+def _fields(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's fields.  A repeated name is refused: ``json.loads``
+    keeps the last, so a reader that keeps the first would see another message."""
+    fields = {}
+    for name, value in pairs:
+        _require(name not in fields, f"repeated field {name!r}")
+        fields[name] = value
+    return fields
+
+
+#: Built once, as ``json.loads`` builds its default decoder: a decoder built
+#: per line costs more than decoding a short line.
+_DECODER = json.JSONDecoder(object_pairs_hook=_fields)
+
+
 def parse_message(line: str | bytes) -> dict:
     """Decode and validate one wire line, as text or as the bytes received.
 
     Any line fails as a ``WireProtocolError``: one nested too deep for the
-    decoder, or holding an integer too long for ``int``, is not valid JSON.
+    decoder, or holding an integer too long for ``int``, is not valid JSON,
+    and one that repeats a field name within an object is refused by name.
     """
     try:
-        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        obj = _DECODER.decode(line.decode("utf-8") if isinstance(line, bytes) else line)
     except UnicodeDecodeError as exc:
         raise WireProtocolError(f"not valid UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError

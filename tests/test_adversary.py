@@ -98,12 +98,14 @@ def test_guess_reads_bit_one_through_half_errors():
 
 
 def test_guess_on_empty_session_is_a_fair_coin():
+    # The tie coin is the adversary stream's integers(0, 2), read as the bit.
     empty_commitment = Commitment(revealed=[])
     guesses = [
         bob_preunveil_guess([], empty_commitment, streams.substream(s, "adv")).guessed_bit
         for s in range(2000)
     ]
     assert abs(np.mean(guesses) - 0.5) < 3 * np.sqrt(0.25 / 2000)
+    assert guesses == [int(streams.substream(s, "adv").integers(0, 2)) for s in range(2000)]
 
 
 def test_guess_rejects_length_mismatch():

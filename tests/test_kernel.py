@@ -11,6 +11,7 @@ import pytest
 from qbcsim import kernel
 from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy, alice_rebind_attack, bob_preunveil_guess
+from qbcsim.channel import measure_rows, split_states
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
 from qbcsim.kernel import BLOCK_TRIALS, CHUNK_ELEMENTS, run_sessions, run_trials
 from qbcsim.protocol import (
@@ -224,6 +225,54 @@ def test_a_row_scores_as_its_row_of_a_block():
     assert seen == set(Decision)
     # n = 0 sifts nothing; some rows sift fewer than min_sift, some enough.
     assert sifts == {0, 1, 2}
+
+
+def test_a_row_runs_each_stage_as_its_row_of_a_block():
+    # Every stage on a block's (b x n) rows, against the stage on each (n,)
+    # row, read off that row's own substreams: both bits, both error modes,
+    # with and without noise.  Every row ties at n = 0, and some at n = 1.
+    labels = [streams.PREPARE, streams.BASES, streams.MEASURE, streams.ERROR]
+    bits, ties = np.arange(8, dtype=np.uint8) % 2, np.arange(8, dtype=np.uint8) // 2 % 2
+    error_modes, ties_seen = set(), set()
+    for cell, (n, e, noise) in enumerate(product(KERNEL_GRID_N, KERNEL_GRID_E, (0.0, 0.1))):
+        k = masked_count(e, n)
+        seeds = [streams.derive_seed(3141, cell, t) for t in range(len(bits))]
+        batch = streams.SubstreamBatch(seeds, labels)
+        codes = streams.top_bits(batch.raw(streams.PREPARE, (n + 1) // 2), n, 2)
+        sent_bases, sent_bits = split_states(codes)
+        bases = streams.top_bits(batch.raw(streams.BASES, (n + 1) // 2), n, 1)
+        measured = measure_rows(sent_bases, sent_bits, bases, noise,
+                                lambda count: batch.raw(streams.MEASURE, count))
+        for i, seed in enumerate(seeds):
+            row_codes = streams.uniform_codes(streams.substream(seed, streams.PREPARE), n, 2)
+            row_bases, row_bits = split_states(row_codes)
+            assert np.array_equal(row_bases, sent_bases[i]) and np.array_equal(
+                row_bits, sent_bits[i]), (n, i)
+            measure = streams.substream(seed, streams.MEASURE).bit_generator.random_raw
+            row = measure_rows(row_bases, row_bits, bases[i], noise, measure)
+            assert np.array_equal(row, measured[i]), (n, noise, i)
+        marked, coins = batch.masks(slice(0, len(seeds)), n, k) if k else (None, None)
+        for error_mode in ERROR_MODES:
+            revealed = measured.copy()
+            if k:
+                kernel.mask_rows(revealed, marked, coins, error_mode)
+            masked = revealed.copy()
+            kernel.order_rows(revealed, bits)
+            raw = kernel.score_rows(sent_bases, sent_bits, revealed, None, None)
+            margins = raw.raw_direct - raw.raw_reverse
+            guesses = kernel.early_guess(margins, lambda: ties)
+            for i, bit in enumerate(bits.tolist()):
+                row = measured[i].copy()
+                if k:
+                    kernel.mask_rows(row, marked[i], coins[i], error_mode)
+                assert np.array_equal(row, masked[i]), (n, e, error_mode, i)
+                assert np.array_equal(kernel.order_rows(row, bit), revealed[i]), (n, bit, i)
+                drawn = []
+                guess = kernel.early_guess(int(margins[i]), lambda: drawn.append(i) or ties[i])
+                assert guess == guesses[i] and drawn == ([i] if margins[i] == 0 else []), (n, i)
+                ties_seen.add(margins[i] == 0)
+            error_modes.add(error_mode if k else None)
+    assert error_modes == {None, *ERROR_MODES} and ties_seen == {False, True}
 
 
 def _error_raw(seeds, count):

@@ -1,6 +1,7 @@
 """Wire mode: framing, transcripts, referee enforcement, equivalence."""
 
 import collections
+import contextlib
 import dataclasses
 import json
 import selectors
@@ -146,6 +147,12 @@ def test_messages_may_not_carry_transcript_fields(name, value):
 #: format has more digits than int() converts.
 HOSTILE_LINES = (b"[" * 5000, b'{"type":"hello","role":"alice","format":' + b"1" * 5000 + b"}")
 
+#: Lines that repeat a field name, and the name: json.loads alone keeps the
+#: last value, and a reader that keeps the first would see another message.
+REPEATED_FIELDS = ((b'{"type":"hello","role":"bob","format":2,"type":"decision","value":"bit0"}',
+                    "type"),
+                   (b'{"type":"commit","bits":"01","bits":"0"}', "bits"))
+
 
 def test_malformed_payloads_rejected():
     bad = [
@@ -157,12 +164,16 @@ def test_malformed_payloads_rejected():
         '{"type": "decision", "value": "maybe"}\n',
         '{"type": "error"}\n',
         *HOSTILE_LINES,
+        *(line for line, _name in REPEATED_FIELDS),
     ]
     for line in bad:
         with pytest.raises(WireProtocolError):
             parse_message(line)
     for line in HOSTILE_LINES:
         with pytest.raises(WireProtocolError, match="^not valid JSON: "):
+            parse_message(line)
+    for line, name in REPEATED_FIELDS:
+        with pytest.raises(WireProtocolError, match=f"^repeated field '{name}'$"):
             parse_message(line)
 
 
@@ -997,10 +1008,26 @@ def test_a_session_completes_after_strangers_are_turned_away():
     for line in HOSTILE_LINES:
         refusal = _turn_away(referee.addr, line)
         assert refusal["message"].startswith("bad message: not valid JSON: ")
+    line, name = REPEATED_FIELDS[0]
+    assert _turn_away(referee.addr, line) == error_message(f"bad message: repeated field '{name}'")
     outcomes = run_parties(referee.addr, **session_parties(config))
     assert outcomes["bob"].decision is run_honest_session(config).decision
     assert outcomes["alice"].exit_code == 0
     assert referee.result().outcome == outcomes["bob"].decision.value
+
+
+def test_a_party_line_that_repeats_a_field_ends_the_session():
+    referee = Referee(timeout=5.0)
+    sock, rfile = _raw_client(referee.addr)
+    with sock, rfile:
+        sock.sendall(encode_message(hello_message("bob")).encode())
+        assert parse_message(rfile.readline()) == hello_message("referee")
+        sock.sendall(b'{"type":"prepare","codes":"0123","codes":"0"}\n')
+        reply = parse_message(rfile.readline())
+    assert reply == error_message("bad message: repeated field 'codes'")
+    transcript = referee.result()
+    assert transcript.violated and transcript.outcome is None
+    assert transcript.entries[-1].message == reply
 
 
 def test_a_connection_that_closes_without_a_line_leaves_no_record():
@@ -1078,11 +1105,15 @@ def _run_against_fake_referee(role, *replies):
 
     def fake_referee():
         conn, _ = listener.accept()
+        conn.settimeout(5)
         with conn, conn.makefile("rb") as rfile:
             rfile.readline()  # swallow the hello
             for reply in replies:
                 conn.sendall(reply)
-            time.sleep(0.3)
+            # Hold the connection open until the party hangs up, so that what
+            # it still sends (Bob's prepare) meets an open socket.
+            with contextlib.suppress(OSError):
+                rfile.read()
 
     thread = threading.Thread(target=fake_referee, daemon=True)
     thread.start()
@@ -1099,6 +1130,9 @@ def test_party_on_malformed_referee_exits_one():
     for line in HOSTILE_LINES:
         result = _run_against_fake_referee("bob", line + b"\n")
         assert result.diagnostic.startswith("not valid JSON: "), result.diagnostic
+    for role, (line, name) in zip(("alice", "bob"), REPEATED_FIELDS):
+        result = _run_against_fake_referee(role, line + b"\n")
+        assert result.diagnostic == f"repeated field '{name}'"
 
 
 def test_party_on_a_referee_line_that_is_not_utf8_exits_one():
