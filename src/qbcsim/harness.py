@@ -44,7 +44,9 @@ from .kernel import run_trials
 from .protocol import Decision, DecisionPolicy
 from .stats import binomial_ci
 
-JSON_SCHEMA_VERSION = 1
+#: Schema 2 records the stream contract (``rng.STREAM_CONTRACT``); a schema 1
+#: report was drawn under contract 1.
+JSON_SCHEMA_VERSION = 2
 
 
 class SweepMode(Enum):
@@ -117,6 +119,7 @@ class SweepReport:
     master_seed: int
     tool_version: str
     timestamp: str
+    stream_contract: int = streams.STREAM_CONTRACT
 
 
 def run_cell(
@@ -199,6 +202,7 @@ def write_report(report: SweepReport, format: str, path) -> None:
         else:
             doc = {
                 "schema_version": JSON_SCHEMA_VERSION,
+                "stream_contract": report.stream_contract,
                 "tool_version": report.tool_version,
                 "master_seed": report.master_seed,
                 "timestamp": report.timestamp,
@@ -210,9 +214,9 @@ def write_report(report: SweepReport, format: str, path) -> None:
 
 
 def read_report(path) -> SweepReport:
-    """Re-read a JSON report written by write_report."""
+    """Re-read a JSON report written by write_report, of schema 1 or 2."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("schema_version") != JSON_SCHEMA_VERSION:
+    if doc.get("schema_version") not in (1, JSON_SCHEMA_VERSION):
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     rows = tuple(
         SweepRow(**{name: kind(r[name]) for name, kind in _COLUMN_TYPES.items()})
@@ -223,4 +227,5 @@ def read_report(path) -> SweepReport:
         master_seed=int(doc["master_seed"]),
         tool_version=doc["tool_version"],
         timestamp=doc["timestamp"],
+        stream_contract=1 if doc["schema_version"] == 1 else int(doc["stream_contract"]),
     )

@@ -21,15 +21,15 @@ Each protocol rule is one stage that takes one session's (n,) row or a
 chunk's (b x n) rows and validates nothing, and the role functions, the
 wire parties and the kernel all call it: the state split and the
 measurement (``channel.split_states``, ``channel.measure_rows``), the mask
-(``mask_rows``), the order encoding (``order_rows``), the score stage
-(``score_rows``), the lie (``RebindStrategy.lie``) and the early guess
-(``early_guess``).  A block runs in chunks of about ``CHUNK_ELEMENTS``
+(its draws by ``rng.read_mask``, its application by ``mask_rows``), the
+order encoding (``order_rows``), the score stage (``score_rows``), the lie
+(``RebindStrategy.lie``) and the early guess (``early_guess``).  A block runs in chunks of about ``CHUNK_ELEMENTS``
 photons, each as (b x n) arrays, in steps that move no draw, so the chunk
 size changes no result.  ``_run_chunk`` holds no protocol rule: it reads
 each stream's raw words for the whole chunk as one (b x count) array
-(``SubstreamBatch.raw``, the masks ``SubstreamBatch.masks``) and hands
-them to the stages; the score stage takes its (n,) row in a chunk of one
-(as is every chunk above n = 16 384).
+(``SubstreamBatch.raw``; the masks' by ``SubstreamBatch.masks``, in
+pieces) and hands them to the stages; the score stage takes its (n,) row
+in a chunk of one (as is every chunk above n = 16 384).
 """
 
 from __future__ import annotations
@@ -126,23 +126,26 @@ def masked_count(error_fraction: float, n: int) -> int:
     return int(round(error_fraction * n))
 
 
-def mask_rows(results: np.ndarray, marked: np.ndarray, coins, mode: str) -> None:
+def mask_rows(results: np.ndarray, positions: np.ndarray, coins, mode: str) -> None:
     """Mask one session's (n,) row or a chunk's (b x n) rows of ``results`` in
-    place, unvalidated.  ``marked`` flags the masked positions in the shape of
-    ``results``; in "randomize" mode each row's j-th ``coins`` goes to its j-th
-    smallest marked position, in "flip" mode the marked results are inverted."""
+    place, unvalidated.  ``positions`` are the masked positions in the flat view
+    of the (contiguous) ``results``, ascending, as ``rng.draw_mask`` and
+    ``SubstreamBatch.masks`` give them; in "randomize" mode each row's j-th
+    ``coins`` goes to its j-th smallest masked position, in "flip" mode the
+    masked results are inverted."""
     if mode == "flip":
-        results ^= marked
+        results.reshape(-1)[positions] ^= 1
     else:
-        # Row-major: the flat view of the (contiguous) results takes the
-        # coins several times faster than a boolean-mask assignment.
-        results.reshape(-1)[np.flatnonzero(marked)] = coins.ravel()
+        results.reshape(-1)[positions] = coins.ravel()
 
 
 def order_rows(results: np.ndarray, bits) -> np.ndarray:
-    """The order encoding, in place: one session's (n,) row of ``results``
-    with its committed bit, or a chunk's (b x n) rows with theirs.  Bit 0
-    reveals a row's results in order, bit 1 reversed.  Returns ``results``."""
+    """The order encoding: bit 0 reveals a row's results in order, bit 1
+    reversed.  A chunk's (b x n) rows of ``results`` with their bits are
+    encoded in place and returned; one session's (n,) row with its bit comes
+    back as a view of it, reversed for bit 1."""
+    if results.ndim == 1:
+        return results[::-1] if bits else results
     results[bits == 1] = results[bits == 1, ::-1]
     return results
 
@@ -259,7 +262,7 @@ def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy,
     results = measure_rows(sent_bases, sent_bits, bases, noise_rate,
                            lambda count: substreams.raw(streams.MEASURE, count, trials))
     if k:
-        mask_rows(results, *substreams.masks(trials, n, k), error_mode)
+        mask_rows(results, *substreams.masks(trials, n, k, error_mode), error_mode)
     revealed = order_rows(results, bits)
     if mode == "binding":
         unveiled = strategy.lie(bases, substreams.raw(streams.ADVERSARY, n, trials)

@@ -34,7 +34,8 @@ Each checks its inputs, then runs the kernel's stage on its (n,) row:
 verdict is imported from it.  ``raw_correlations`` counts on its own, as the
 tests' reference for the score stage's raw counts.
 ``run_honest_session`` is a block of one of the kernel.  The draws are read
-off raw PCG64 words by ``rng``'s readers, the mask's by ``rng.draw_mask``.
+off raw PCG64 words by ``rng``'s readers, the mask's by ``rng.draw_mask``
+(the mask rule of stream contract 2).
 """
 
 from __future__ import annotations
@@ -173,15 +174,17 @@ def inject_errors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mask a fraction of results before they are revealed: (masked, positions).
 
-    Exactly round(error_fraction * n) distinct positions are chosen
+    Exactly k = round(error_fraction * n) distinct positions are chosen
     uniformly without replacement.  In "randomize" mode each chosen value
     is replaced by an independent fair coin (which may equal the original);
-    in "flip" mode it is inverted.  Consumes the position draw first, then
-    (in randomize mode only) one replacement draw per chosen position, the
-    j-th for the j-th smallest position (``rng.draw_mask``).  Nothing is drawn
-    when no position is chosen.  The masking is the kernel's mask stage
-    (``mask_rows``) on the row.  The positions come back sorted, in direct
-    (pre-ordering) index space.
+    in "flip" mode it is inverted.  Consumes the first raw outputs of
+    ``rng`` by the mask rule (``rng.draw_mask``): (n + 1) // 2 words whose
+    32-bit halves key the positions, the k smallest keys chosen, then (in
+    randomize mode only) (k + 1) // 2 words whose halves give the coins,
+    the j-th for the j-th smallest position.  Nothing is drawn, and nothing
+    masked, when no position is chosen.  The masking is the kernel's mask
+    stage (``mask_rows``) on the row.  The positions come back sorted, in
+    direct (pre-ordering) index space.
     """
     outcomes = as_bit_array(outcomes)
     if not 0.0 <= error_fraction <= 1.0:
@@ -189,21 +192,21 @@ def inject_errors(
     if mode not in ERROR_MODES:
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
     n = len(outcomes)
-    positions, coins = streams.draw_mask(n, masked_count(error_fraction, n), rng, mode)
-    marked = np.zeros(n, dtype=bool)
-    marked[positions] = True
+    k = masked_count(error_fraction, n)
+    positions, coins = streams.draw_mask(n, k, rng, mode)
     masked = outcomes.copy()
-    mask_rows(masked, marked, coins, mode)
-    return masked, np.flatnonzero(marked)
+    if k:
+        mask_rows(masked, positions, coins, mode)
+    return masked, positions
 
 
 def commit(outcomes, bit: int) -> Commitment:
-    """Order-encode the committed bit: direct order for 0, reversed for 1 (the
-    kernel's ``order_rows`` on a copy of the row)."""
+    """Order-encode the committed bit: direct order for 0, reversed for 1 (a
+    copy of the kernel's ``order_rows`` on the row, one pass)."""
     outcomes = as_bit_array(outcomes)
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return Commitment(revealed=order_rows(outcomes.copy(), bit))
+    return Commitment(revealed=order_rows(outcomes, bit).copy())
 
 
 def unveil(record: MeasurementRecord) -> np.ndarray:

@@ -28,25 +28,28 @@ by multiplication alone, independently of the data: for a 64-bit seed (two
 entropy words, the rest of the pool zero) the whole hash is one fixed
 sequence of uint32 xor/multiply/shift steps, applied element-wise.
 
-Stream contract 1: every draw equals what numpy's ``Generator`` makes on
-its substream, and every rule that reads those draws off PCG64's raw 64-bit
-outputs, without the generator's per-call cost, is in this module.
-``raw_outputs`` computes a fresh generator's first raw outputs from its
-seeding words (PCG64's seeding, its LCG steps and its XSL-RR output, in
-uint64 limbs); ``SubstreamBatch.raw`` uses it for a block of trials up to
-``RAW_OUTPUTS_CROSSOVER`` outputs per generator, and above it each trial's
-generator fills its row.  ``integers`` on a power-of-two range returns the
-top bits of successive 32-bit halves (``top_bits``): the states, bases and
-coins (``uniform_codes``), the mask coins, also after a half that
-``Generator.choice`` left buffered (``raw_coins``), and a fresh generator's
-first coin (``SubstreamBatch.coins``).  ``random() < rate`` is a raw-word
-comparison (``noise_threshold``): the noise and the random-lies schedule.
-``choice(n, k, replace=False)`` and its coins, the mask, are rebuilt from
-the raw words on ``choice``'s Floyd path up to ``MASK_CROSSOVER`` positions
-(``raw_masks``), and drawn on the generator elsewhere (``draw_mask``);
-``SubstreamBatch.masks`` gives a chunk's.  ``tests/test_rng.py`` pins the
-batch to ``substream``, and the channel, protocol and kernel tests pin the
-readers to ``Generator``.
+Stream contract 2 (``STREAM_CONTRACT``): every rule that reads a session's
+draws off its substreams' raw PCG64 64-bit outputs is in this module, and
+the raw outputs are all it reads, which numpy keeps stable across releases
+(NEP 19) where it does not keep ``Generator`` methods' streams.  Every
+stream but ERROR is drawn as stream contract 1 drew it, as numpy's
+``Generator`` draws on the substream.  ``raw_outputs`` computes a fresh
+generator's first raw outputs from its seeding words (PCG64's seeding, its
+LCG steps and its XSL-RR output, in uint64 limbs); ``SubstreamBatch.raw``
+uses it for a block of trials up to ``RAW_OUTPUTS_CROSSOVER`` outputs per
+generator, and above it each trial's generator fills its row.  ``integers``
+on a power-of-two range returns the top bits of successive 32-bit halves
+(``top_bits``): the states, bases and coins (``uniform_codes``) and a fresh
+generator's first coin (``SubstreamBatch.coins``).  ``random() < rate`` is a
+raw-word comparison (``noise_threshold``): the noise and the random-lies
+schedule.  The ERROR stream is contract 2's own: ``read_mask`` masks the k
+positions with the smallest 32-bit keys among the first n halves and reads
+the coins from the halves that follow, for one session (``draw_mask``) and
+for a chunk (``SubstreamBatch.masks``); under contract 1 it was
+``choice(n, k, replace=False)`` and ``integers(0, 2, k)``.
+``tests/test_rng.py`` pins the batch to ``substream``, the channel, protocol
+and kernel tests pin the readers to ``Generator`` and the mask to a
+plain-Python reference.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+#: The version of the rules that turn a seed into draws (see above); a JSON
+#: report records it.
+STREAM_CONTRACT = 2
 
 # Substream labels used by a protocol session.  In wire mode they are split
 # across processes: the sender keeps PREPARE, the committer keeps BASES and
@@ -241,25 +248,6 @@ def uniform_codes(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
     return top_bits(rng.bit_generator.random_raw((n + 1) // 2), n, width)
 
 
-def raw_coins(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
-    """``integers(0, 2, size=n)`` of a generator on ``bit_generator``, as uint8.
-
-    A range of 2 never rejects in numpy's Lemire step, so each coin is the
-    top bit of the next 32-bit half.  A half left buffered by an earlier
-    32-bit draw (``state["has_uint32"]``, as ``Generator.choice`` can leave
-    one) comes first, then the raw outputs, low half first.  Unlike
-    ``integers``, it leaves the buffer as it found it: nothing may draw
-    32-bit halves from ``bit_generator`` after it.
-    """
-    state = bit_generator.state
-    if not state["has_uint32"]:
-        return top_bits(bit_generator.random_raw((n + 1) // 2), n, 1)
-    coins = np.empty(n, dtype=np.uint8)
-    coins[0] = state["uinteger"] >> 31
-    coins[1:] = top_bits(bit_generator.random_raw(n // 2), n - 1, 1)
-    return coins
-
-
 def noise_threshold(rate: float) -> np.uint64:
     """For a rate in (0, 1], ``rng.random(n) < rate`` is ``random_raw(n) <=
     noise_threshold(rate)``: a double is (raw >> 11) * 2**-53, below the
@@ -270,88 +258,55 @@ def noise_threshold(rate: float) -> np.uint64:
     return np.uint64((math.ceil(rate * 2**53) << 11) - 1)
 
 
+def mask_words(n: int, k: int) -> int:
+    """The raw ERROR outputs a mask of k of n positions reads in "randomize"
+    mode: n 32-bit keys, then k coins from the next whole word on.  "flip"
+    mode reads the keys alone, ``mask_words(n, 0)``."""
+    return (n + 1) // 2 + (k + 1) // 2
+
+
+def read_mask(raw: np.ndarray, n: int, k: int, mode: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The mask rule: the mask of k of n positions, 0 < k <= n, off one
+    session's (words,) row of ERROR raw outputs or a chunk's (b x words) rows,
+    each ``mask_words(n, k)`` long (the keys alone in "flip" mode).  Returns
+    (marked, coins): the masked positions flagged in an (n,) row or (b x n)
+    rows, and the replacement coins, (k,) or (b x k) uint8, None in "flip".
+
+    The n keys are the first n 32-bit halves of the row, low half first; the
+    masked positions are the k smallest (key, position) pairs, so a tie at
+    the k-th key goes to the lower position and exactly k are masked.  The
+    j-th coin, for the j-th smallest masked position, is the top bit of the
+    j-th half from word (n + 1) // 2 on.  The subset is uniform unless
+    another key equals the k-th one, which happens in at most n / 2**32 of
+    sessions (2.3e-5 at n = 100 000).  Only the k-th key is read off
+    ``np.partition``, never the order it leaves, so no numpy release moves a
+    mask.
+    """
+    keys = raw.astype("<u8", copy=False).view("<u4")[..., :n]
+    kth = np.partition(keys, k - 1, axis=-1)[..., k - 1:k]
+    marked = keys <= kth
+    if np.count_nonzero(marked) > marked.size // n * k:  # a tie at some row's k-th key
+        rows, row_keys, row_kth = marked.reshape(-1, n), keys.reshape(-1, n), kth.reshape(-1)
+        excess = np.count_nonzero(rows, axis=1) - k
+        for i in np.flatnonzero(excess):  # unmark the row's highest tied positions
+            ties = np.flatnonzero(row_keys[i] == row_kth[i])
+            rows[i, ties[len(ties) - excess[i]:]] = False
+    return marked, top_bits(raw[..., (n + 1) // 2:], k, 1) if mode == "randomize" else None
+
+
 def draw_mask(
     n: int, k: int, rng: np.random.Generator, mode: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The draws of ``protocol.inject_errors`` on n results, unvalidated:
-    (positions, in ``choice``'s order, replacement coins), the coins None
-    in "flip" mode.  The j-th coin replaces the result at the j-th smallest
-    position.  The coins are ``rng.integers(0, 2, size=k)``, read from the
-    raw words (``raw_coins``)."""
+    (masked positions, ascending, replacement coins), the coins None in
+    "flip" mode.  ``read_mask`` on the first raw outputs of ``rng``, which
+    should be fresh; k = 0 reads nothing."""
     if not k:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    positions = rng.choice(n, size=k, replace=False)
-    if mode == "randomize":
-        return positions, raw_coins(rng.bit_generator, k)
-    return positions, None
-
-
-#: Mask sizes above which ``Generator.choice`` beats ``raw_masks`` (CHANGES.md
-#: has the timings).
-MASK_CROSSOVER = 384
-
-#: ``choice(n, k, replace=False)`` shuffles a whole arange in place of
-#: Floyd's draws when n is above this and k above n // 50.
-_CHOICE_TAIL_SHUFFLE_N = 10_000
-
-
-def _choice_bounds(n: int, k: int) -> np.ndarray:
-    """The ranges of the bounded draws of ``choice(n, k, replace=False)`` on
-    Floyd's path: Floyd's n - k + 1 … n (a range of 1 draws nothing), then
-    the shuffle's k … 2."""
-    return np.concatenate([np.arange(max(n - k + 1, 2), n + 1),
-                           np.arange(k, 1, -1)]).astype(np.uint64)
-
-
-def mask_words(n: int, k: int) -> int:
-    """The raw outputs that ``draw_mask(n, k, rng, "randomize")`` reads from
-    a fresh generator on ``choice``'s Floyd path when no Lemire step
-    rejects: the bounded draws, then k coins, one 32-bit half each."""
-    return (len(_choice_bounds(n, k)) + k + 1) // 2
-
-
-def raw_masks(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``draw_mask(n, k, Generator(g), "randomize")`` for every row of
-    ``raw``, each the first ``mask_words(n, k)`` raw outputs of a fresh
-    generator g, for 0 < k <= n on ``choice``'s Floyd path (not n > 10 000
-    with k > n // 50): (positions (b x k), in no set order, coins (b x k),
-    exact (b,)).  A row is exact unless a Lemire step rejects; the others
-    read more halves than these, and hold no mask.
-
-    ``choice`` draws 32-bit halves, low half first, each bounded draw by
-    Lemire's rule: the high word of half * range, unless the low word falls
-    below (2**32 - range) % range.  Floyd's step i (i < k) draws v in
-    [0, n - k + i] and adds v, or n - k + i when v is in already; then
-    ``_shuffle_int`` permutes the k positions, which moves none of them
-    into or out of the set; then the k coins are the top bits of the next
-    halves.  v is in already when an earlier step drew it too, or when step
-    v - (n - k), before i, added its own n - k + i' in place of its draw.
-    A stable sort of (v, i) finds the first; the second follows a chain of
-    such steps back, resolved by iterating to a fixed point.
-    """
-    b = len(raw)
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    bounds = _choice_bounds(n, k)
-    drawn = halves[:, :len(bounds)] * bounds
-    exact = np.all(drawn & _LOW32 >= (2**32 - bounds) % bounds, axis=1)
-    coins = (halves[:, len(bounds):len(bounds) + k] >> 31).astype(np.uint8)
-    values = np.zeros((b, k), dtype=np.int64)
-    values[:, int(k == n):] = drawn[:, :len(bounds) - (k - 1)] >> _U32
-    steps = np.arange(k)
-    keys = np.sort(values << 32 | steps, axis=1)
-    offsets = np.arange(b)[:, None] * k
-    repeat = np.zeros((b, k), dtype=bool)
-    repeat.reshape(-1)[offsets + (keys[:, 1:] & _MASK32)] = keys[:, 1:] >> 32 == keys[:, :-1] >> 32
-    earlier = values - (n - k)
-    linked = (earlier >= 0) & (earlier < steps) & ~repeat
-    links = offsets + np.where(linked, earlier, 0)
-    replaced = repeat
-    while True:
-        nxt = repeat | linked & replaced.reshape(-1)[links]
-        if np.array_equal(nxt, replaced):
-            break
-        replaced = nxt
-    return np.where(replaced, n - k + steps, values), coins, exact
+        coins = np.empty(0, dtype=np.uint8) if mode == "randomize" else None
+        return np.empty(0, dtype=np.intp), coins
+    raw = rng.bit_generator.random_raw(mask_words(n, k if mode == "randomize" else 0))
+    marked, coins = read_mask(raw, n, k, mode)
+    return np.flatnonzero(marked), coins
 
 
 class _StateWords(ISeedSequence):
@@ -373,18 +328,17 @@ def _pcg64(words: np.ndarray) -> np.random.PCG64:
 #: Raw outputs per generator above which building each generator and reading
 #: them is faster than ``raw_outputs`` (CHANGES.md has the timings).
 RAW_OUTPUTS_CROSSOVER = 64
-#: Raw outputs ``SubstreamBatch.raw`` computes in one ``raw_outputs`` call.
+#: Raw outputs ``SubstreamBatch.raw`` computes in one ``raw_outputs`` call,
+#: and at most the ERROR words ``SubstreamBatch.masks`` reads in one piece.
 _PIECE_WORDS = 8192
 
 
 class SubstreamBatch:
     """The substreams of a block of trials, seeded in one vectorised pass.
 
-    ``batch(t, label)`` returns a fresh bit generator equal, state for
-    state, to the one of ``substream(masters[t], label)``, for ``label`` in
-    ``labels``: they are hashed in bulk up front.  It is a bare ``PCG64``,
-    for the kernel reads most draws from its raw outputs; wrap it in
-    ``np.random.Generator`` for the rest.
+    The generator of trial t and ``label`` has the state of
+    ``substream(masters[t], label)``, for ``label`` in ``labels``: they are
+    hashed in bulk up front.  The batch hands out their raw outputs.
     """
 
     def __init__(self, masters: Sequence[int], labels: Sequence[str]):
@@ -396,15 +350,12 @@ class SubstreamBatch:
         seeds = np.frombuffer(prefixes, "<u8").reshape(len(labels), len(masters))
         self._words = seed_state_words(seeds)
 
-    def __call__(self, t: int, label: str) -> np.random.PCG64:
-        return _pcg64(self._words[self._row[label], t])
-
     def raw(self, label: str, count: int, trials: slice = slice(None)) -> np.ndarray:
-        """``batch(t, label).random_raw(count)`` for every t in ``trials``,
-        as a (trials x count) uint64 array.  Up to ``RAW_OUTPUTS_CROSSOVER``
-        words the rows are computed from the state words (``raw_outputs``),
-        with no generator built; above it each trial's generator fills its
-        row of the array."""
+        """``substream(masters[t], label).bit_generator.random_raw(count)``
+        for every t in ``trials``, as a (trials x count) uint64 array.  Up to
+        ``RAW_OUTPUTS_CROSSOVER`` words the rows are computed from the state
+        words (``raw_outputs``), with no generator built; above it each
+        trial's generator fills its row of the array."""
         words = self._words[self._row[label], trials]
         if count <= RAW_OUTPUTS_CROSSOVER:
             # In pieces whose temporaries stay small enough to be cached.
@@ -421,21 +372,17 @@ class SubstreamBatch:
         as uint8: the top bit of its first 32-bit half."""
         return top_bits(self.raw(label, 1), 1, 1)[:, 0]
 
-    def masks(self, trials: slice, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ERROR masks of the trials ``trials``: their positions marked in
-        a (b x n) bool array, and their coins (b x k).  Rebuilt from the raw
-        words (``raw_masks``) where ``choice`` takes Floyd's path and k is at
-        most ``MASK_CROSSOVER``; elsewhere, and on a row a Lemire step
-        rejects, ``draw_mask`` draws them on the trial's generator."""
-        b = trials.stop - trials.start
-        if k <= MASK_CROSSOVER and not (n > _CHOICE_TAIL_SHUFFLE_N and k > n // 50):
-            positions, coins, exact = raw_masks(self.raw(ERROR, mask_words(n, k), trials), n, k)
-        else:
-            positions, coins = np.empty((b, k), dtype=np.int64), np.empty((b, k), dtype=np.uint8)
-            exact = np.zeros(b, dtype=bool)
-        for i in np.flatnonzero(~exact):
-            error = np.random.Generator(self(trials.start + i, ERROR))
-            positions[i], coins[i] = draw_mask(n, k, error, "randomize")
-        marked = np.zeros((b, n), dtype=bool)
-        marked.reshape(-1)[(positions + np.arange(b)[:, None] * n).ravel()] = True
-        return marked, coins
+    def masks(self, trials: slice, n: int, k: int,
+              mode: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """``read_mask`` on the ERROR words of the trials ``trials``: their
+        masked positions in the flat view of the chunk's (b x n) rows,
+        ascending, and their coins (b x k), None in "flip" mode.  The words
+        are read in pieces of up to ``_PIECE_WORDS`` (64 KB), off glibc's
+        128 KB mmap threshold: a whole chunk's, freed and mapped again each
+        chunk, cost ~57 page faults and ~9% of an n = 4096 sweep's time."""
+        words = mask_words(n, k if mode == "randomize" else 0)
+        rows = max(1, _PIECE_WORDS // words)
+        pieces = [read_mask(self.raw(ERROR, words, slice(i, min(i + rows, trials.stop))), n, k,
+                            mode) for i in range(trials.start, trials.stop, rows)]
+        coins = None if mode == "flip" else np.concatenate([coins for _, coins in pieces])
+        return np.flatnonzero(np.concatenate([marked for marked, _ in pieces])), coins

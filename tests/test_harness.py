@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from qbcsim import rng as streams
 from qbcsim.adversary import RebindStrategy
 from qbcsim.harness import (
     CSV_COLUMNS,
@@ -153,16 +154,28 @@ def test_json_round_trip_is_structurally_equal(tmp_path):
     assert again.master_seed == report.master_seed
     assert again.tool_version == report.tool_version
     assert again.timestamp == report.timestamp
+    assert again.stream_contract == report.stream_contract == streams.STREAM_CONTRACT == 2
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2 and doc["stream_contract"] == 2
+
+
+def test_read_report_reads_schema_1_as_stream_contract_1(tmp_path):
+    path = tmp_path / "r.json"
+    report = run_sweep(_honest_spec(n_values=(4,), trials_per_cell=1))
+    write_report(report, "json", path)
+    doc = json.loads(path.read_text())
+    del doc["stream_contract"]
+    path.write_text(json.dumps({**doc, "schema_version": 1}))
+    again = read_report(path)
+    assert again.stream_contract == 1 and again.rows == report.rows
 
 
 def test_read_report_refuses_another_schema_version(tmp_path):
     path = tmp_path / "r.json"
     write_report(run_sweep(_honest_spec(n_values=(4,), trials_per_cell=1)), "json", path)
     doc = json.loads(path.read_text())
-    path.write_text(json.dumps({**doc, "schema_version": 2}))
-    with pytest.raises(ValueError, match="^unsupported schema_version 2$"):
+    path.write_text(json.dumps({**doc, "schema_version": 3}))
+    with pytest.raises(ValueError, match="^unsupported schema_version 3$"):
         read_report(path)
 
 

@@ -2,8 +2,9 @@
 frozen stream contract of sweep reports."""
 
 import hashlib
+import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from qbcsim.protocol import (
     score_and_decide,
     unveil,
 )
-from qbcsim.rng import MASK_CROSSOVER, draw_mask, mask_words, raw_masks
+from qbcsim.rng import draw_mask, mask_words
+from qbcsim.stats import binomial_ci
 
 POLICIES = {"default": DecisionPolicy(), "min_sift3": DecisionPolicy(min_sift=3)}
 MODES = (
@@ -68,19 +70,19 @@ def _role_functions(seeds, n, e, noise, mode, strategy, policy):
 
 
 #: n = 128 reads 64 words per stream, at ``RAW_OUTPUTS_CROSSOVER``, and its
-#: noisy MEASURE stream 192; n = 130 reads 65.  At n = 1024, e = 0.3 masks
-#: 307 positions, e = 1 all of them, on either side of ``MASK_CROSSOVER``.
+#: noisy MEASURE stream 192; n = 130 reads 65.  The masks read 2 (n = 1,
+#: e = 1) to 1,024 ERROR words.
 KERNEL_GRID_N = (0, 1, 17, 128, 130, 256, 1024)
 KERNEL_GRID_E = (0.0, 0.3, 1.0)
 
 
 def test_kernel_grid_straddles_both_crossovers():
+    # The crossover of the streams' reads and that of the masks' reads.
     words = {(n + 1) // 2 for n in KERNEL_GRID_N}
     assert min(words) <= streams.RAW_OUTPUTS_CROSSOVER < max(words)
-    masks = {(n, masked_count(e, n)) for n in KERNEL_GRID_N for e in KERNEL_GRID_E}
-    rebuilt = {mask_words(n, k) for n, k in masks if 0 < k <= MASK_CROSSOVER}
-    assert any(k > MASK_CROSSOVER for _, k in masks)
-    assert min(rebuilt) <= streams.RAW_OUTPUTS_CROSSOVER < max(rebuilt)
+    masks = {mask_words(n, masked_count(e, n)) for n in KERNEL_GRID_N for e in KERNEL_GRID_E
+             if masked_count(e, n)}
+    assert min(masks) <= streams.RAW_OUTPUTS_CROSSOVER < max(masks)
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -165,12 +167,17 @@ def test_sessions_equal_the_role_functions_trial_by_trial(bit, error_mode):
 @pytest.mark.parametrize("error_mode", ERROR_MODES)
 @pytest.mark.parametrize("bit", (0, 1))
 def test_sessions_redraw_rejected_masks(bit, error_mode):
-    _assert_sessions_equal_the_role_functions(REJECTING_SEEDS, 256, 0.5, 0.1, bit, error_mode)
+    # Sessions whose mask threshold ties at the k-th key (``TIED_MASKS``).
+    for seed, k in TIED_MASKS:
+        seeds = [streams.derive_seed(98, 0), seed, streams.derive_seed(98, 1)]
+        _assert_sessions_equal_the_role_functions(seeds, 256, k / 256, 0.1, bit, error_mode)
 
 
 @pytest.mark.parametrize("k", (10_001 // 50, 10_001 // 50 + 1))
 def test_flip_sessions_across_the_tail_shuffle_switch(k):
-    # choice draws by Floyd's algorithm up to k = n // 50, by a tail shuffle above.
+    # Large odd-n flip sessions, masked one row per piece (5,001 words a row).
+    # The name is stream contract 1's: its ``choice`` switched to a tail
+    # shuffle at k = n // 50.
     e = k / 10_001
     assert masked_count(e, 10_001) == k
     seeds = [streams.derive_seed(10_001, k, t) for t in range(2)]
@@ -251,20 +258,21 @@ def test_a_row_runs_each_stage_as_its_row_of_a_block():
             measure = streams.substream(seed, streams.MEASURE).bit_generator.random_raw
             row = measure_rows(row_bases, row_bits, bases[i], noise, measure)
             assert np.array_equal(row, measured[i]), (n, noise, i)
-        marked, coins = batch.masks(slice(0, len(seeds)), n, k) if k else (None, None)
         for error_mode in ERROR_MODES:
             revealed = measured.copy()
             if k:
-                kernel.mask_rows(revealed, marked, coins, error_mode)
+                kernel.mask_rows(revealed, *batch.masks(slice(0, len(seeds)), n, k, error_mode),
+                                 error_mode)
             masked = revealed.copy()
             kernel.order_rows(revealed, bits)
             raw = kernel.score_rows(sent_bases, sent_bits, revealed, None, None)
             margins = raw.raw_direct - raw.raw_reverse
             guesses = kernel.early_guess(margins, lambda: ties)
-            for i, bit in enumerate(bits.tolist()):
+            for i, (seed, bit) in enumerate(zip(seeds, bits.tolist())):
                 row = measured[i].copy()
                 if k:
-                    kernel.mask_rows(row, marked[i], coins[i], error_mode)
+                    error = streams.substream(seed, streams.ERROR)
+                    kernel.mask_rows(row, *draw_mask(n, k, error, error_mode), error_mode)
                 assert np.array_equal(row, masked[i]), (n, e, error_mode, i)
                 assert np.array_equal(kernel.order_rows(row, bit), revealed[i]), (n, bit, i)
                 drawn = []
@@ -275,70 +283,108 @@ def test_a_row_runs_each_stage_as_its_row_of_a_block():
     assert error_modes == {None, *ERROR_MODES} and ties_seen == {False, True}
 
 
-def _error_raw(seeds, count):
-    return np.array([streams.substream(s, streams.ERROR).bit_generator.random_raw(count)
-                     for s in seeds])
-
-
-#: (n, k) pairs for the mask: the ends of k, odd n, k on both sides of
-#: ``MASK_CROSSOVER``, and both sides of ``choice``'s switch to its
-#: tail-shuffle path (n > 10 000 and k > n // 50).
+#: (n, k) pairs for the mask: the ends of k, odd n, masks read on both sides
+#: of ``RAW_OUTPUTS_CROSSOVER``, and n past 10 000.
 MASK_CASES = ((1, 1), (2, 1), (2, 2), (17, 1), (17, 16), (17, 17), (64, 32), (256, 128),
-              (255, 254), (4096, MASK_CROSSOVER), (4096, MASK_CROSSOVER + 1),
-              (10_000, 200), (10_000, 201), (10_001, 200), (10_001, 201))
+              (255, 254), (4096, 384), (4096, 385), (10_000, 200), (10_000, 201),
+              (10_001, 200), (10_001, 201))
 
 
 @pytest.mark.parametrize("n,k", MASK_CASES)
 def test_chunk_masks_equal_draw_mask(n, k):
-    # The positions as a set, then the coins, j-th for the j-th smallest.
+    # Each chunk row, in both modes, against draw_mask on that trial's own
+    # ERROR substream; a chunk that starts inside the block, too.
     seeds = [streams.derive_seed(n, k, t) for t in range(24)]
-    want = [draw_mask(n, k, streams.substream(s, streams.ERROR), "randomize") for s in seeds]
-    marked, coins = streams.SubstreamBatch(seeds, [streams.ERROR]).masks(
-        slice(0, len(seeds)), n, k)
-    for i, (want_positions, want_coins) in enumerate(want):
-        assert np.array_equal(np.flatnonzero(marked[i]), np.sort(want_positions)), (n, k, i)
-        assert np.array_equal(coins[i], want_coins), (n, k, i)
-    if k <= MASK_CROSSOVER and not (n > 10_000 and k > n // 50):
-        # The rebuild itself, not the fallback: no Lemire step of these
-        # seeds rejects, so every row must be exact.
-        positions, raw_coins, exact = raw_masks(_error_raw(seeds, mask_words(n, k)), n, k)
-        assert exact.all()
-        for i, (want_positions, want_coins) in enumerate(want):
-            assert np.array_equal(np.sort(positions[i]), np.sort(want_positions)), (n, k, i)
-            assert np.array_equal(raw_coins[i], want_coins), (n, k, i)
+    batch = streams.SubstreamBatch(seeds, [streams.ERROR])
+    for mode, trials in product(ERROR_MODES, (slice(0, 24), slice(5, 12))):
+        b = trials.stop - trials.start
+        positions, coins = batch.masks(trials, n, k, mode)
+        rows = positions.reshape(b, k) - np.arange(b)[:, None] * n
+        for i, seed in enumerate(seeds[trials]):
+            want_positions, want_coins = draw_mask(n, k, streams.substream(seed, streams.ERROR),
+                                                   mode)
+            assert np.array_equal(rows[i], want_positions), (n, k, mode, i)
+            if mode == "flip":
+                assert coins is None and want_coins is None
+            else:
+                assert np.array_equal(coins[i], want_coins), (n, k, i)
 
 
-#: Trial seeds whose mask at n = 256, k = 128 meets a Lemire rejection
-#: (about 7.6e-6 of trials do): ``raw_masks`` cannot rebuild them.
-REJECTING_SEEDS = (streams.derive_seed(16, 1, 3554), streams.derive_seed(16, 8, 11205),
-                   streams.derive_seed(16, 9, 12655))
+#: (trial seed, k) pairs whose 256 ERROR keys tie at the k-th smallest, found
+#: by search (about 7.6e-6 of trials hold two equal keys at n = 256).  No
+#: draw rejects under stream contract 2; what the mask rule rejects is the
+#: threshold ``keys <= kth``, which marks k + 1 positions on these rows, and
+#: it marks such a row again with the tie going to the lower position.
+TIED_MASKS = ((streams.derive_seed(16, 2, 94507), 47), (streams.derive_seed(16, 2, 99859), 191),
+              (streams.derive_seed(16, 2, 130603), 138))
 
 
 def test_rejected_masks_are_drawn_again():
-    want = [draw_mask(256, 128, streams.substream(s, streams.ERROR), "randomize")
-            for s in REJECTING_SEEDS]
-    positions, coins, exact = raw_masks(_error_raw(REJECTING_SEEDS, mask_words(256, 128)),
-                                        256, 128)
-    assert not exact.any()
-    for i, (want_positions, want_coins) in enumerate(want):
-        assert not np.array_equal(np.sort(positions[i]), np.sort(want_positions))
-        assert not np.array_equal(coins[i], want_coins)
-    marked, coins = streams.SubstreamBatch(REJECTING_SEEDS, [streams.ERROR]).masks(
-        slice(0, len(REJECTING_SEEDS)), 256, 128)
-    for i, (want_positions, want_coins) in enumerate(want):
-        assert np.array_equal(np.flatnonzero(marked[i]), np.sort(want_positions)), i
-        assert np.array_equal(coins[i], want_coins), i
+    # The rows against the plain rule, alone and inside a chunk, both modes.
+    for seed, k in TIED_MASKS:
+        raw = streams.substream(seed, streams.ERROR).bit_generator.random_raw(mask_words(256, k))
+        keys = raw.view("<u4")[:256]
+        assert np.count_nonzero(keys <= np.sort(keys)[k - 1]) == k + 1, seed
+        want = sorted(i for _key, i in sorted(zip(keys.tolist(), range(256)))[:k])
+        want_coins = (raw[128:].view("<u4")[:k] >> 31).tolist()
+        positions, coins = draw_mask(256, k, streams.substream(seed, streams.ERROR), "randomize")
+        assert positions.tolist() == want and coins.tolist() == want_coins, seed
+        chunk = [streams.derive_seed(99, 0), seed, streams.derive_seed(99, 1)]
+        batch = streams.SubstreamBatch(chunk, [streams.ERROR])
+        for mode in ERROR_MODES:
+            positions, coins = batch.masks(slice(0, 3), 256, k, mode)
+            assert (positions.reshape(3, k)[1] - 256).tolist() == want, (seed, mode)
+            if mode == "randomize":
+                assert coins[1].tolist() == want_coins, seed
 
 
 @pytest.mark.parametrize("mode,strategy", MODES)
 def test_kernel_redraws_rejected_masks(mode, strategy):
     strategy = strategy and RebindStrategy.parse(strategy)
-    seeds = [streams.derive_seed(99, t) for t in range(5)]
-    seeds[1:1] = REJECTING_SEEDS
-    args = (256, 0.5, 0.1, mode, strategy, DecisionPolicy())
-    assert run_trials(seeds, *args) == _role_functions(seeds, *args)
-    for seed in REJECTING_SEEDS:
+    for seed, k in TIED_MASKS:
+        seeds = [streams.derive_seed(99, t) for t in range(5)]
+        seeds[1:1] = [seed]
+        args = (256, k / 256, 0.1, mode, strategy, DecisionPolicy())
+        assert masked_count(k / 256, 256) == k
+        assert run_trials(seeds, *args) == _role_functions(seeds, *args), seed
         assert run_trials([seed], *args) == _role_functions([seed], *args), seed
+
+
+#: The exact P(early guess hits) at e = 0.5, no noise: the law of the margin
+#: summed over mirror pairs, mixed over the exactly-k masks.
+EXACT_PREUNVEIL = ((16, 0.753458), (17, 0.765983))
+
+
+@pytest.mark.parametrize("n,exact", EXACT_PREUNVEIL)
+def test_preunveil_success_matches_the_exact_law(n, exact):
+    trials = 100_000
+    successes, _ = run_trials(streams.trial_seeds((8128, n), trials), n, 0.5, 0.0, "preunveil")
+    interval = binomial_ci(successes, trials, 0.999)
+    assert interval.contains(exact), (successes / trials, interval)
+
+
+def _chi_square_sf(x, df):
+    """P(chi-square with odd ``df`` degrees of freedom > x): the regularized
+    upper gamma Q(m + 1/2, x/2) in closed form."""
+    half = x / 2
+    series = sum(half ** (j + 0.5) / math.gamma(j + 1.5) for j in range(df // 2))
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * series
+
+
+def test_mask_subsets_are_uniform():
+    # All C(6, 3) = 20 subsets of a chunk's masks, off the trials' own ERROR
+    # words, against the uniform law.
+    n, k, rows = 6, 3, 200_000
+    seeds = list(streams.trial_seeds((6, 3), rows))
+    positions, _coins = streams.SubstreamBatch(seeds, [streams.ERROR]).masks(
+        slice(0, rows), n, k, "randomize")
+    subsets = (1 << positions.reshape(rows, k) % n).sum(axis=1)
+    counts = np.bincount(subsets, minlength=2**n)[[sum(1 << i for i in c)
+                                                  for c in combinations(range(n), k)]]
+    assert counts.sum() == rows and counts.min() > 0
+    expected = rows / len(counts)
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert _chi_square_sf(statistic, len(counts) - 1) > 1e-6, counts
 
 
 @pytest.mark.parametrize("p,schedule", ((0, "honest-bases"), (1, "flip-all-bases")))
@@ -363,16 +409,17 @@ def test_kernel_committed_bit_is_generator_integers():
     assert bits[0] and bits[1]
 
 
-#: SHA-256 of the CSV report of each sweep below, computed before the
-#: kernel existed.  A mismatch means the random streams changed: that must
-#: be deliberate, versioned in the report schema and noted in CHANGES.md.
+#: SHA-256 of the CSV report of each sweep below, under stream contract 2
+#: (``rng.STREAM_CONTRACT``).  A mismatch means the random streams changed:
+#: that must be deliberate, versioned in the report schema and noted in
+#: CHANGES.md.
 FROZEN_CSV_SHA256 = {
-    "honest": "74757148739f51e9151adf1725c9de298bab49de19b0250509107e8e0321ed36",
-    "preunveil": "bd497c6ae01f8b28c6ec334efddc70511808421395b4ecf9f187fa0f257bc5f3",
+    "honest": "89d9a3e9b8d20e1a7381ba2f74cc47fab499744b5115a0401fb73a1f186ded15",
+    "preunveil": "50f69fce453688e16c992a50aee5565faaf17873cfe63927b97fb31c91fd44d3",
     "binding:flip-all-bases":
-        "830c10ee3ac8133f98d63c7f542c8ca43610acaa944d5c58519cdbab625359b3",
+        "58091687314f9ad784d12fe427021ae3615023199f9a9769c1721428710c3d72",
     "binding:random-lies:0.5":
-        "63f443ffa93871e7ec0c31bd714d951ede1f6f7fba777161b51f14e79f144e9d",
+        "48c2388b14318a75be7555c49f98a71eaf7356621b13ec250acdf968e16ba412",
 }
 
 

@@ -88,37 +88,60 @@ def test_inject_flip_mode_inverts_selected_positions():
     assert len(positions) == 100
 
 
-MASK_SIZES = (1, 2, 3, 16, 17, 256, 4097, 10_001, 100_000)
+def _reference_mask(raw, n, k):
+    """The mask rule in plain Python: the k smallest (key, position) pairs of
+    the raw words' first n 32-bit halves, low half first, then the top bits
+    of the k halves from word (n + 1) // 2 on, the j-th for the j-th smallest
+    position."""
+    halves = [half for word in raw.tolist() for half in (word & 0xFFFFFFFF, word >> 32)]
+    positions = sorted(i for _key, i in sorted((halves[i], i) for i in range(n))[:k])
+    start = 2 * ((n + 1) // 2)
+    return positions, [half >> 31 for half in halves[start:start + k]]
 
 
-def test_mask_draws_are_sorted_choice_then_integers():
-    # The reference draws: sorted choice positions, then integers(0, 2) coins,
-    # on a twin generator.  n = 10 001 and 100 000 take choice's tail-shuffle
-    # path (the wire's n), the rest Floyd's.  choice can leave a 32-bit half
-    # buffered; the coins must read it first.
-    buffered = set()
-    for n in MASK_SIZES:
+def test_mask_draws_are_the_smallest_keys_then_coins():
+    # draw_mask and inject_errors in both modes against the plain-Python rule,
+    # on the raw words of a twin generator.
+    for n in (1, 2, 17, 64, 255, 256, 4096, 10_001):
         outcomes = streams.substream(n, "o").integers(0, 2, size=n).astype(np.uint8)
-        for k in sorted({1, n // 2, n}):
-            for rep in range(20):
+        for k in sorted({1, n - 1, n, round(n / 2)} - {0}):
+            for rep in range(3):
                 path = (n, k, rep)
-                twin = streams.substream(*path, streams.ERROR)
-                want_positions = np.sort(twin.choice(n, size=k, replace=False))
-                buffered.add(bool(twin.bit_generator.state["has_uint32"]))
-                want_coins = twin.integers(0, 2, size=k)
+                raw = streams.substream(*path, streams.ERROR).bit_generator.random_raw(
+                    streams.mask_words(n, k))
+                want_positions, want_coins = _reference_mask(raw, n, k)
                 positions, coins = draw_mask(n, k, streams.substream(*path, streams.ERROR),
                                              "randomize")
-                assert np.array_equal(np.sort(positions), want_positions), path
-                assert np.array_equal(coins, want_coins), path  # j-th coin, j-th smallest
+                assert positions.tolist() == want_positions, path
+                assert coins.tolist() == want_coins, path  # j-th coin, j-th smallest
+                flip = draw_mask(n, k, streams.substream(*path, streams.ERROR), "flip")
+                assert flip[0].tolist() == want_positions and flip[1] is None, path
                 for mode in ERROR_MODES:
                     want = outcomes.copy()
                     want[want_positions] = (want_coins if mode == "randomize"
                                             else want[want_positions] ^ 1)
                     masked, positions = inject_errors(
                         outcomes, k / n, streams.substream(*path, streams.ERROR), mode)
-                    assert np.array_equal(positions, want_positions), (path, mode)
+                    assert positions.tolist() == want_positions, (path, mode)
                     assert np.array_equal(masked, want), (path, mode)
-    assert buffered == {False, True}
+
+
+def test_mask_ties_go_to_the_lower_position():
+    # Words whose halves are all equal, or equal in runs: every key ties, and
+    # exactly k positions are masked, the lowest of the tied ones.
+    n = 9
+    words = np.array([7 << 32 | 7] * 5 + [0xFFFFFFFF << 32] * 5, dtype=np.uint64)
+    for k in range(1, n + 1):
+        marked, coins = streams.read_mask(words, n, k, "randomize")
+        assert np.flatnonzero(marked).tolist() == list(range(k)), k
+        assert coins.tolist() == ([0, 1] * 5)[:k], k  # low half 0, high half all ones
+    runs = np.array([3 << 32 | 3, 1 << 32 | 3, 3 << 32 | 1, 3 << 32 | 3, 0], dtype=np.uint64)
+    block = np.stack([runs, words[:5], runs[::-1].copy()])
+    for k in range(1, n + 1):
+        marked, _coins = streams.read_mask(block, n, k, "flip")
+        assert marked.sum(axis=1).tolist() == [k] * 3, k
+        for row, words_row in zip(marked, block):
+            assert np.flatnonzero(row).tolist() == _reference_mask(words_row, n, k)[0], k
 
 
 @pytest.mark.parametrize("build,message", (

@@ -70,15 +70,16 @@ def test_seed_state_words_equal_seed_sequence():
 
 
 def test_substream_batch_equals_substream():
+    # The batch's raw words read as the generator's integers and doubles.
     masters = _masters()
     batch = streams.SubstreamBatch(masters, LABELS)
-    for t, master in enumerate(masters):
-        for label in LABELS:
-            got = np.random.Generator(batch(t, label))
-            want = streams.substream(master, label)
-            assert got.bit_generator.state == want.bit_generator.state, (master, label)
-            assert np.array_equal(got.integers(0, 2, size=8), want.integers(0, 2, size=8))
-            assert np.array_equal(got.random(8), want.random(8))
+    for label in LABELS:
+        raw = batch.raw(label, 8)
+        for t, master in enumerate(masters):
+            coins = streams.substream(master, label).integers(0, 2, size=8)
+            doubles = streams.substream(master, label).random(8)
+            assert np.array_equal(streams.top_bits(raw[t, :4], 8, 1), coins), (master, label)
+            assert np.array_equal((raw[t] >> np.uint64(11)) * 2.0**-53, doubles), (master, label)
 
 
 def test_substream_batch_raw_equals_random_raw():
