@@ -138,7 +138,7 @@ def bob_preunveil_guess(
 
 def alice_rebind_attack(
     record: MeasurementRecord,
-    positions: np.ndarray,
+    mask: np.ndarray,
     commitment: Commitment,
     original_bit: int,
     strategy: RebindStrategy,
@@ -148,10 +148,11 @@ def alice_rebind_attack(
 
     The commitment itself is read-only; lying is confined to the basis
     list, in direct order.  The committer's full knowledge (her record,
-    her masked positions, her commitment, her bit) is available to the
-    strategy, but the implemented schedules are blind in the sender's bases:
-    ``strategy.lie`` on her bases and, for a schedule that draws, the first
-    n raw words of ``rng``, as the kernel reads them for a block.
+    her ``mask`` as ``inject_errors`` returns it, her commitment, her bit)
+    is available to the strategy, but the implemented schedules are blind in
+    the sender's bases and read no mask: ``strategy.lie`` on her bases and,
+    for a schedule that draws, the first n raw words of ``rng``, as the
+    kernel reads them for a block.
     """
     if original_bit not in (0, 1):
         raise ValueError(f"original_bit must be 0 or 1, got {original_bit}")

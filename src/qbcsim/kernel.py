@@ -21,15 +21,16 @@ Each protocol rule is one stage that takes one session's (n,) row or a
 chunk's (b x n) rows and validates nothing, and the role functions, the
 wire parties and the kernel all call it: the state split and the
 measurement (``channel.split_states``, ``channel.measure_rows``), the mask
-(its draws by ``rng.read_mask``, its application by ``mask_rows``), the
+(its marked rows by ``rng.read_mask``, applied by ``mask_rows``), the
 order encoding (``order_rows``), the score stage (``score_rows``), the lie
-(``RebindStrategy.lie``) and the early guess (``early_guess``).  A block runs in chunks of about ``CHUNK_ELEMENTS``
-photons, each as (b x n) arrays, in steps that move no draw, so the chunk
-size changes no result.  ``_run_chunk`` holds no protocol rule: it reads
-each stream's raw words for the whole chunk as one (b x count) array
-(``SubstreamBatch.raw``; the masks' by ``SubstreamBatch.masks``, in
-pieces) and hands them to the stages; the score stage takes its (n,) row
-in a chunk of one (as is every chunk above n = 16 384).
+(``RebindStrategy.lie``) and the early guess (``early_guess``).  A block
+runs in chunks of about ``CHUNK_ELEMENTS`` photons, each as (b x n)
+arrays, in steps that move no draw, so the chunk size changes no result.
+``_run_chunk`` holds no protocol rule: it reads each stream's raw words for
+the whole chunk as one (b x count) array (``SubstreamBatch.raw``; the
+masks' marked rows and coins by ``SubstreamBatch.masks``, in pieces) and
+hands them to the stages; the score stage takes its (n,) row in a chunk of
+one (as is every chunk above n = 16 384).
 """
 
 from __future__ import annotations
@@ -126,17 +127,17 @@ def masked_count(error_fraction: float, n: int) -> int:
     return int(round(error_fraction * n))
 
 
-def mask_rows(results: np.ndarray, positions: np.ndarray, coins, mode: str) -> None:
+def mask_rows(results: np.ndarray, marked: np.ndarray, coins, mode: str) -> None:
     """Mask one session's (n,) row or a chunk's (b x n) rows of ``results`` in
-    place, unvalidated.  ``positions`` are the masked positions in the flat view
-    of the (contiguous) ``results``, ascending, as ``rng.draw_mask`` and
-    ``SubstreamBatch.masks`` give them; in "randomize" mode each row's j-th
-    ``coins`` goes to its j-th smallest masked position, in "flip" mode the
-    masked results are inverted."""
+    place, unvalidated, where ``marked`` (bool, the shape of ``results``, as
+    ``rng.read_mask`` gives it) is True: in "flip" mode the marked results
+    are inverted; in "randomize" mode each row's j-th ``coins`` goes to its
+    j-th smallest marked position, through the flat positions of the
+    (contiguous) ``results``."""
     if mode == "flip":
-        results.reshape(-1)[positions] ^= 1
+        results ^= marked
     else:
-        results.reshape(-1)[positions] = coins.ravel()
+        results.reshape(-1)[np.flatnonzero(marked)] = coins.ravel()
 
 
 def order_rows(results: np.ndarray, bits) -> np.ndarray:

@@ -34,8 +34,9 @@ Each checks its inputs, then runs the kernel's stage on its (n,) row:
 verdict is imported from it.  ``raw_correlations`` counts on its own, as the
 tests' reference for the score stage's raw counts.
 ``run_honest_session`` is a block of one of the kernel.  The draws are read
-off raw PCG64 words by ``rng``'s readers, the mask's by ``rng.draw_mask``
-(the mask rule of stream contract 2).
+off raw PCG64 words by ``rng``'s readers, the mask's by ``rng.read_mask``
+(the mask rule of stream contract 2), whose marked row is the mask
+``inject_errors`` applies and returns.
 """
 
 from __future__ import annotations
@@ -172,19 +173,20 @@ def inject_errors(
     rng: np.random.Generator,
     mode: str = "randomize",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mask a fraction of results before they are revealed: (masked, positions).
+    """Mask a fraction of results before they are revealed: (masked, mask).
 
     Exactly k = round(error_fraction * n) distinct positions are chosen
     uniformly without replacement.  In "randomize" mode each chosen value
     is replaced by an independent fair coin (which may equal the original);
-    in "flip" mode it is inverted.  Consumes the first raw outputs of
-    ``rng`` by the mask rule (``rng.draw_mask``): (n + 1) // 2 words whose
-    32-bit halves key the positions, the k smallest keys chosen, then (in
-    randomize mode only) (k + 1) // 2 words whose halves give the coins,
-    the j-th for the j-th smallest position.  Nothing is drawn, and nothing
-    masked, when no position is chosen.  The masking is the kernel's mask
-    stage (``mask_rows``) on the row.  The positions come back sorted, in
-    direct (pre-ordering) index space.
+    in "flip" mode it is inverted.  Consumes the first
+    ``qbcsim.rng.mask_words(n, k, mode)`` raw outputs of ``rng`` by the mask
+    rule (``read_mask``): (n + 1) // 2 words whose 32-bit halves key the
+    positions, the k smallest keys chosen, then (in randomize mode only)
+    (k + 1) // 2 words whose halves give the coins, the j-th for the j-th
+    smallest position.  Nothing is drawn, and nothing masked, when no
+    position is chosen.  The masking is the kernel's mask stage
+    (``mask_rows``) on the row.  The mask is the rule's (n,) bool row,
+    True at the chosen positions, in direct (pre-ordering) index space.
     """
     outcomes = as_bit_array(outcomes)
     if not 0.0 <= error_fraction <= 1.0:
@@ -193,11 +195,13 @@ def inject_errors(
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
     n = len(outcomes)
     k = masked_count(error_fraction, n)
-    positions, coins = streams.draw_mask(n, k, rng, mode)
     masked = outcomes.copy()
-    if k:
-        mask_rows(masked, positions, coins, mode)
-    return masked, positions
+    if not k:
+        return masked, np.zeros(n, dtype=bool)
+    raw = rng.bit_generator.random_raw(streams.mask_words(n, k, mode))
+    marked, coins = streams.read_mask(raw, n, k, mode)
+    mask_rows(masked, marked, coins, mode)
+    return masked, marked
 
 
 def commit(outcomes, bit: int) -> Commitment:
@@ -240,7 +244,8 @@ def run_commit_phase(
     config: SessionConfig,
 ) -> tuple[PreparedSequence, MeasurementRecord, np.ndarray, Commitment]:
     """Execute a session up to (and including) the commitment message:
-    (sequence, record, masked positions, commitment).
+    (sequence, record, mask, commitment), the mask as ``inject_errors``
+    returns it.
 
     Substreams are derived from config.seed by fixed labels, one per
     participant role, so the same seed replays identically whether the
@@ -251,7 +256,7 @@ def run_commit_phase(
     outcomes = transmit_and_measure(
         seq, bases, config.noise_rate, streams.substream(config.seed, streams.MEASURE)
     )
-    masked, positions = inject_errors(
+    masked, mask = inject_errors(
         outcomes,
         config.error_fraction,
         streams.substream(config.seed, streams.ERROR),
@@ -259,7 +264,7 @@ def run_commit_phase(
     )
     record = MeasurementRecord(bases=bases, outcomes=outcomes)
     commitment = commit(masked, config.committed_bit)
-    return seq, record, positions, commitment
+    return seq, record, mask, commitment
 
 
 def score_and_decide(

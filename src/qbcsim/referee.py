@@ -397,7 +397,7 @@ def _run_alice(link: _PartyLink, config: SessionConfig) -> PartyResult:
     bases = choose_random_bases(n, streams.substream(seed, streams.BASES))
     link.send(measure_message(bases))
     outcomes = link.recv_digits("outcomes", n)
-    masked, _positions = inject_errors(
+    masked, _mask = inject_errors(
         outcomes, config.error_fraction, streams.substream(seed, streams.ERROR),
         mode=config.error_mode,
     )

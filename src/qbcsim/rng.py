@@ -42,10 +42,11 @@ on a power-of-two range returns the top bits of successive 32-bit halves
 (``top_bits``): the states, bases and coins (``uniform_codes``) and a fresh
 generator's first coin (``SubstreamBatch.coins``).  ``random() < rate`` is a
 raw-word comparison (``noise_threshold``): the noise and the random-lies
-schedule.  The ERROR stream is contract 2's own: ``read_mask`` masks the k
+schedule.  The ERROR stream is contract 2's own: ``read_mask`` marks the k
 positions with the smallest 32-bit keys among the first n halves and reads
-the coins from the halves that follow, for one session (``draw_mask``) and
-for a chunk (``SubstreamBatch.masks``); under contract 1 it was
+the coins from the halves that follow, on one session's words
+(``protocol.inject_errors``) or a chunk's (``SubstreamBatch.masks``), and
+hands back the marked rows as the mask; under contract 1 it was
 ``choice(n, k, replace=False)`` and ``integers(0, 2, k)``.
 ``tests/test_rng.py`` pins the batch to ``substream``, the channel, protocol
 and kernel tests pin the readers to ``Generator`` and the mask to a
@@ -258,19 +259,21 @@ def noise_threshold(rate: float) -> np.uint64:
     return np.uint64((math.ceil(rate * 2**53) << 11) - 1)
 
 
-def mask_words(n: int, k: int) -> int:
-    """The raw ERROR outputs a mask of k of n positions reads in "randomize"
-    mode: n 32-bit keys, then k coins from the next whole word on.  "flip"
-    mode reads the keys alone, ``mask_words(n, 0)``."""
-    return (n + 1) // 2 + (k + 1) // 2
+def mask_words(n: int, k: int, mode: str) -> int:
+    """The raw ERROR outputs a mask of k of n positions reads: n 32-bit
+    keys, then, in "randomize" mode only, k coins from the next whole word
+    on.  "flip" mode reads the keys alone."""
+    return (n + 1) // 2 + ((k + 1) // 2 if mode == "randomize" else 0)
 
 
 def read_mask(raw: np.ndarray, n: int, k: int, mode: str) -> tuple[np.ndarray, np.ndarray | None]:
     """The mask rule: the mask of k of n positions, 0 < k <= n, off one
     session's (words,) row of ERROR raw outputs or a chunk's (b x words) rows,
-    each ``mask_words(n, k)`` long (the keys alone in "flip" mode).  Returns
-    (marked, coins): the masked positions flagged in an (n,) row or (b x n)
-    rows, and the replacement coins, (k,) or (b x k) uint8, None in "flip".
+    each ``mask_words(n, k, mode)`` long.  Returns (marked, coins): the
+    masked positions flagged in an (n,) bool row or (b x n) rows, the one
+    form of a mask that ``kernel.mask_rows`` applies and
+    ``protocol.inject_errors`` returns, and the replacement coins, (k,) or
+    (b x k) uint8, None in "flip".
 
     The n keys are the first n 32-bit halves of the row, low half first; the
     masked positions are the k smallest (key, position) pairs, so a tie at
@@ -292,21 +295,6 @@ def read_mask(raw: np.ndarray, n: int, k: int, mode: str) -> tuple[np.ndarray, n
             ties = np.flatnonzero(row_keys[i] == row_kth[i])
             rows[i, ties[len(ties) - excess[i]:]] = False
     return marked, top_bits(raw[..., (n + 1) // 2:], k, 1) if mode == "randomize" else None
-
-
-def draw_mask(
-    n: int, k: int, rng: np.random.Generator, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draws of ``protocol.inject_errors`` on n results, unvalidated:
-    (masked positions, ascending, replacement coins), the coins None in
-    "flip" mode.  ``read_mask`` on the first raw outputs of ``rng``, which
-    should be fresh; k = 0 reads nothing."""
-    if not k:
-        coins = np.empty(0, dtype=np.uint8) if mode == "randomize" else None
-        return np.empty(0, dtype=np.intp), coins
-    raw = rng.bit_generator.random_raw(mask_words(n, k if mode == "randomize" else 0))
-    marked, coins = read_mask(raw, n, k, mode)
-    return np.flatnonzero(marked), coins
 
 
 class _StateWords(ISeedSequence):
@@ -375,14 +363,18 @@ class SubstreamBatch:
     def masks(self, trials: slice, n: int, k: int,
               mode: str) -> tuple[np.ndarray, np.ndarray | None]:
         """``read_mask`` on the ERROR words of the trials ``trials``: their
-        masked positions in the flat view of the chunk's (b x n) rows,
-        ascending, and their coins (b x k), None in "flip" mode.  The words
-        are read in pieces of up to ``_PIECE_WORDS`` (64 KB), off glibc's
-        128 KB mmap threshold: a whole chunk's, freed and mapped again each
-        chunk, cost ~57 page faults and ~9% of an n = 4096 sweep's time."""
-        words = mask_words(n, k if mode == "randomize" else 0)
+        (b x n) marked rows and their coins (b x k), None in "flip" mode.
+        The words are read in pieces of up to ``_PIECE_WORDS`` (64 KB), off
+        glibc's 128 KB mmap threshold: a whole chunk's, freed and mapped
+        again each chunk, cost ~57 page faults and ~9% of an n = 4096
+        sweep's time.  A chunk of one piece (every chunk above n = 16 384)
+        comes back as that piece: a copy of it would double the faults of a
+        large session."""
+        words = mask_words(n, k, mode)
         rows = max(1, _PIECE_WORDS // words)
         pieces = [read_mask(self.raw(ERROR, words, slice(i, min(i + rows, trials.stop))), n, k,
                             mode) for i in range(trials.start, trials.stop, rows)]
-        coins = None if mode == "flip" else np.concatenate([coins for _, coins in pieces])
-        return np.flatnonzero(np.concatenate([marked for marked, _ in pieces])), coins
+        if len(pieces) == 1:
+            return pieces[0]
+        marked, coins = zip(*pieces)
+        return np.concatenate(marked), None if mode == "flip" else np.concatenate(coins)

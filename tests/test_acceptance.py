@@ -269,5 +269,5 @@ def test_sanity_sift_commit_helpers_used_by_criteria():
     )
     assert (score.sift_size, score.direct_matches) == (1, 1)
     assert commit([1, 0], 1).revealed.tolist() == [0, 1]
-    masked, positions = inject_errors([0, 0, 0, 0], 0.5, streams.substream(1, "e"))
-    assert len(positions) == 2 and len(masked) == 4
+    masked, mask = inject_errors([0, 0, 0, 0], 0.5, streams.substream(1, "e"))
+    assert np.count_nonzero(mask) == 2 and len(masked) == 4

@@ -169,9 +169,9 @@ def _session_artifacts(seed=80, n=16):
 
 
 def test_rebind_honest_strategy_is_identity():
-    _seq, record, positions, commitment = _session_artifacts()
+    _seq, record, mask, commitment = _session_artifacts()
     out = alice_rebind_attack(
-        record, positions, commitment, 0, RebindStrategy.honest_bases(),
+        record, mask, commitment, 0, RebindStrategy.honest_bases(),
         streams.substream(80, "adv"),
     )
     assert np.array_equal(out, record.bases)
@@ -181,7 +181,7 @@ def test_rebind_flip_all_negates_every_basis():
     record = MeasurementRecord(bases=[0, 1], outcomes=[0, 0])
     commitment = Commitment(revealed=[0, 0])
     out = alice_rebind_attack(
-        record, np.empty(0, dtype=np.int64), commitment, 0, RebindStrategy.flip_all_bases(),
+        record, np.zeros(2, dtype=bool), commitment, 0, RebindStrategy.flip_all_bases(),
         streams.substream(81, "adv"),
     )
     assert out.tolist() == [1, 0]
@@ -193,7 +193,7 @@ def test_rebind_random_lies_hamming_distance():
     record = MeasurementRecord(bases=bases, outcomes=np.zeros(n, dtype=np.uint8))
     commitment = Commitment(revealed=np.zeros(n, dtype=np.uint8))
     out = alice_rebind_attack(
-        record, np.empty(0, dtype=np.int64), commitment, 0, RebindStrategy.random_lies(0.5),
+        record, np.zeros(n, dtype=bool), commitment, 0, RebindStrategy.random_lies(0.5),
         streams.substream(82, "adv"),
     )
     distance = int(np.sum(out != bases))
@@ -215,7 +215,7 @@ def test_rebind_lie_on_a_block_equals_each_row_and_each_session(p, n):
         assert np.array_equal(strategy.lie(row_bases, row_raw), row_lies)
         record = MeasurementRecord(bases=row_bases, outcomes=np.zeros(n, dtype=np.uint8))
         commitment = Commitment(revealed=np.zeros(n, dtype=np.uint8))
-        attack = alice_rebind_attack(record, np.empty(0, dtype=np.int64), commitment, 0,
+        attack = alice_rebind_attack(record, np.zeros(n, dtype=bool), commitment, 0,
                                      strategy, streams.substream(seed, streams.ADVERSARY))
         assert np.array_equal(attack, row_lies)
     assert np.array_equal(RebindStrategy.honest_bases().lie(bases, None), bases)
@@ -223,16 +223,16 @@ def test_rebind_lie_on_a_block_equals_each_row_and_each_session(p, n):
 
 
 def test_rebind_cannot_touch_the_commitment():
-    _seq, record, positions, commitment = _session_artifacts()
+    _seq, record, mask, commitment = _session_artifacts()
     out = alice_rebind_attack(
-        record, positions, commitment, 0, RebindStrategy.flip_all_bases(),
+        record, mask, commitment, 0, RebindStrategy.flip_all_bases(),
         streams.substream(83, "adv"),
     )
     assert np.array_equal(out, record.bases ^ 1)
     with pytest.raises(ValueError):
         commitment.revealed[0] ^= 1
     with pytest.raises(ValueError, match=r"^original_bit must be 0 or 1, got 2$"):
-        alice_rebind_attack(record, positions, commitment, 2, RebindStrategy.flip_all_bases(),
+        alice_rebind_attack(record, mask, commitment, 2, RebindStrategy.flip_all_bases(),
                             streams.substream(83, "adv"))
 
 

@@ -26,7 +26,7 @@ from qbcsim.protocol import (
     score_and_decide,
     unveil,
 )
-from qbcsim.rng import draw_mask, mask_words
+from qbcsim.rng import mask_words, read_mask
 from qbcsim.stats import binomial_ci
 
 POLICIES = {"default": DecisionPolicy(), "min_sift3": DecisionPolicy(min_sift=3)}
@@ -50,7 +50,7 @@ def _role_functions(seeds, n, e, noise, mode, strategy, policy):
         bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
         config = SessionConfig(n=n, committed_bit=bit, error_fraction=e,
                                noise_rate=noise, seed=seed, policy=policy)
-        seq, record, positions, commitment = run_commit_phase(config)
+        seq, record, mask, commitment = run_commit_phase(config)
         if mode == "honest":
             _score, decision = score_and_decide(seq, commitment, unveil(record), policy)
             successes += round(raw_correlations(seq.bits, commitment)[bit] * n)
@@ -62,11 +62,17 @@ def _role_functions(seeds, n, e, noise, mode, strategy, policy):
             successes += guess.guessed_bit == bit
             tallies[Decision.BIT1 if guess.guessed_bit else Decision.BIT0] += 1
             continue
-        lying = alice_rebind_attack(record, positions, commitment, bit, strategy, adversary)
+        lying = alice_rebind_attack(record, mask, commitment, bit, strategy, adversary)
         _score, decision = score_and_decide(seq, commitment, lying, policy)
         successes += decision is (Decision.BIT1 if bit == 0 else Decision.BIT0)
         tallies[decision] += 1
     return successes, tallies
+
+
+def _own_mask(seed, n, k, mode):
+    """``read_mask`` on the words of the trial's own ERROR substream."""
+    raw = streams.substream(seed, streams.ERROR).bit_generator.random_raw(mask_words(n, k, mode))
+    return read_mask(raw, n, k, mode)
 
 
 #: n = 128 reads 64 words per stream, at ``RAW_OUTPUTS_CROSSOVER``, and its
@@ -80,8 +86,8 @@ def test_kernel_grid_straddles_both_crossovers():
     # The crossover of the streams' reads and that of the masks' reads.
     words = {(n + 1) // 2 for n in KERNEL_GRID_N}
     assert min(words) <= streams.RAW_OUTPUTS_CROSSOVER < max(words)
-    masks = {mask_words(n, masked_count(e, n)) for n in KERNEL_GRID_N for e in KERNEL_GRID_E
-             if masked_count(e, n)}
+    masks = {mask_words(n, masked_count(e, n), "randomize") for n in KERNEL_GRID_N
+             for e in KERNEL_GRID_E if masked_count(e, n)}
     assert min(masks) <= streams.RAW_OUTPUTS_CROSSOVER < max(masks)
 
 
@@ -141,7 +147,7 @@ def _role_sessions(seeds, n, e, noise, policy, bit, error_mode):
     for seed in seeds:
         config = SessionConfig(n=n, committed_bit=bit, error_fraction=e, noise_rate=noise,
                                seed=seed, policy=policy, error_mode=error_mode)
-        seq, record, _positions, commitment = run_commit_phase(config)
+        seq, record, _mask, commitment = run_commit_phase(config)
         score, decision = score_and_decide(seq, commitment, unveil(record), policy)
         raw = [round(fraction * n) for fraction in raw_correlations(seq.bits, commitment)]
         rows.append((score.sift_size, score.direct_matches, score.reverse_matches, *raw, decision))
@@ -166,7 +172,7 @@ def test_sessions_equal_the_role_functions_trial_by_trial(bit, error_mode):
 
 @pytest.mark.parametrize("error_mode", ERROR_MODES)
 @pytest.mark.parametrize("bit", (0, 1))
-def test_sessions_redraw_rejected_masks(bit, error_mode):
+def test_sessions_equal_the_role_functions_on_masks_tied_at_the_kth_key(bit, error_mode):
     # Sessions whose mask threshold ties at the k-th key (``TIED_MASKS``).
     for seed, k in TIED_MASKS:
         seeds = [streams.derive_seed(98, 0), seed, streams.derive_seed(98, 1)]
@@ -174,10 +180,9 @@ def test_sessions_redraw_rejected_masks(bit, error_mode):
 
 
 @pytest.mark.parametrize("k", (10_001 // 50, 10_001 // 50 + 1))
-def test_flip_sessions_across_the_tail_shuffle_switch(k):
-    # Large odd-n flip sessions, masked one row per piece (5,001 words a row).
-    # The name is stream contract 1's: its ``choice`` switched to a tail
-    # shuffle at k = n // 50.
+def test_large_odd_n_flip_sessions_masked_a_row_a_piece(k):
+    # Large odd-n flip sessions, masked one row per piece (5,001 words a row),
+    # at k = n // 50 and one above.
     e = k / 10_001
     assert masked_count(e, 10_001) == k
     seeds = [streams.derive_seed(10_001, k, t) for t in range(2)]
@@ -209,7 +214,7 @@ def test_a_row_scores_as_its_row_of_a_block():
         for t in range(4):
             config = SessionConfig(n=n, committed_bit=t % 2, error_fraction=e, noise_rate=noise,
                                    seed=streams.derive_seed(1729, cell, t), policy=policy)
-            seq, record, _positions, commitment = run_commit_phase(config)
+            seq, record, _mask, commitment = run_commit_phase(config)
             unveiled = record.bases ^ 1 if t >= 2 else record.bases
             rows.append((seq.bases, seq.bits, commitment.revealed, unveiled))
         block = [np.stack(column) for column in zip(*rows)]
@@ -271,8 +276,7 @@ def test_a_row_runs_each_stage_as_its_row_of_a_block():
             for i, (seed, bit) in enumerate(zip(seeds, bits.tolist())):
                 row = measured[i].copy()
                 if k:
-                    error = streams.substream(seed, streams.ERROR)
-                    kernel.mask_rows(row, *draw_mask(n, k, error, error_mode), error_mode)
+                    kernel.mask_rows(row, *_own_mask(seed, n, k, error_mode), error_mode)
                 assert np.array_equal(row, masked[i]), (n, e, error_mode, i)
                 assert np.array_equal(kernel.order_rows(row, bit), revealed[i]), (n, bit, i)
                 drawn = []
@@ -291,19 +295,18 @@ MASK_CASES = ((1, 1), (2, 1), (2, 2), (17, 1), (17, 16), (17, 17), (64, 32), (25
 
 
 @pytest.mark.parametrize("n,k", MASK_CASES)
-def test_chunk_masks_equal_draw_mask(n, k):
-    # Each chunk row, in both modes, against draw_mask on that trial's own
-    # ERROR substream; a chunk that starts inside the block, too.
+def test_chunk_masks_equal_read_mask_on_each_trials_words(n, k):
+    # Each chunk row's marked row and coins, in both modes, against read_mask
+    # on that trial's own ERROR words; a chunk that starts inside the block, too.
     seeds = [streams.derive_seed(n, k, t) for t in range(24)]
     batch = streams.SubstreamBatch(seeds, [streams.ERROR])
     for mode, trials in product(ERROR_MODES, (slice(0, 24), slice(5, 12))):
         b = trials.stop - trials.start
-        positions, coins = batch.masks(trials, n, k, mode)
-        rows = positions.reshape(b, k) - np.arange(b)[:, None] * n
+        marked, coins = batch.masks(trials, n, k, mode)
+        assert marked.shape == (b, n) and marked.dtype == bool, (n, k, mode)
         for i, seed in enumerate(seeds[trials]):
-            want_positions, want_coins = draw_mask(n, k, streams.substream(seed, streams.ERROR),
-                                                   mode)
-            assert np.array_equal(rows[i], want_positions), (n, k, mode, i)
+            want_marked, want_coins = _own_mask(seed, n, k, mode)
+            assert np.array_equal(marked[i], want_marked), (n, k, mode, i)
             if mode == "flip":
                 assert coins is None and want_coins is None
             else:
@@ -319,27 +322,31 @@ TIED_MASKS = ((streams.derive_seed(16, 2, 94507), 47), (streams.derive_seed(16, 
               (streams.derive_seed(16, 2, 130603), 138))
 
 
-def test_rejected_masks_are_drawn_again():
+def test_masks_tied_at_the_kth_key_go_to_the_lower_positions():
     # The rows against the plain rule, alone and inside a chunk, both modes.
     for seed, k in TIED_MASKS:
-        raw = streams.substream(seed, streams.ERROR).bit_generator.random_raw(mask_words(256, k))
+        raw = streams.substream(seed, streams.ERROR).bit_generator.random_raw(
+            mask_words(256, k, "randomize"))
         keys = raw.view("<u4")[:256]
         assert np.count_nonzero(keys <= np.sort(keys)[k - 1]) == k + 1, seed
         want = sorted(i for _key, i in sorted(zip(keys.tolist(), range(256)))[:k])
         want_coins = (raw[128:].view("<u4")[:k] >> 31).tolist()
-        positions, coins = draw_mask(256, k, streams.substream(seed, streams.ERROR), "randomize")
-        assert positions.tolist() == want and coins.tolist() == want_coins, seed
+        marked, coins = read_mask(raw, 256, k, "randomize")
+        assert np.flatnonzero(marked).tolist() == want and coins.tolist() == want_coins, seed
         chunk = [streams.derive_seed(99, 0), seed, streams.derive_seed(99, 1)]
         batch = streams.SubstreamBatch(chunk, [streams.ERROR])
         for mode in ERROR_MODES:
-            positions, coins = batch.masks(slice(0, 3), 256, k, mode)
-            assert (positions.reshape(3, k)[1] - 256).tolist() == want, (seed, mode)
+            marked, coins = batch.masks(slice(0, 3), 256, k, mode)
+            assert np.flatnonzero(marked[1]).tolist() == want, (seed, mode)
             if mode == "randomize":
                 assert coins[1].tolist() == want_coins, seed
 
 
 @pytest.mark.parametrize("mode,strategy", MODES)
 def test_kernel_redraws_rejected_masks(mode, strategy):
+    # The kernel's trials against the role functions on ``TIED_MASKS``. The
+    # name is stream contract 1's, which redrew masks whose draw rejected;
+    # since contract 2 nothing is redrawn.
     strategy = strategy and RebindStrategy.parse(strategy)
     for seed, k in TIED_MASKS:
         seeds = [streams.derive_seed(99, t) for t in range(5)]
@@ -376,9 +383,9 @@ def test_mask_subsets_are_uniform():
     # words, against the uniform law.
     n, k, rows = 6, 3, 200_000
     seeds = list(streams.trial_seeds((6, 3), rows))
-    positions, _coins = streams.SubstreamBatch(seeds, [streams.ERROR]).masks(
+    marked, _coins = streams.SubstreamBatch(seeds, [streams.ERROR]).masks(
         slice(0, rows), n, k, "randomize")
-    subsets = (1 << positions.reshape(rows, k) % n).sum(axis=1)
+    subsets = marked @ (1 << np.arange(n))
     counts = np.bincount(subsets, minlength=2**n)[[sum(1 << i for i in c)
                                                   for c in combinations(range(n), k)]]
     assert counts.sum() == rows and counts.min() > 0

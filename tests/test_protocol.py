@@ -26,7 +26,6 @@ from qbcsim.protocol import (
     score_and_decide,
     unveil,
 )
-from qbcsim.rng import draw_mask
 
 bit_lists = st.lists(st.integers(0, 1), max_size=64)
 
@@ -49,19 +48,18 @@ def test_choose_bases_balanced():
 
 def test_inject_zero_fraction_changes_nothing():
     outcomes = streams.substream(3, "o").integers(0, 2, size=50).astype(np.uint8)
-    masked, positions = inject_errors(outcomes, 0.0, streams.substream(3, "e"))
+    masked, mask = inject_errors(outcomes, 0.0, streams.substream(3, "e"))
     assert np.array_equal(masked, outcomes)
-    assert len(positions) == 0
+    assert mask.dtype == bool and mask.shape == (50,) and not mask.any()
 
 
 def test_inject_mask_counts_and_distinct_positions():
     outcomes = np.zeros(1000, dtype=np.uint8)
     for e, expect in ((0.25, 250), (0.5, 500), (1.0, 1000)):
-        masked, positions = inject_errors(outcomes, e, streams.substream(7, "e", e))
-        assert len(positions) == expect
-        assert np.array_equal(np.unique(positions), positions)  # sorted and distinct
-        untouched = np.setdiff1d(np.arange(1000), positions)
-        assert np.array_equal(masked[untouched], outcomes[untouched])
+        masked, mask = inject_errors(outcomes, e, streams.substream(7, "e", e))
+        assert mask.dtype == bool and mask.shape == (1000,)
+        assert np.count_nonzero(mask) == expect
+        assert np.array_equal(masked[~mask], outcomes[~mask])
 
 
 def test_inject_half_randomization_leaves_three_quarters_agreement():
@@ -76,16 +74,16 @@ def test_inject_half_randomization_leaves_three_quarters_agreement():
 def test_inject_full_randomization_is_a_coin():
     n = 100000
     outcomes = streams.substream(22, "o").integers(0, 2, size=n).astype(np.uint8)
-    masked, positions = inject_errors(outcomes, 1.0, streams.substream(22, "e"))
-    assert len(positions) == n
+    masked, mask = inject_errors(outcomes, 1.0, streams.substream(22, "e"))
+    assert np.count_nonzero(mask) == n
     assert abs(np.mean(masked == outcomes) - 0.5) < 0.01
 
 
 def test_inject_flip_mode_inverts_selected_positions():
     outcomes = streams.substream(23, "o").integers(0, 2, size=200).astype(np.uint8)
-    masked, positions = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
-    assert np.array_equal(masked != outcomes, np.isin(np.arange(200), positions))
-    assert len(positions) == 100
+    masked, mask = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
+    assert np.array_equal(masked != outcomes, mask)
+    assert np.count_nonzero(mask) == 100
 
 
 def _reference_mask(raw, n, k):
@@ -100,30 +98,32 @@ def _reference_mask(raw, n, k):
 
 
 def test_mask_draws_are_the_smallest_keys_then_coins():
-    # draw_mask and inject_errors in both modes against the plain-Python rule,
-    # on the raw words of a twin generator.
+    # read_mask and inject_errors in both modes against the plain-Python rule,
+    # on the raw words of a twin generator, and the words inject_errors reads.
     for n in (1, 2, 17, 64, 255, 256, 4096, 10_001):
         outcomes = streams.substream(n, "o").integers(0, 2, size=n).astype(np.uint8)
         for k in sorted({1, n - 1, n, round(n / 2)} - {0}):
             for rep in range(3):
                 path = (n, k, rep)
-                raw = streams.substream(*path, streams.ERROR).bit_generator.random_raw(
-                    streams.mask_words(n, k))
-                want_positions, want_coins = _reference_mask(raw, n, k)
-                positions, coins = draw_mask(n, k, streams.substream(*path, streams.ERROR),
-                                             "randomize")
-                assert positions.tolist() == want_positions, path
+                words = streams.mask_words(n, k, "randomize")
+                raw = streams.substream(*path, streams.ERROR).bit_generator.random_raw(words + 1)
+                want_positions, want_coins = _reference_mask(raw[:words], n, k)
+                marked, coins = streams.read_mask(raw[:words], n, k, "randomize")
+                assert np.flatnonzero(marked).tolist() == want_positions, path
                 assert coins.tolist() == want_coins, path  # j-th coin, j-th smallest
-                flip = draw_mask(n, k, streams.substream(*path, streams.ERROR), "flip")
-                assert flip[0].tolist() == want_positions and flip[1] is None, path
+                flip = streams.read_mask(raw[:(n + 1) // 2], n, k, "flip")
+                assert np.flatnonzero(flip[0]).tolist() == want_positions, path
+                assert flip[1] is None, path
                 for mode in ERROR_MODES:
                     want = outcomes.copy()
                     want[want_positions] = (want_coins if mode == "randomize"
                                             else want[want_positions] ^ 1)
-                    masked, positions = inject_errors(
-                        outcomes, k / n, streams.substream(*path, streams.ERROR), mode)
-                    assert positions.tolist() == want_positions, (path, mode)
+                    error = streams.substream(*path, streams.ERROR)
+                    masked, mask = inject_errors(outcomes, k / n, error, mode)
+                    assert np.flatnonzero(mask).tolist() == want_positions, (path, mode)
                     assert np.array_equal(masked, want), (path, mode)
+                    read = words if mode == "randomize" else (n + 1) // 2  # no coin words
+                    assert error.bit_generator.random_raw() == raw[read], (path, mode)
 
 
 def test_mask_ties_go_to_the_lower_position():
