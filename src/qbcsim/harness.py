@@ -3,8 +3,11 @@
 ``run_cell`` runs the trials of one (n, error_fraction, noise_rate) cell
 and is the one evaluator of every mode: ``qbcsim sweep`` runs it on each
 cell of a grid, ``qbcsim attack`` on a grid of one cell.  Trial t of a cell
-is seeded by hash(*path, t); a sweep's path is (master_seed, cell_index),
-an attack's is (seed,).
+is seeded by ``rng.derive_seed(*path, t)``, numpy's ``SeedSequence`` with
+the spawn key (*path[1:], t); a sweep's path is (master_seed, cell_index),
+an attack's is (seed,).  So ``qbcsim simulate --seed`` with that seed
+replays one trial on its own (a sweep's honest trial draws its bit from its
+COMMITTED_BIT substream, where ``simulate`` takes ``--bit``).
 
 A sweep enumerates the grid in row-major order (n outermost) and runs
 trials_per_cell independent trials per cell, so results do not depend on
@@ -82,8 +85,10 @@ class SweepSpec:
             for v in getattr(self, axis):
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"{axis[:-1]} must be in [0, 1], got {v}")
-        if self.trials_per_cell < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials_per_cell}")
+        if not 1 <= self.trials_per_cell <= 2**32:  # each trial index is one spawn-key word
+            bound = ">= 1" if self.trials_per_cell < 1 else "<= 2**32"
+            raise ValueError(f"trials must be {bound}, got {self.trials_per_cell}")
+        streams.check_seed("master_seed", self.master_seed)
 
     @property
     def mode_label(self) -> str:
@@ -127,8 +132,9 @@ def run_cell(
 ) -> tuple[int, Counter[Decision]]:
     """Run ``spec.trials_per_cell`` trials of one cell in ``spec``'s mode.
 
-    Trial t is seeded by ``derive_seed(*path, t)``.  Returns the successes
-    and the decision tallies of ``kernel.run_trials``.
+    Trial t is seeded by ``derive_seed(*path, t)``, all of them derived in
+    one pass (``rng.trial_seeds``).  Returns the successes and the decision
+    tallies of ``kernel.run_trials``.
     """
     seeds = streams.trial_seeds(path, spec.trials_per_cell)
     return run_trials(seeds, n, e, noise, spec.mode.value, spec.strategy, spec.policy)

@@ -12,10 +12,12 @@ skips the per-trial dataclasses and their validation (``SweepSpec`` or
 ``SessionConfig`` validates the inputs once), and the generators that
 would draw nothing: COMMITTED_BIT when the bit is given, ERROR when no
 position is masked, ADVERSARY except for random-lies above 0.  Trials run
-in blocks of ``BLOCK_TRIALS``; each block seeds every substream it can draw
-in one vectorised pass (``rng.SubstreamBatch``), with the same states as
-``rng.substream``, and takes its committed bits and preunveil tie coins
-from it (``SubstreamBatch.coins``).
+in blocks of ``BLOCK_TRIALS`` of the seeds (a uint64 array, such as a
+cell's ``rng.trial_seeds``, or any iterable of ints); each block seeds
+every substream it can draw in one vectorised pass
+(``rng.SubstreamBatch``), with the same states as ``rng.substream``, and
+takes its committed bits and preunveil tie coins from it
+(``SubstreamBatch.coins``).
 
 Each protocol rule is one stage that takes one session's (n,) row or a
 chunk's (b x n) rows and validates nothing, and the role functions, the
@@ -39,7 +41,6 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -240,8 +241,10 @@ def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=No
     if mode == "preunveil" or (mode == "binding" and strategy.draws):
         labels.append(streams.ADVERSARY)
     chunk = max(1, CHUNK_ELEMENTS // max(n, 1))
-    seeds = iter(seeds)
-    while block := list(islice(seeds, BLOCK_TRIALS)):
+    if not isinstance(seeds, np.ndarray):
+        seeds = np.fromiter(seeds, np.uint64)
+    for begin in range(0, len(seeds), BLOCK_TRIALS):
+        block = seeds[begin:begin + BLOCK_TRIALS]
         substreams = streams.SubstreamBatch(block, labels)
         bits = (substreams.coins(streams.COMMITTED_BIT) if bit is None
                 else np.full(len(block), bit, dtype=np.uint8))

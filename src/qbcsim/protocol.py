@@ -138,6 +138,7 @@ class SessionConfig:
             raise ValueError(f"noise_rate must be in [0, 1], got {self.noise_rate}")
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
+        streams.check_seed("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,7 @@ class _RefereeSession:
     def __init__(self, seed: int, noise_rate: float):
         if not 0.0 <= noise_rate <= 1.0:
             raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
+        streams.check_seed("seed", seed)
         self.seed = seed
         self.noise_rate = noise_rate
         self.transcript = SessionTranscript()
@@ -278,8 +279,8 @@ def referee_serve(
     Returns the transcript (also written to ``transcript_path`` when
     given).  The call ends when the decision has been relayed, a protocol
     violation occurred, or the timeout expired; the transcript's last entry
-    is that decision or the error that ended the session.  A bad address or
-    noise rate raises ``ValueError`` before the port is bound.
+    is that decision or the error that ended the session.  A bad address,
+    seed or noise rate raises ``ValueError`` before the port is bound.
     """
     host, port = parse_address(listen)
     session = _RefereeSession(seed, noise_rate)

@@ -1,38 +1,45 @@
-"""Deterministic seed derivation, named random substreams, and the rules
+"""Deterministic seed derivation, numbered random substreams, and the rules
 that read their draws off raw PCG64 words.
 
-Every random decision in a session comes from its own named substream, so
+Every random decision in a session comes from its own substream, so
 replaying a session with one participant's behaviour changed leaves every
-other participant's draws untouched.  A substream seed is derived by
-hashing the master seed together with a label path (one SHA-256 of the
-decimal master and the labels joined by ``/``, first 8 bytes read
-little-endian); the derivation is pure arithmetic on the label strings, so
-it is stable across platforms, processes, and interpreter sessions.
+other participant's draws untouched.  Stream contract 3
+(``STREAM_CONTRACT``) derives seeds and substreams with numpy's
+``SeedSequence`` spawn keys, numpy's documented idiom for parallel streams:
 
-The networked mode relies on this: the sender, the committer, and the
-channel referee each hold only the master seed and rebuild exactly the
-substreams they own, which makes a wire session reproduce the in-process
-session draw for draw.
+* a child seed is ``derive_seed(m, *path)``, the first 64-bit word of
+  ``SeedSequence(m, spawn_key=path)``; trial t of a sweep's cell c is
+  ``derive_seed(master_seed, c, t)``, trial t of an attack
+  ``derive_seed(seed, t)``;
+* the substream of a protocol stage is ``substream(seed, label)``, a PCG64
+  seeded by ``SeedSequence(seed, spawn_key=(label,))``, where each label is
+  the stage's fixed integer (``PREPARE`` 0 to ``COMMITTED_BIT`` 5).
+
+Both are integer arithmetic that numpy keeps stable across platforms,
+processes and releases.  Every seed is an integer in [0, 2**64)
+(``check_seed``).  The networked mode relies on this: the sender, the
+committer, and the channel referee each hold only the master seed and
+rebuild exactly the substreams they own, which makes a wire session
+reproduce the in-process session draw for draw.
 
 ``substream`` is the reference path, and ``derive_seed`` the reference for
-``trial_seeds``, which derives a cell's trial seeds with the label path
-encoded once.  ``SubstreamBatch`` builds the same generators for a block
-of trials at once.  It hashes each (master, label) pair with one SHA-256
-call and reads all the seeds with one ``np.frombuffer``.  ``PCG64(seed)``
-seeds itself from ``SeedSequence(seed).generate_state(4, np.uint64)``, and
-the batch computes those words for every seed of the block in one
-vectorised numpy pass, then hands them to ``PCG64`` through a seed-sequence
-object that returns them.
-That pass can be vectorised because ``SeedSequence``'s hash constants evolve
-by multiplication alone, independently of the data: for a 64-bit seed (two
-entropy words, the rest of the pool zero) the whole hash is one fixed
-sequence of uint32 xor/multiply/shift steps, applied element-wise.
+``trial_seeds``, which derives a cell's trial seeds in one vectorised pass.
+``SubstreamBatch`` builds the same generators for a block of trials at once.
+Both compute ``SeedSequence``'s words with ``seed_state_words``, which can be
+vectorised because the hash constants evolve by multiplication alone,
+independently of the data: for a 64-bit seed (two entropy words, padded
+with zeros to the 4-word pool) and its spawn-key words the whole hash is
+one fixed sequence of uint32 xor/multiply/shift steps, applied
+element-wise.  The pool depends on the seed alone and each spawn-key word is
+mixed into it afterwards, so a pool is hashed once and the key words
+broadcast over it: a cell's pool once for all its trials, each trial's once
+for its six labels.  The batch hands the state words to ``PCG64`` through a
+seed-sequence object that returns them.
 
-Stream contract 2 (``STREAM_CONTRACT``): every rule that reads a session's
-draws off its substreams' raw PCG64 64-bit outputs is in this module, and
-the raw outputs are all it reads, which numpy keeps stable across releases
-(NEP 19) where it does not keep ``Generator`` methods' streams.  Every
-stream but ERROR is drawn as stream contract 1 drew it, as numpy's
+Every rule that reads a session's draws off its substreams' raw PCG64
+64-bit outputs is in this module, and the raw outputs are all it reads,
+which numpy keeps stable across releases (NEP 19) where it does not keep
+``Generator`` methods' streams.  Every stream but ERROR is drawn as numpy's
 ``Generator`` draws on the substream.  ``raw_outputs`` computes a fresh
 generator's first raw outputs from its seeding words (PCG64's seeding, its
 LCG steps and its XSL-RR output, in uint64 limbs); ``SubstreamBatch.raw``
@@ -42,64 +49,68 @@ on a power-of-two range returns the top bits of successive 32-bit halves
 (``top_bits``): the states, bases and coins (``uniform_codes``) and a fresh
 generator's first coin (``SubstreamBatch.coins``).  ``random() < rate`` is a
 raw-word comparison (``noise_threshold``): the noise and the random-lies
-schedule.  The ERROR stream is contract 2's own: ``read_mask`` marks the k
-positions with the smallest 32-bit keys among the first n halves and reads
-the coins from the halves that follow, on one session's words
+schedule.  The ERROR stream's rule (since contract 2): ``read_mask`` marks
+the k positions with the smallest 32-bit keys among the first n halves and
+reads the coins from the halves that follow, on one session's words
 (``protocol.inject_errors``) or a chunk's (``SubstreamBatch.masks``), and
 hands back the marked rows as the mask; under contract 1 it was
 ``choice(n, k, replace=False)`` and ``integers(0, 2, k)``.
-``tests/test_rng.py`` pins the batch to ``substream``, the channel, protocol
-and kernel tests pin the readers to ``Generator`` and the mask to a
-plain-Python reference.
+``tests/test_rng.py`` pins the seeding to numpy's ``SeedSequence`` and the
+batch to ``substream``, the channel, protocol and kernel tests pin the
+readers to ``Generator`` and the mask to a plain-Python reference.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 #: The version of the rules that turn a seed into draws (see above); a JSON
 #: report records it.
-STREAM_CONTRACT = 2
+STREAM_CONTRACT = 3
 
-# Substream labels used by a protocol session.  In wire mode they are split
-# across processes: the sender keeps PREPARE, the committer keeps BASES and
-# ERROR, and the channel owner (the referee) keeps MEASURE.
-PREPARE = "bob-prepare"
-BASES = "alice-bases"
-MEASURE = "channel-measure"
-ERROR = "alice-error"
-ADVERSARY = "adversary"
-COMMITTED_BIT = "committed-bit"
+#: Trials per piece of ``trial_seeds``.
+_SEED_PIECE = 2**16
 
-
-def derive_seed(master: int, *labels: int | str) -> int:
-    """Derive a 64-bit child seed from ``master`` and a label path.
-
-    Labels may be strings or integers (e.g. cell and trial indices); they
-    are joined with ``/`` separators before hashing, so ``("a", 1)`` and
-    ``("a1",)`` derive different seeds.
-    """
-    path = "/".join([str(int(master)), *map(str, labels)])
-    return int.from_bytes(hashlib.sha256(path.encode()).digest()[:8], "little")
+# Substream labels used by a protocol session: fixed spawn-key words.  In
+# wire mode they are split across processes: the sender keeps PREPARE, the
+# committer keeps BASES and ERROR, and the channel owner (the referee) keeps
+# MEASURE.
+PREPARE, BASES, MEASURE, ERROR, ADVERSARY, COMMITTED_BIT = range(6)
 
 
-def trial_seeds(path: Sequence[int | str], trials: int) -> Iterator[int]:
-    """``derive_seed(*path, t)`` for t in ``range(trials)``, with the path
-    encoded once."""
-    head = "/".join([str(int(path[0])), *map(str, path[1:]), ""]).encode()
-    for t in range(trials):
-        yield int.from_bytes(hashlib.sha256(head + b"%d" % t).digest()[:8], "little")
+def check_seed(name: str, seed) -> None:
+    """Refuse a seed that is not an integer in [0, 2**64), naming it."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
-def substream(master: int, *labels: int | str) -> np.random.Generator:
-    """Return an independent generator for the given label path."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master, *labels)))
+def derive_seed(master: int, *path: int) -> int:
+    """The 64-bit child seed of ``master`` at a path of integers (e.g. cell
+    and trial indices): the first word of ``SeedSequence(master,
+    spawn_key=path)``.  ``(1, 2)`` and ``(12,)`` derive different seeds."""
+    return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
+def trial_seeds(path: Sequence[int], trials: int) -> np.ndarray:
+    """``derive_seed(*path, t)`` for t in ``range(trials)``, as a uint64
+    array: the path's pool is hashed as a 1-element array and only the trial
+    word broadcasts.  Each path word after the master, and each t, must be
+    one uint32 word: below 2**32.  In pieces of ``_SEED_PIECE`` trials, so
+    the pass's temporaries (~48 bytes a trial) stay small for any count."""
+    master = np.array(path[:1], dtype=np.uint64)
+    pieces = np.split(np.arange(trials, dtype=np.uint32), range(_SEED_PIECE, trials, _SEED_PIECE))
+    return np.concatenate([seed_state_words(master, [*path[1:], t], 1)[:, 0] for t in pieces])
+
+
+def substream(seed: int, *labels: int) -> np.random.Generator:
+    """The generator of ``seed`` at a label path: a PCG64 seeded by
+    ``SeedSequence(seed, spawn_key=labels)``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=labels)))
 
 
 # numpy's SeedSequence: pool of 4 uint32 words, hash constants and mixers.
@@ -107,11 +118,12 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 
-def _hash_chain(init: int, mult: int, steps: int) -> list[tuple[np.uint32, np.uint32]]:
+@functools.cache
+def _hash_chain(init: int, mult: int, steps: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
     """(xor, multiply) constants of ``steps`` successive hash steps: each
     step xors with the running constant, advances it, and multiplies by it."""
     chain = []
@@ -119,13 +131,7 @@ def _hash_chain(init: int, mult: int, steps: int) -> list[tuple[np.uint32, np.ui
         nxt = init * mult & _MASK32
         chain.append((np.uint32(init), np.uint32(nxt)))
         init = nxt
-    return chain
-
-
-# mix_entropy hashes each pool word once, then each of the 4 * 3 ordered
-# pairs once; generate_state(4, uint64) hashes 8 words.
-_MIX_CHAIN = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE + _POOL_SIZE * (_POOL_SIZE - 1))
-_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)
+    return tuple(chain)
 
 
 def _hash(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
@@ -133,28 +139,39 @@ def _hash(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-def seed_state_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for every uint64 ``s``.
+def _mix(into: np.ndarray, value: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * into - _MIX_MULT_R * value
+    return mixed ^ (mixed >> _XSHIFT)
 
-    Returns an array of shape ``seeds.shape + (4,)``.
+
+def seed_state_words(seeds: np.ndarray, keys: Sequence, count: int = 4) -> np.ndarray:
+    """``SeedSequence(s, spawn_key=key).generate_state(count, np.uint64)`` for
+    every uint64 seed s of the array ``seeds``, where the spawn key's words
+    are ``keys``: ints below 2**32 or uint32 arrays that broadcast against
+    ``seeds``.  Returns an array of their broadcast shape + (count,).
+
+    The run entropy is the seed's low and high words, padded with zeros to
+    the pool (as ``SeedSequence`` pads it when there is a spawn key; without
+    one, hashing zeros into the rest of the pool does the same).  Each pool
+    word is hashed once and each of the 4 * 3 ordered pairs mixed once, then
+    each key word is hashed into every pool word; ``generate_state`` hashes
+    2 * count words off the pool.  Every word stays an array: numpy warns on
+    wrap-around in uint32 scalar arithmetic.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    entropy = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
-               (seeds >> np.uint64(32)).astype(np.uint32)]
-    entropy += [zero] * (_POOL_SIZE - len(entropy))
-    steps = iter(_MIX_CHAIN)
+    steps = iter(_hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(keys))))
+    zero = np.zeros(1, dtype=np.uint32)
+    entropy = [(seeds & _LOW32).astype(np.uint32), (seeds >> _U32).astype(np.uint32), zero, zero]
     pool = [_hash(word, *next(steps)) for word in entropy]
-    mult_l, mult_r = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                mixed = mult_l * pool[dst] - mult_r * _hash(pool[src], *next(steps))
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for word in keys:
+        word = np.array(word, dtype=np.uint32, ndmin=1)
+        pool = [_mix(into, _hash(word, *next(steps))) for into in pool]
     state = [_hash(pool[i % _POOL_SIZE], *consts).astype(np.uint64)
-             for i, consts in enumerate(_STATE_CHAIN)]
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])],
-                    axis=-1)
+             for i, consts in enumerate(_hash_chain(_INIT_B, _MULT_B, 2 * count))]
+    return np.stack([lo | hi << _U32 for lo, hi in zip(state[::2], state[1::2])], axis=-1)
 
 
 # numpy's PCG64: a 128-bit LCG with this multiplier and XSL-RR output.
@@ -325,20 +342,18 @@ class SubstreamBatch:
     """The substreams of a block of trials, seeded in one vectorised pass.
 
     The generator of trial t and ``label`` has the state of
-    ``substream(masters[t], label)``, for ``label`` in ``labels``: they are
-    hashed in bulk up front.  The batch hands out their raw outputs.
+    ``substream(masters[t], label)``, for ``label`` in ``labels``: each
+    master's pool is hashed once up front and the label words broadcast
+    over it (``seed_state_words``).  The batch hands out their raw outputs.
     """
 
-    def __init__(self, masters: Sequence[int], labels: Sequence[str]):
+    def __init__(self, masters: Sequence[int], labels: Sequence[int]):
         self._row = {label: i for i, label in enumerate(labels)}
-        # derive_seed(m, label) for every pair: one sha256 of b"<m>/<label>" each.
-        heads = [b"%d/" % int(m) for m in masters]
-        prefixes = b"".join([hashlib.sha256(head + label).digest()[:8]
-                             for label in map(str.encode, labels) for head in heads])
-        seeds = np.frombuffer(prefixes, "<u8").reshape(len(labels), len(masters))
-        self._words = seed_state_words(seeds)
+        # Each master's pool once, the (labels x 1) label words broadcast over it.
+        self._words = seed_state_words(np.asarray(masters, dtype=np.uint64),
+                                       [np.array(labels, dtype=np.uint32)[:, None]])
 
-    def raw(self, label: str, count: int, trials: slice = slice(None)) -> np.ndarray:
+    def raw(self, label: int, count: int, trials: slice = slice(None)) -> np.ndarray:
         """``substream(masters[t], label).bit_generator.random_raw(count)``
         for every t in ``trials``, as a (trials x count) uint64 array.  Up to
         ``RAW_OUTPUTS_CROSSOVER`` words the rows are computed from the state
@@ -355,7 +370,7 @@ class SubstreamBatch:
             out[:] = _pcg64(row).random_raw(count)
         return raw
 
-    def coins(self, label: str) -> np.ndarray:
+    def coins(self, label: int) -> np.ndarray:
         """``integers(0, 2)`` on each fresh ``label`` generator of the block,
         as uint8: the top bit of its first 32-bit half."""
         return top_bits(self.raw(label, 1), 1, 1)[:, 0]

@@ -82,7 +82,7 @@ def test_strategy_labels_round_trip():
 def test_guess_reads_bit_zero_without_errors():
     config = SessionConfig(n=100000, committed_bit=0, error_fraction=0.0, seed=70)
     seq, _rec, _mask, commitment = run_commit_phase(config)
-    guess = bob_preunveil_guess(seq.bits, commitment, streams.substream(70, "adv"))
+    guess = bob_preunveil_guess(seq.bits, commitment, streams.substream(70, streams.ADVERSARY))
     assert guess.guessed_bit == 0
     assert abs(guess.direct_raw - 0.75) < 0.005
     assert abs(guess.reverse_raw - 0.5) < 0.005
@@ -92,7 +92,7 @@ def test_guess_reads_bit_zero_without_errors():
 def test_guess_reads_bit_one_through_half_errors():
     config = SessionConfig(n=100000, committed_bit=1, error_fraction=0.5, seed=71)
     seq, _rec, _mask, commitment = run_commit_phase(config)
-    guess = bob_preunveil_guess(seq.bits, commitment, streams.substream(71, "adv"))
+    guess = bob_preunveil_guess(seq.bits, commitment, streams.substream(71, streams.ADVERSARY))
     assert guess.guessed_bit == 1
     assert abs(guess.reverse_raw - 0.625) < 0.005
 
@@ -101,16 +101,16 @@ def test_guess_on_empty_session_is_a_fair_coin():
     # The tie coin is the adversary stream's integers(0, 2), read as the bit.
     empty_commitment = Commitment(revealed=[])
     guesses = [
-        bob_preunveil_guess([], empty_commitment, streams.substream(s, "adv")).guessed_bit
+        bob_preunveil_guess([], empty_commitment, streams.substream(s, streams.ADVERSARY)).guessed_bit
         for s in range(2000)
     ]
     assert abs(np.mean(guesses) - 0.5) < 3 * np.sqrt(0.25 / 2000)
-    assert guesses == [int(streams.substream(s, "adv").integers(0, 2)) for s in range(2000)]
+    assert guesses == [int(streams.substream(s, streams.ADVERSARY).integers(0, 2)) for s in range(2000)]
 
 
 def test_guess_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        bob_preunveil_guess([0, 1], Commitment(revealed=[0]), streams.substream(1, "a"))
+        bob_preunveil_guess([0, 1], Commitment(revealed=[0]), streams.substream(1, streams.ADVERSARY))
 
 
 def test_preunveil_success_baseline_at_n_zero():
@@ -154,7 +154,7 @@ def test_error_injection_lowers_the_margin():
     trials = 10000
     margins = {}
     for e in (0.0, 0.5):
-        seeds = [streams.derive_seed(76, e, t) for t in range(trials)]
+        seeds = [streams.derive_seed(76, round(e * 100), t) for t in range(trials)]
         _bits, scores = run_sessions(seeds, 64, e, 0.0)
         margins[e] = np.maximum(scores.raw_direct, scores.raw_reverse).sum() / 64 / trials
     sigma = np.sqrt(0.25 / (trials * 64)) * 3
@@ -172,7 +172,7 @@ def test_rebind_honest_strategy_is_identity():
     _seq, record, mask, commitment = _session_artifacts()
     out = alice_rebind_attack(
         record, mask, commitment, 0, RebindStrategy.honest_bases(),
-        streams.substream(80, "adv"),
+        streams.substream(80, streams.ADVERSARY),
     )
     assert np.array_equal(out, record.bases)
 
@@ -182,19 +182,19 @@ def test_rebind_flip_all_negates_every_basis():
     commitment = Commitment(revealed=[0, 0])
     out = alice_rebind_attack(
         record, np.zeros(2, dtype=bool), commitment, 0, RebindStrategy.flip_all_bases(),
-        streams.substream(81, "adv"),
+        streams.substream(81, streams.ADVERSARY),
     )
     assert out.tolist() == [1, 0]
 
 
 def test_rebind_random_lies_hamming_distance():
     n = 100000
-    bases = streams.substream(82, "b").integers(0, 2, size=n).astype(np.uint8)
+    bases = streams.substream(82, streams.BASES).integers(0, 2, size=n).astype(np.uint8)
     record = MeasurementRecord(bases=bases, outcomes=np.zeros(n, dtype=np.uint8))
     commitment = Commitment(revealed=np.zeros(n, dtype=np.uint8))
     out = alice_rebind_attack(
         record, np.zeros(n, dtype=bool), commitment, 0, RebindStrategy.random_lies(0.5),
-        streams.substream(82, "adv"),
+        streams.substream(82, streams.ADVERSARY),
     )
     distance = int(np.sum(out != bases))
     assert abs(distance - 50000) <= 500
@@ -206,7 +206,7 @@ def test_rebind_lie_on_a_block_equals_each_row_and_each_session(p, n):
     # The kernel lies on a chunk's (b x n) rows of ADVERSARY words, a session
     # on its (n,) row; n = 130 reads its words past RAW_OUTPUTS_CROSSOVER.
     seeds = [streams.derive_seed(87, n, t) for t in range(24)]
-    bases = streams.substream(87, "bases", n).integers(0, 2, size=(len(seeds), n),
+    bases = streams.substream(87, streams.BASES, n).integers(0, 2, size=(len(seeds), n),
                                                        dtype=np.uint8)
     raw = streams.SubstreamBatch(seeds, [streams.ADVERSARY]).raw(streams.ADVERSARY, n)
     strategy = RebindStrategy.random_lies(p)
@@ -226,14 +226,14 @@ def test_rebind_cannot_touch_the_commitment():
     _seq, record, mask, commitment = _session_artifacts()
     out = alice_rebind_attack(
         record, mask, commitment, 0, RebindStrategy.flip_all_bases(),
-        streams.substream(83, "adv"),
+        streams.substream(83, streams.ADVERSARY),
     )
     assert np.array_equal(out, record.bases ^ 1)
     with pytest.raises(ValueError):
         commitment.revealed[0] ^= 1
     with pytest.raises(ValueError, match=r"^original_bit must be 0 or 1, got 2$"):
         alice_rebind_attack(record, mask, commitment, 2, RebindStrategy.flip_all_bases(),
-                            streams.substream(83, "adv"))
+                            streams.substream(83, streams.ADVERSARY))
 
 
 def test_binding_honest_unveil_never_flips():

@@ -48,7 +48,7 @@ def test_simulate_flip_error_mode(capsys):
 
 
 #: SHA-256 of ``qbcsim simulate ... --output json`` stdout, under stream
-#: contract 2, for sessions that cross every path of the kernel: no photons,
+#: contract 3, for sessions that cross every path of the kernel: no photons,
 #: every result masked, noise, both error modes, mask words computed (n = 16,
 #: 17) and read off a generator, and a wire-sized session.  (Under contract 1
 #: a Lemire step rejected the long seed's mask.)
@@ -56,19 +56,19 @@ SIMULATE_GOLDEN = (
     ("--n 0 --bit 0 --seed 1",
      "11e9c1e04ac70039c0d0542b919901cb99e72c31ce463dcd7b5487edb6ff076a"),
     ("--n 17 --bit 1 --error-fraction 1 --seed 2",
-     "666d61e328f7a400082a45f2d086c3d23c6d69366f0b8d893d9b6b990dd884f5"),
+     "9448e6181b0bbe385900e28fd0677462d49d591d28c9c16ac48a4fff7beb1727"),
     ("--n 16 --bit 0 --error-fraction 0.5 --noise-rate 0.1 --seed 6",
-     "e8dfc565fbf3b477576083c6391fc6451c40d874973a847b7cb235b0f45e6ec1"),
+     "3da965b8160f2a11bfa1dfec5bd787a3d1148955cf761fad0545144ff5d4b253"),
     ("--n 256 --bit 1 --error-fraction 0.5 --seed 3",
-     "73801b15af69db064d8b508eb7980f0718c4f9f3fb3ab0c85ee7080c41c1bf81"),
+     "9031a111484db2ca59f658229cfde08c8b834bea211973a35bdf134ba610a3c3"),
     ("--n 256 --bit 0 --error-fraction 0.5 --error-mode flip --seed 3",
-     "bb24747aa42bdc0c4a0e68ecf471dc4665b962f1a04d83657178ab581d8ff664"),
+     "824afc7bbed96e1705cea6ff6ee663e75addddeb79859a621d9fb78ee6370965"),
     ("--n 256 --bit 1 --error-fraction 0.5 --seed 6239659924206660975",
-     "5800fc612816b7107359f054a99de6adf8975cac19da605567064c755a5992a9"),
+     "fbb7f0535e9b5acf71fef35853820ed4acab1d8c49209ecfab063cec51fe7471"),
     ("--n 1024 --bit 1 --error-fraction 0.75 --noise-rate 0.1 --seed 4",
-     "d86a6df58553201008098ee4f39aa2cdf5a7139d7ad78d74ca63069f0304b4c7"),
+     "341b5bf0e2f62987cc6cc377f77d51202f51da96d38c189c39c8dc45b2d191c0"),
     ("--n 100000 --bit 0 --error-fraction 0.5 --error-mode flip --seed 9",
-     "79ac964441f76618da3aa9947f5128cf7a29119963244d231a83e02b3e5e7c10"),
+     "08cf2571aaa88374514752efb2a33e36c6ca54e199253ce9cc626732d76b8e8e"),
 )
 
 
@@ -127,6 +127,34 @@ def test_runtime_errors_exit_one(capsys, tmp_path):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("seed", ("-3", str(2**64)))
+def test_every_seed_flag_refuses_a_seed_outside_64_bits(seed, capsys, tmp_path):
+    # Before any draw, socket or file: exit 1 with the value named.
+    out = str(tmp_path / "r.csv")
+    for argv, name in (
+        (["simulate", "--n", "16", "--bit", "0"], "seed"),
+        (["sweep", "--n-list", "16", "--error-list", "0", "--out", out], "master_seed"),
+        (["attack", "preunveil", "--n", "16", "--trials", "5"], "master_seed"),
+        (["attack", "rebind", "--n", "16", "--trials", "5"], "master_seed"),
+        (["referee", "--listen", "127.0.0.1:0", "--timeout", "1"], "seed"),
+    ):
+        assert cli_main([*argv, "--seed", seed]) == 1, argv
+        assert capsys.readouterr().err == (
+            f"error: {name} must be an integer in [0, 2**64), got {seed}\n"), argv
+    party = ["party", "--role", "alice", "--connect", "127.0.0.1:1", "--n", "16"]
+    assert cli_main([*party, "--seed", seed]) == 1
+    assert capsys.readouterr().err == (
+        f"alice failed: seed must be an integer in [0, 2**64), got {seed}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_trials_above_2_to_the_32_are_refused(capsys, tmp_path):
+    argv = ["sweep", "--n-list", "16", "--error-list", "0", "--trials", str(2**32 + 1),
+            "--out", str(tmp_path / "r.csv")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: trials must be <= 2**32, got 4294967297\n"
+
+
 def test_sweep_matches_harness_golden(capsys, tmp_path):
     golden = tmp_path / "golden.csv"
     spec = SweepSpec(
@@ -179,7 +207,7 @@ def test_sweep_json_format(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2 and doc["stream_contract"] == 2
+    assert doc["schema_version"] == 2 and doc["stream_contract"] == 3
     assert len(doc["rows"]) == 1
     capsys.readouterr()
 
@@ -212,22 +240,22 @@ def test_attack_rebind_json(capsys):
 ATTACK_GOLDEN = (
     pytest.param(
         ["preunveil", "--n", "64", "--error-fraction", "0.5", "--trials", "300", "--seed", "5"],
-        "pre-unveil guess success: 0.9200 (95% CI [0.8837, 0.9457]) over 300 trials\n",
+        "pre-unveil guess success: 0.9133 (95% CI [0.8760, 0.9402]) over 300 trials\n",
         id="preunveil-text"),
     pytest.param(
         ["preunveil", "--n", "17", "--error-fraction", "0.3", "--noise-rate", "0.1",
          "--trials", "300", "--seed", "6", "--output", "json"],
         '{\n  "n": 17,\n  "error_fraction": 0.3,\n  "noise_rate": 0.1,\n  "trials": 300,\n'
-        '  "seed": 6,\n  "success_rate": 0.78,\n  "ci_low": 0.7297473820840871,\n'
-        '  "ci_high": 0.8231725540301672\n}\n',
+        '  "seed": 6,\n  "success_rate": 0.7933333333333333,\n  "ci_low": 0.743944983244025,\n'
+        '  "ci_high": 0.8353044736375745\n}\n',
         id="preunveil-json-noise"),
     pytest.param(
         ["rebind", "--n", "64", "--strategy", "flip-all-bases", "--trials", "300", "--seed", "5"],
         "rebind strategy flip-all-bases over 300 trials:\n"
-        "  flip succeeded:   22 (0.0733)\n"
-        "  cheat suspected:  228 (0.7600)\n"
-        "  ambiguous:        19\n"
-        "  original decoded: 31\n",
+        "  flip succeeded:   27 (0.0900)\n"
+        "  cheat suspected:  232 (0.7733)\n"
+        "  ambiguous:        18\n"
+        "  original decoded: 23\n",
         id="rebind-flip-all-text"),
     pytest.param(
         ["rebind", "--n", "32", "--error-fraction", "0.25", "--noise-rate", "0.05",
@@ -235,18 +263,18 @@ ATTACK_GOLDEN = (
          "--output", "json"],
         '{\n  "n": 32,\n  "error_fraction": 0.25,\n  "noise_rate": 0.05,\n'
         '  "strategy": "random-lies:0.3",\n  "trials": 300,\n  "seed": 9,\n'
-        '  "success_count": 4,\n  "detection_count": 25,\n  "ambiguous_count": 95,\n'
-        '  "decoded_original_count": 176,\n  "success_rate": 0.013333333333333334,\n'
-        '  "detection_rate": 0.08333333333333333\n}\n',
+        '  "success_count": 4,\n  "detection_count": 24,\n  "ambiguous_count": 100,\n'
+        '  "decoded_original_count": 172,\n  "success_rate": 0.013333333333333334,\n'
+        '  "detection_rate": 0.08\n}\n',
         id="rebind-random-lies-json-delta"),
     pytest.param(
         ["rebind", "--n", "16", "--strategy", "random-lies:0.5", "--min-sift", "3",
          "--trials", "300", "--seed", "9"],
         "rebind strategy random-lies:0.5 over 300 trials:\n"
-        "  flip succeeded:   21 (0.0700)\n"
-        "  cheat suspected:  22 (0.0733)\n"
-        "  ambiguous:        39\n"
-        "  original decoded: 218\n",
+        "  flip succeeded:   26 (0.0867)\n"
+        "  cheat suspected:  27 (0.0900)\n"
+        "  ambiguous:        26\n"
+        "  original decoded: 221\n",
         id="rebind-random-lies-text-min-sift"),
 )
 

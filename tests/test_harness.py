@@ -18,6 +18,7 @@ from qbcsim.harness import (
     run_sweep,
     write_report,
 )
+from qbcsim.protocol import SessionConfig, run_honest_session
 
 
 def _honest_spec(**overrides):
@@ -31,6 +32,24 @@ def _honest_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def test_a_sweep_trial_replays_as_a_session_from_its_derived_seed():
+    # Trial t of cell c runs as ``simulate --seed derive_seed(m, c, t)`` with
+    # the bit its COMMITTED_BIT substream drew: the cell's pooled raw matches
+    # are the sessions' correct-pairing raw matches.
+    spec = _honest_spec(n_values=(16, 64), error_fractions=(0.5,), noise_rates=(0.1,),
+                        trials_per_cell=6, master_seed=2**64 - 1)
+    for cell, row in enumerate(run_sweep(spec).rows):
+        matches = 0
+        for t in range(spec.trials_per_cell):
+            seed = streams.derive_seed(spec.master_seed, cell, t)
+            bit = int(streams.substream(seed, streams.COMMITTED_BIT).integers(0, 2))
+            report = run_honest_session(SessionConfig(
+                n=row.n, committed_bit=bit, error_fraction=0.5, noise_rate=0.1, seed=seed))
+            correct = report.raw_reverse_correlation if bit else report.raw_direct_correlation
+            matches += round(correct * row.n)
+        assert row.statistic_mean == round(matches / (6 * row.n), 6), cell
 
 
 def test_honest_sweep_reproduces_the_two_headline_numbers():
@@ -113,6 +132,15 @@ def test_spec_validation():
         SweepSpec(n_values=(), error_fractions=(0.0,))
     with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
         SweepSpec(n_values=(4,), error_fractions=(0.0,), trials_per_cell=0)
+    # Each trial index must be one uint32 spawn-key word; every seed a uint64.
+    SweepSpec(n_values=(4,), error_fractions=(0.0,), trials_per_cell=2**32,
+              master_seed=2**64 - 1)
+    with pytest.raises(ValueError, match=re.escape("trials must be <= 2**32, got 4294967297")):
+        SweepSpec(n_values=(4,), error_fractions=(0.0,), trials_per_cell=2**32 + 1)
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"master_seed must be an integer in [0, 2**64), got {seed!r}")):
+            SweepSpec(n_values=(4,), error_fractions=(0.0,), master_seed=seed)
     # A bad axis value fails when the spec is built, before any cell runs,
     # and the message names the value.
     for axes, message in (
@@ -154,9 +182,9 @@ def test_json_round_trip_is_structurally_equal(tmp_path):
     assert again.master_seed == report.master_seed
     assert again.tool_version == report.tool_version
     assert again.timestamp == report.timestamp
-    assert again.stream_contract == report.stream_contract == streams.STREAM_CONTRACT == 2
+    assert again.stream_contract == report.stream_contract == streams.STREAM_CONTRACT == 3
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 2 and doc["stream_contract"] == 2
+    assert doc["schema_version"] == 2 and doc["stream_contract"] == 3
 
 
 def test_read_report_reads_schema_1_as_stream_contract_1(tmp_path):
@@ -168,6 +196,16 @@ def test_read_report_reads_schema_1_as_stream_contract_1(tmp_path):
     path.write_text(json.dumps({**doc, "schema_version": 1}))
     again = read_report(path)
     assert again.stream_contract == 1 and again.rows == report.rows
+
+
+def test_read_report_reads_a_schema_2_file_as_its_recorded_contract(tmp_path):
+    path = tmp_path / "r.json"
+    report = run_sweep(_honest_spec(n_values=(4,), trials_per_cell=1))
+    write_report(report, "json", path)
+    doc = json.loads(path.read_text())
+    for contract in (2, 3):
+        path.write_text(json.dumps({**doc, "stream_contract": contract}))
+        assert read_report(path).stream_contract == contract
 
 
 def test_read_report_refuses_another_schema_version(tmp_path):

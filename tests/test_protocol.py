@@ -29,26 +29,29 @@ from qbcsim.protocol import (
 
 bit_lists = st.lists(st.integers(0, 1), max_size=64)
 
+#: The label of a test's own outcomes stream, past the protocol's six.
+OUTCOMES = 6
+
 
 # -- basis choice ------------------------------------------------------------
 
 def test_choose_bases_empty_and_deterministic():
-    assert len(choose_random_bases(0, streams.substream(1, "b"))) == 0
-    a = choose_random_bases(20, streams.substream(4, "b"))
-    b = choose_random_bases(20, streams.substream(4, "b"))
+    assert len(choose_random_bases(0, streams.substream(1, streams.BASES))) == 0
+    a = choose_random_bases(20, streams.substream(4, streams.BASES))
+    b = choose_random_bases(20, streams.substream(4, streams.BASES))
     assert np.array_equal(a, b)
 
 
 def test_choose_bases_balanced():
-    bases = choose_random_bases(100000, streams.substream(12, "b"))
+    bases = choose_random_bases(100000, streams.substream(12, streams.BASES))
     assert abs(np.mean(bases == 0) - 0.5) < 0.01
 
 
 # -- error injection ---------------------------------------------------------
 
 def test_inject_zero_fraction_changes_nothing():
-    outcomes = streams.substream(3, "o").integers(0, 2, size=50).astype(np.uint8)
-    masked, mask = inject_errors(outcomes, 0.0, streams.substream(3, "e"))
+    outcomes = streams.substream(3, OUTCOMES).integers(0, 2, size=50).astype(np.uint8)
+    masked, mask = inject_errors(outcomes, 0.0, streams.substream(3, streams.ERROR))
     assert np.array_equal(masked, outcomes)
     assert mask.dtype == bool and mask.shape == (50,) and not mask.any()
 
@@ -56,7 +59,7 @@ def test_inject_zero_fraction_changes_nothing():
 def test_inject_mask_counts_and_distinct_positions():
     outcomes = np.zeros(1000, dtype=np.uint8)
     for e, expect in ((0.25, 250), (0.5, 500), (1.0, 1000)):
-        masked, mask = inject_errors(outcomes, e, streams.substream(7, "e", e))
+        masked, mask = inject_errors(outcomes, e, streams.substream(7, streams.ERROR, round(e * 100)))
         assert mask.dtype == bool and mask.shape == (1000,)
         assert np.count_nonzero(mask) == expect
         assert np.array_equal(masked[~mask], outcomes[~mask])
@@ -65,23 +68,23 @@ def test_inject_mask_counts_and_distinct_positions():
 def test_inject_half_randomization_leaves_three_quarters_agreement():
     # (1-e)*1 + e*(1/2) with e=1/2 -> 3/4 agreement with the original.
     n = 100000
-    reference = streams.substream(21, "ref").integers(0, 2, size=n).astype(np.uint8)
-    masked, _ = inject_errors(reference, 0.5, streams.substream(21, "e"))
+    reference = streams.substream(21, OUTCOMES).integers(0, 2, size=n).astype(np.uint8)
+    masked, _ = inject_errors(reference, 0.5, streams.substream(21, streams.ERROR))
     agreement = np.mean(masked == reference)
     assert abs(agreement - 0.75) < 0.01
 
 
 def test_inject_full_randomization_is_a_coin():
     n = 100000
-    outcomes = streams.substream(22, "o").integers(0, 2, size=n).astype(np.uint8)
-    masked, mask = inject_errors(outcomes, 1.0, streams.substream(22, "e"))
+    outcomes = streams.substream(22, OUTCOMES).integers(0, 2, size=n).astype(np.uint8)
+    masked, mask = inject_errors(outcomes, 1.0, streams.substream(22, streams.ERROR))
     assert np.count_nonzero(mask) == n
     assert abs(np.mean(masked == outcomes) - 0.5) < 0.01
 
 
 def test_inject_flip_mode_inverts_selected_positions():
-    outcomes = streams.substream(23, "o").integers(0, 2, size=200).astype(np.uint8)
-    masked, mask = inject_errors(outcomes, 0.5, streams.substream(23, "e"), mode="flip")
+    outcomes = streams.substream(23, OUTCOMES).integers(0, 2, size=200).astype(np.uint8)
+    masked, mask = inject_errors(outcomes, 0.5, streams.substream(23, streams.ERROR), mode="flip")
     assert np.array_equal(masked != outcomes, mask)
     assert np.count_nonzero(mask) == 100
 
@@ -101,7 +104,7 @@ def test_mask_draws_are_the_smallest_keys_then_coins():
     # read_mask and inject_errors in both modes against the plain-Python rule,
     # on the raw words of a twin generator, and the words inject_errors reads.
     for n in (1, 2, 17, 64, 255, 256, 4096, 10_001):
-        outcomes = streams.substream(n, "o").integers(0, 2, size=n).astype(np.uint8)
+        outcomes = streams.substream(n, OUTCOMES).integers(0, 2, size=n).astype(np.uint8)
         for k in sorted({1, n - 1, n, round(n / 2)} - {0}):
             for rep in range(3):
                 path = (n, k, rep)
@@ -148,10 +151,16 @@ def test_mask_ties_go_to_the_lower_position():
     (lambda: SessionConfig(n=4, committed_bit=0, error_mode="bogus"),
      "error_mode must be one of ('randomize', 'flip'), got 'bogus'"),
     (lambda: commit([0, 1], 2), "bit must be 0 or 1, got 2"),
-    (lambda: choose_random_bases(-1, streams.substream(1, "b")), "n must be >= 0, got -1"),
+    (lambda: SessionConfig(n=4, committed_bit=0, seed=-3),
+     "seed must be an integer in [0, 2**64), got -3"),
+    (lambda: SessionConfig(n=4, committed_bit=0, seed=2**64),
+     "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    (lambda: choose_random_bases(-1, streams.substream(1, streams.BASES)),
+     "n must be >= 0, got -1"),
     (lambda: MeasurementRecord(bases=[0, 1], outcomes=[0]), "bases length 2 != outcomes length 1"),
     (lambda: PreparedSequence(bases=[0, 1], bits=[0]), "basis/bit length mismatch: 2 != 1"),
-), ids=("session-config", "commit", "choose-bases", "measurement-record", "prepared-sequence"))
+), ids=("session-config", "seed-negative", "seed-too-large", "commit", "choose-bases",
+        "measurement-record", "prepared-sequence"))
 def test_bad_values_are_named(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -159,9 +168,9 @@ def test_bad_values_are_named(build, message):
 
 def test_inject_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        inject_errors([0, 1], 1.5, streams.substream(1, "e"))
+        inject_errors([0, 1], 1.5, streams.substream(1, streams.ERROR))
     with pytest.raises(ValueError):
-        inject_errors([0, 1], 0.5, streams.substream(1, "e"), mode="bogus")
+        inject_errors([0, 1], 0.5, streams.substream(1, streams.ERROR), mode="bogus")
 
 
 # -- order encoding ----------------------------------------------------------
@@ -240,8 +249,8 @@ def test_sift_examples():
 
 def test_sift_size_is_binomial_half():
     n = 100000
-    bob = choose_random_bases(n, streams.substream(5, "bob"))
-    alice = choose_random_bases(n, streams.substream(5, "alice"))
+    bob = choose_random_bases(n, streams.substream(5, streams.PREPARE))
+    alice = choose_random_bases(n, streams.substream(5, streams.BASES))
     size, _direct, _reverse = _score(bob, np.zeros(n), np.zeros(n), alice)
     assert abs(size - 50000) <= 500
 
@@ -439,7 +448,7 @@ def test_expected_rate_conformance_over_error_grid():
             report = run_honest_session(
                 SessionConfig(
                     n=n, committed_bit=0, error_fraction=e,
-                    seed=streams.derive_seed(66, e, t),
+                    seed=streams.derive_seed(66, round(e * 100), t),
                 )
             )
             total += report.raw_direct_correlation

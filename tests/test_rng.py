@@ -1,6 +1,8 @@
-"""Seed derivation: stability, replayability, substream independence."""
+"""Seed derivation: stability, replayability, substream independence, and
+stream contract 3's seeding pinned to numpy's own ``SeedSequence``."""
 
 import numpy as np
+import pytest
 
 from qbcsim import rng as streams
 from qbcsim.kernel import BLOCK_TRIALS
@@ -9,10 +11,17 @@ from qbcsim.kernel import BLOCK_TRIALS
 def test_derivation_is_stable():
     # Frozen values: the derivation must never change, or every seeded
     # experiment in the wild silently changes with it.
-    assert streams.derive_seed(0) == 4066689987807800415
-    assert streams.derive_seed(12345, "bob-prepare") == 14364373589307194028
-    assert streams.derive_seed(2024, 3, 17) == 17044459236343154442
-    assert streams.derive_seed(2**64 - 1, "adversary") == 17830963011044050215
+    assert streams.derive_seed(0) == 15793235383387715774
+    assert streams.derive_seed(12345, streams.PREPARE) == 13729193726644583001
+    assert streams.derive_seed(2024, 3, 17) == 6477054096243638525
+    assert streams.derive_seed(2**64 - 1, streams.ADVERSARY) == 6757517641186021383
+    assert streams.substream(2024, streams.MEASURE).bit_generator.random_raw(2).tolist() == [
+        16992983215912844106, 2389580650106056743]
+
+
+def test_labels_are_fixed_spawn_key_words():
+    assert (streams.PREPARE, streams.BASES, streams.MEASURE, streams.ERROR,
+            streams.ADVERSARY, streams.COMMITTED_BIT) == tuple(range(6))
 
 
 def test_labels_change_the_stream():
@@ -26,8 +35,9 @@ def test_labels_change_the_stream():
 
 
 def test_label_path_not_concatenation():
-    assert streams.derive_seed(1, "a", 1) != streams.derive_seed(1, "a1")
-    assert streams.derive_seed(1, "a", "b") != streams.derive_seed(1, "ab")
+    assert streams.derive_seed(1, 1, 2) != streams.derive_seed(1, 12)
+    assert streams.derive_seed(1, 1, 2) != streams.derive_seed(1, 2, 1)
+    assert streams.derive_seed(1, 0) != streams.derive_seed(1)
 
 
 def test_integer_labels_index_cells_and_trials():
@@ -36,17 +46,17 @@ def test_integer_labels_index_cells_and_trials():
 
 
 def test_substream_replayability():
-    one = streams.substream(5, "x").integers(0, 2, size=100)
-    two = streams.substream(5, "x").integers(0, 2, size=100)
+    one = streams.substream(5, 7).integers(0, 2, size=100)
+    two = streams.substream(5, 7).integers(0, 2, size=100)
     assert np.array_equal(one, two)
 
 
 def test_substreams_are_independent_of_sibling_consumption():
     # Consuming one substream never shifts another.
-    a1 = streams.substream(5, "a")
+    a1 = streams.substream(5, 0)
     _ = a1.integers(0, 2, size=1000)
-    b_after = streams.substream(5, "b").integers(0, 2, size=50)
-    b_fresh = streams.substream(5, "b").integers(0, 2, size=50)
+    b_after = streams.substream(5, 1).integers(0, 2, size=50)
+    b_fresh = streams.substream(5, 1).integers(0, 2, size=50)
     assert np.array_equal(b_after, b_fresh)
 
 
@@ -60,13 +70,36 @@ def _masters():
     return list(EDGE_MASTERS) + [int(m) for m in draws]
 
 
+def _seed_sequence(master, *key, words=4):
+    return np.random.SeedSequence(master, spawn_key=key).generate_state(words, np.uint64)
+
+
+def test_derive_seed_and_substream_are_numpys_seed_sequence():
+    for master in _masters():
+        for path in ((), (streams.ERROR,), (2**32 - 1, BLOCK_TRIALS + 5)):
+            assert streams.derive_seed(master, *path) == _seed_sequence(master, *path, words=1)[0]
+        for label in LABELS:
+            state = streams.substream(master, label).bit_generator.state["state"]
+            reference = np.random.PCG64(np.random.SeedSequence(master, spawn_key=(label,)))
+            assert state == reference.state["state"], (master, label)
+
+
 def test_seed_state_words_equal_seed_sequence():
-    seeds = [streams.derive_seed(m, label) for m in _masters() for label in LABELS]
-    seeds += list(EDGE_MASTERS)
-    words = streams.seed_state_words(np.array(seeds, dtype=np.uint64))
-    expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    # Without a key, with each label as a (labels x 1) key over the seeds,
+    # and with two key words, the second broadcast.
+    masters = _masters()
+    seeds = np.array(masters, dtype=np.uint64)
+    words = streams.seed_state_words(seeds, [])
     assert words.dtype == np.uint64
-    assert np.array_equal(words, np.array(expected))
+    assert np.array_equal(words, [_seed_sequence(m) for m in masters])
+    labelled = streams.seed_state_words(seeds, [np.array(LABELS, dtype=np.uint32)[:, None]])
+    assert np.array_equal(labelled, [[_seed_sequence(m, label) for m in masters]
+                                     for label in LABELS])
+    trials = np.array([0, 1, BLOCK_TRIALS, 2**32 - 1], dtype=np.uint32)
+    for cell in (0, 5, 2**32 - 1):
+        two = streams.seed_state_words(seeds[:, None], [cell, trials], 1)
+        assert np.array_equal(two, [[_seed_sequence(m, cell, int(t), words=1) for t in trials]
+                                    for m in masters]), cell
 
 
 def test_substream_batch_equals_substream():
@@ -100,7 +133,34 @@ def test_substream_batch_raw_equals_random_raw():
 
 def test_trial_seeds_equal_derive_seed():
     # An attack's path is (seed,), a sweep's (master_seed, cell_index); t spans
-    # two of the kernel's seeding blocks.
-    for path in ((0,), (2**64 - 1,), (2024, 3), (7, "cell")):
-        got = list(streams.trial_seeds(path, BLOCK_TRIALS + 37))
-        assert got == [streams.derive_seed(*path, t) for t in range(BLOCK_TRIALS + 37)], path
+    # two of the kernel's seeding blocks, and the cell word its whole range.
+    trials = 2 * BLOCK_TRIALS + 37
+    paths = [(m,) for m in EDGE_MASTERS] + [(m, c) for m in EDGE_MASTERS
+                                            for c in (0, 3, 2**31, 2**32 - 1)]
+    for path in paths + [(m, 7) for m in _masters()[len(EDGE_MASTERS):]]:
+        got = streams.trial_seeds(path, trials)
+        assert got.dtype == np.uint64 and len(got) == trials
+        ts = range(trials) if len(path) == 2 and path[1] == 3 else (0, 1, BLOCK_TRIALS,
+                                                                       trials - 1)
+        assert [int(got[t]) for t in ts] == [streams.derive_seed(*path, t) for t in ts], path
+    assert len(streams.trial_seeds((1,), 0)) == 0
+
+
+def test_trial_seeds_reach_trial_word_2_to_the_32_minus_1(monkeypatch):
+    # In pieces of 4 trials (the real piece is 65 536): pieces join in order,
+    # and a trial word at the top of its uint32 range derives as numpy does.
+    monkeypatch.setattr(streams, "_SEED_PIECE", 4)
+    got = streams.trial_seeds((2024, 3), 11)
+    assert got.tolist() == [streams.derive_seed(2024, 3, t) for t in range(11)]
+    top = streams.seed_state_words(np.array([2024], dtype=np.uint64),
+                                   [3, np.array([2**32 - 1], dtype=np.uint32)], 1)
+    assert int(top[0, 0]) == streams.derive_seed(2024, 3, 2**32 - 1)
+
+
+def test_check_seed_refuses_what_is_not_a_64_bit_integer():
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(5)):
+        streams.check_seed("seed", seed)
+    for seed in (-1, 2**64, 1.0, "3", None):
+        with pytest.raises(ValueError) as refused:
+            streams.check_seed("seed", seed)
+        assert str(refused.value) == f"seed must be an integer in [0, 2**64), got {seed!r}"
