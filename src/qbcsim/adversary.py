@@ -32,7 +32,7 @@ import numpy as np
 
 from .kernel import early_guess
 from .protocol import Commitment, MeasurementRecord, raw_correlations
-from .rng import noise_threshold
+from .rng import check_bit, check_fraction, noise_threshold
 
 
 class RebindKind(Enum):
@@ -49,8 +49,7 @@ class RebindStrategy:
     lie_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lie_probability <= 1.0:
-            raise ValueError(f"lie_probability must be in [0, 1], got {self.lie_probability}")
+        check_fraction("lie_probability", self.lie_probability)
 
     @classmethod
     def honest_bases(cls) -> "RebindStrategy":
@@ -154,7 +153,6 @@ def alice_rebind_attack(
     for a schedule that draws, the first n raw words of ``rng``, as the
     kernel reads them for a block.
     """
-    if original_bit not in (0, 1):
-        raise ValueError(f"original_bit must be 0 or 1, got {original_bit}")
+    check_bit("original_bit", original_bit)
     raw = rng.bit_generator.random_raw(len(record.bases)) if strategy.draws else None
     return strategy.lie(record.bases, raw)

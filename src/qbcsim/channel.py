@@ -31,7 +31,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .rng import noise_threshold, top_bits, uniform_codes
+from .rng import check_bit, check_count, check_fraction, noise_threshold, top_bits, uniform_codes
 
 
 class Basis(IntEnum):
@@ -42,12 +42,22 @@ class Basis(IntEnum):
 
 
 def as_bit_array(values) -> np.ndarray:
-    """Validate and convert bits or basis codes to a uint8 array of 0/1."""
-    arr = np.asarray(values, dtype=np.uint8)
+    """Validate and convert bits or basis codes to a uint8 array of 0/1.
+
+    A uint8 array of 0/1 passes as it is; anything else is checked by value
+    before the cast, so no float, wider integer or other object is cut to a bit.
+    """
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d bit or basis sequence, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit values and basis codes must be 0 or 1")
+    if arr.dtype != np.uint8 or (arr.size and arr.max() > 1):
+        # Anything but numbers is compared as objects: numpy < 1.25 compares no string to an int.
+        probe = arr if arr.dtype.kind in "biuf" else arr.astype(object)
+        bad = (probe != 0) & (probe != 1)
+        if bad.any():
+            first = arr[bad].tolist()[0]
+            raise ValueError(f"bit values and basis codes must be 0 or 1, got {first!r}")
+        arr = arr.astype(np.uint8)
     return arr
 
 
@@ -59,8 +69,7 @@ class PhotonState:
     bit: int
 
     def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
+        check_bit("bit", self.bit)
         object.__setattr__(self, "basis", Basis(self.basis))
 
 
@@ -97,8 +106,7 @@ def prepare_random_sequence(n: int, rng: np.random.Generator) -> PreparedSequenc
     Consumes one draw per photon (a uniform integer in [0, 4)); code // 2
     is the basis and code % 2 the bit.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_count("n", n)
     return PreparedSequence(*split_states(uniform_codes(rng, n, 2)))
 
 
@@ -139,8 +147,7 @@ def transmit_and_measure(
         raise ValueError(
             f"basis list length {len(bases)} != sequence length {len(seq)}"
         )
-    if not 0.0 <= noise_rate <= 1.0:
-        raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
+    check_fraction("noise_rate", noise_rate)
     return measure_rows(seq.bases, seq.bits, bases, noise_rate, rng.bit_generator.random_raw)
 
 

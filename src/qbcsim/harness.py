@@ -70,24 +70,19 @@ class SweepSpec:
     policy: DecisionPolicy = DecisionPolicy()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(
-            self, "error_fractions", tuple(float(v) for v in self.error_fractions)
-        )
-        object.__setattr__(
-            self, "noise_rates", tuple(float(v) for v in self.noise_rates)
-        )
+        for axis, name, check, kind in (
+                ("n_values", "n", streams.check_count, int),
+                ("error_fractions", "error_fraction", streams.check_fraction, float),
+                ("noise_rates", "noise_rate", streams.check_fraction, float)):
+            values = tuple(getattr(self, axis))
+            for v in values:
+                check(name, v)
+            object.__setattr__(self, axis, tuple(map(kind, values)))
         if not self.n_values or not self.error_fractions or not self.noise_rates:
             raise ValueError("sweep axes must be nonempty")
-        if min(self.n_values) < 0:
-            raise ValueError(f"n must be >= 0, got {min(self.n_values)}")
-        for axis in ("error_fractions", "noise_rates"):
-            for v in getattr(self, axis):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{axis[:-1]} must be in [0, 1], got {v}")
-        if not 1 <= self.trials_per_cell <= 2**32:  # each trial index is one spawn-key word
-            bound = ">= 1" if self.trials_per_cell < 1 else "<= 2**32"
-            raise ValueError(f"trials must be {bound}, got {self.trials_per_cell}")
+        streams.check_count("trials", self.trials_per_cell, 1)
+        if self.trials_per_cell > 2**32:  # each trial index is one spawn-key word
+            raise ValueError(f"trials must be <= 2**32, got {self.trials_per_cell}")
         streams.check_seed("master_seed", self.master_seed)
 
     @property

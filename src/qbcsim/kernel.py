@@ -28,11 +28,11 @@ order encoding (``order_rows``), the score stage (``score_rows``), the lie
 (``RebindStrategy.lie``) and the early guess (``early_guess``).  A block
 runs in chunks of about ``CHUNK_ELEMENTS`` photons, each as (b x n)
 arrays, in steps that move no draw, so the chunk size changes no result.
-``_run_chunk`` holds no protocol rule: it reads each stream's raw words for
-the whole chunk as one (b x count) array (``SubstreamBatch.raw``; the
-masks' marked rows and coins by ``SubstreamBatch.masks``, in pieces) and
-hands them to the stages; the score stage takes its (n,) row in a chunk of
-one (as is every chunk above n = 16 384).
+The chunk loop (``_chunks``) holds no protocol rule: it reads each stream's
+raw words for the whole chunk as one (b x count) array
+(``SubstreamBatch.raw``; the masks' marked rows and coins by
+``SubstreamBatch.masks``, in pieces) and hands them to the stages, the
+score stage included, as (b x n) rows whatever b is.
 """
 
 from __future__ import annotations
@@ -80,12 +80,9 @@ class DecisionPolicy:
     min_sift: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("separation_delta", "plausibility_floor"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.min_sift < 0:
-            raise ValueError(f"min_sift must be >= 0, got {self.min_sift}")
+        streams.check_fraction("separation_delta", self.separation_delta)
+        streams.check_fraction("plausibility_floor", self.plausibility_floor)
+        streams.check_count("min_sift", self.min_sift)
 
 
 #: Absorbs float representation error in rate comparisons at exact rule
@@ -230,8 +227,9 @@ def run_sessions(seeds: Iterable[int], n: int, error_fraction: float, noise_rate
 def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=None,
             error_mode="randomize"):
     """Yield (committed bits, ``Scores``) for each chunk of the trials, in
-    seed order; in ``preunveil`` the verdicts are the guesses and the
-    sifted fields None."""
+    seed order: each chunk's raw words, read once per stream, through the
+    stages.  In ``preunveil`` the verdicts are the guesses and the sifted
+    fields None."""
     k = masked_count(error_fraction, n)
     labels = [streams.PREPARE, streams.BASES, streams.MEASURE]
     if bit is None:
@@ -251,35 +249,22 @@ def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=No
         ties = substreams.coins(streams.ADVERSARY) if mode == "preunveil" else None
         for start in range(0, len(block), chunk):
             trials = slice(start, min(start + chunk, len(block)))
-            yield bits[trials], _run_chunk(substreams, trials, bits[trials], ties, n, k,
-                                           noise_rate, mode, strategy, policy, error_mode)
-
-
-def _run_chunk(substreams, trials, bits, ties, n, k, noise_rate, mode, strategy, policy,
-               error_mode):
-    """One chunk's ``Scores``: its raw words, read once per stream, through
-    the stages.  ``trials`` is a slice of the block, ``bits`` the chunk's
-    committed bits and ``ties`` the block's preunveil tie coins."""
-    sent_bases, sent_bits = split_states(
-        streams.top_bits(substreams.raw(streams.PREPARE, (n + 1) // 2, trials), n, 2))
-    bases = streams.top_bits(substreams.raw(streams.BASES, (n + 1) // 2, trials), n, 1)
-    results = measure_rows(sent_bases, sent_bits, bases, noise_rate,
-                           lambda count: substreams.raw(streams.MEASURE, count, trials))
-    if k:
-        mask_rows(results, *substreams.masks(trials, n, k, error_mode), error_mode)
-    revealed = order_rows(results, bits)
-    if mode == "binding":
-        unveiled = strategy.lie(bases, substreams.raw(streams.ADVERSARY, n, trials)
-                                if strategy.draws else None)
-    else:
-        unveiled = bases if mode == "honest" else None
-    if len(revealed) > 1:
-        scores = score_rows(sent_bases, sent_bits, revealed, unveiled, policy)
-    else:  # One row: count_nonzero counts its (n,) row faster than a (1 x n) row sum.
-        row = score_rows(sent_bases[0], sent_bits[0], revealed[0],
-                         None if unveiled is None else unveiled[0], policy)
-        scores = Scores._make(None if field is None else np.array([field]) for field in row)
-    if mode == "preunveil":
-        guesses = early_guess(scores.raw_direct - scores.raw_reverse, lambda: ties[trials])
-        scores = scores._replace(decisions=_BITS[guesses])
-    return scores
+            sent_bases, sent_bits = split_states(
+                streams.top_bits(substreams.raw(streams.PREPARE, (n + 1) // 2, trials), n, 2))
+            bases = streams.top_bits(substreams.raw(streams.BASES, (n + 1) // 2, trials), n, 1)
+            results = measure_rows(sent_bases, sent_bits, bases, noise_rate,
+                                   lambda count: substreams.raw(streams.MEASURE, count, trials))
+            if k:
+                mask_rows(results, *substreams.masks(trials, n, k, error_mode), error_mode)
+            revealed = order_rows(results, bits[trials])
+            if mode == "binding":
+                unveiled = strategy.lie(bases, substreams.raw(streams.ADVERSARY, n, trials)
+                                        if strategy.draws else None)
+            else:
+                unveiled = bases if mode == "honest" else None
+            scores = score_rows(sent_bases, sent_bits, revealed, unveiled, policy)
+            if mode == "preunveil":
+                guesses = early_guess(scores.raw_direct - scores.raw_reverse,
+                                      lambda: ties[trials])
+                scores = scores._replace(decisions=_BITS[guesses])
+            yield bits[trials], scores

@@ -128,14 +128,10 @@ class SessionConfig:
     error_mode: str = "randomize"
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.committed_bit not in (0, 1):
-            raise ValueError(f"committed_bit must be 0 or 1, got {self.committed_bit!r}")
-        if not 0.0 <= self.error_fraction <= 1.0:
-            raise ValueError(f"error_fraction must be in [0, 1], got {self.error_fraction}")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError(f"noise_rate must be in [0, 1], got {self.noise_rate}")
+        streams.check_count("n", self.n)
+        streams.check_bit("committed_bit", self.committed_bit)
+        streams.check_fraction("error_fraction", self.error_fraction)
+        streams.check_fraction("noise_rate", self.noise_rate)
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
         streams.check_seed("seed", self.seed)
@@ -163,8 +159,7 @@ class TrialReport:
 
 def choose_random_bases(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform basis choices, one draw each."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    streams.check_count("n", n)
     return streams.uniform_codes(rng, n, 1)
 
 
@@ -190,8 +185,7 @@ def inject_errors(
     True at the chosen positions, in direct (pre-ordering) index space.
     """
     outcomes = as_bit_array(outcomes)
-    if not 0.0 <= error_fraction <= 1.0:
-        raise ValueError(f"error_fraction must be in [0, 1], got {error_fraction}")
+    streams.check_fraction("error_fraction", error_fraction)
     if mode not in ERROR_MODES:
         raise ValueError(f"mode must be one of {ERROR_MODES}, got {mode!r}")
     n = len(outcomes)
@@ -209,8 +203,7 @@ def commit(outcomes, bit: int) -> Commitment:
     """Order-encode the committed bit: direct order for 0, reversed for 1 (a
     copy of the kernel's ``order_rows`` on the row, one pass)."""
     outcomes = as_bit_array(outcomes)
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    streams.check_bit("bit", bit)
     return Commitment(revealed=order_rows(outcomes, bit).copy())
 
 

@@ -140,8 +140,7 @@ class _RefereeSession:
     """State machine for exactly one commitment session."""
 
     def __init__(self, seed: int, noise_rate: float):
-        if not 0.0 <= noise_rate <= 1.0:
-            raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
+        streams.check_fraction("noise_rate", noise_rate)
         streams.check_seed("seed", seed)
         self.seed = seed
         self.noise_rate = noise_rate

@@ -20,7 +20,10 @@ processes and releases.  Every seed is an integer in [0, 2**64)
 (``check_seed``).  The networked mode relies on this: the sender, the
 committer, and the channel referee each hold only the master seed and
 rebuild exactly the substreams they own, which makes a wire session
-reproduce the in-process session draw for draw.
+reproduce the in-process session draw for draw.  The package's other input
+rules are checked beside ``check_seed``, each in one place: a count
+(``check_count``), a bit (``check_bit``) and a fraction in [0, 1]
+(``check_fraction``).
 
 ``substream`` is the reference path, and ``derive_seed`` the reference for
 ``trial_seeds``, which derives a cell's trial seeds in one vectorised pass.
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -87,6 +91,27 @@ def check_seed(name: str, seed) -> None:
     """Refuse a seed that is not an integer in [0, 2**64), naming it."""
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+
+
+def check_count(name: str, value, least: int = 0) -> None:
+    """Refuse a count that is not an integer of at least ``least``, naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_bit(name: str, value) -> None:
+    """Refuse a bit that is not the integer 0 or 1, naming it."""
+    if not isinstance(value, (int, np.integer)) or value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+
+
+def check_fraction(name: str, value) -> None:
+    """Refuse a fraction (a rate or a probability) that is not a number in
+    [0, 1], naming it."""
+    if not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def derive_seed(master: int, *path: int) -> int:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+from .rng import check_count, check_fraction
+
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -35,20 +37,15 @@ class ConfidenceInterval:
         return self.low <= p <= self.high
 
 
-def _check_fraction(e: float, name: str = "error_fraction") -> None:
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {e}")
-
-
 def expected_raw_correlation(error_fraction: float) -> float:
     """Expected correct-pairing agreement over all positions: 3/4 - e/4."""
-    _check_fraction(error_fraction)
+    check_fraction("error_fraction", error_fraction)
     return 0.75 - 0.25 * error_fraction
 
 
 def expected_sifted_correlation(error_fraction: float) -> float:
     """Expected correct-pairing agreement on sifted positions: 1 - e/2."""
-    _check_fraction(error_fraction)
+    check_fraction("error_fraction", error_fraction)
     return 1.0 - 0.5 * error_fraction
 
 
@@ -59,8 +56,7 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> ConfidenceI
     counts and at the 0/1 boundaries; the interval always contains the
     point estimate successes/trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials, 1)
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
     if not 0.0 < level < 1.0:
@@ -93,9 +89,8 @@ def decode_error_bound(
     is at most 2*exp(-2*s*t^2), clamped to [0, 1].  Returns 1 when the gap
     is closed (t <= 0).
     """
-    if sift_size < 1:
-        raise ValueError(f"sift_size must be >= 1, got {sift_size}")
-    _check_fraction(error_fraction)
+    check_count("sift_size", sift_size, 1)
+    check_fraction("error_fraction", error_fraction)
     t = (expected_sifted_correlation(error_fraction) - 0.5 - separation_delta) / 2.0
     if t <= 0.0:
         return 1.0

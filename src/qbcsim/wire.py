@@ -292,7 +292,9 @@ class SessionTranscript:
         """Read a written transcript; each entry keeps its wire line's bytes.
 
         Lines end at "\\n" alone: a logged party line may hold other line
-        breaks, such as "\\r" between tokens or U+2028 inside a string.
+        breaks, such as "\\r" between tokens or U+2028 inside a string.  Each
+        line is decoded as ``parse_message`` decodes a wire line, so one that
+        repeats a field name is refused by line number and field.
         """
         transcript = cls()
         for number, line in enumerate(Path(path).read_bytes().split(b"\n"), 1):
@@ -303,7 +305,9 @@ class SessionTranscript:
                 raise ValueError(f"transcript line {number} does not begin with its seq and dir")
             wire = b"{" + line[head.end():]
             try:
-                message = json.loads(wire)
+                message = _DECODER.decode(wire.decode("utf-8"))
+            except WireProtocolError as exc:  # a repeated field, as parse_message refuses it
+                raise ValueError(f"transcript line {number}: {exc}") from exc
             except (ValueError, RecursionError) as exc:  # as in parse_message
                 raise ValueError(f"transcript line {number} is not valid JSON: {exc}") from exc
             entry = TranscriptEntry(int(head[1]), head[2].decode(), message, wire)

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_kernel import FROZEN_CSV_SHA256
 from test_wire import Referee, free_address, run_parties, session_parties
 
+import qbcsim
 from qbcsim.cli import _policy, build_parser, cli_main
 from qbcsim.harness import SweepMode, SweepSpec, run_sweep, write_report
 from qbcsim.protocol import DecisionPolicy, SessionConfig, run_honest_session
@@ -89,6 +94,25 @@ def test_flag_defaults_are_the_library_defaults():
         assert _policy(args) == DecisionPolicy(), argv
         if argv[0] in ("simulate", "party"):
             assert args.error_mode == SessionConfig.error_mode, argv
+
+
+def _entry_point(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m qbcsim.cli``: the ``qbcsim`` console script's ``main``."""
+    paths = [str(Path(qbcsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-m", "qbcsim.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_entry_point_prints_what_cli_main_prints_and_exits_with_its_code(capsys):
+    argv = ["simulate", "--n", "64", "--bit", "1", "--error-fraction", "0.25", "--seed", "5",
+            "--output", "json"]
+    assert cli_main(argv) == 0
+    ran = _entry_point(*argv)
+    assert (ran.returncode, ran.stdout, ran.stderr) == (0, capsys.readouterr().out, "")
+    usage = _entry_point("simulate", "--bit", "0")  # missing --n
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert usage.stderr.endswith("error: the following arguments are required: --n\n")
 
 
 def test_usage_errors_exit_two(capsys):

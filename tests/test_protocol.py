@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qbcsim import rng as streams
 from qbcsim.channel import PreparedSequence
+from qbcsim.harness import SweepSpec
 from qbcsim.kernel import decide, run_sessions
 from qbcsim.protocol import (
     Commitment,
@@ -162,6 +163,35 @@ def test_mask_ties_go_to_the_lower_position():
 ), ids=("session-config", "seed-negative", "seed-too-large", "commit", "choose-bases",
         "measurement-record", "prepared-sequence"))
 def test_bad_values_are_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+_BITS_RULE = "bit values and basis codes must be 0 or 1, got "
+
+
+@pytest.mark.parametrize("build,message", (
+    # Each once passed as a bit cut to uint8, or raised a bare OverflowError.
+    (lambda: commit([0.5, 1.7], 0), _BITS_RULE + "0.5"),
+    (lambda: commit(np.array([256, 257, -255]), 0), _BITS_RULE + "256"),
+    (lambda: commit([0, 256], 0), _BITS_RULE + "256"),
+    (lambda: commit([-1, 0], 0), _BITS_RULE + "-1"),
+    (lambda: PreparedSequence(bases=["0"], bits=[0]), _BITS_RULE + "'0'"),
+    (lambda: MeasurementRecord(bases=[0, 1], outcomes=[None, 1]), _BITS_RULE + "None"),
+    # Each once truncated, accepted, or failed later with a bare TypeError.
+    (lambda: SweepSpec(n_values=(2.5,), error_fractions=(0.0,)), "n must be an integer, got 2.5"),
+    (lambda: SweepSpec(n_values=(4,), error_fractions=(0.0,), trials_per_cell=2.5),
+     "trials must be an integer, got 2.5"),
+    (lambda: SessionConfig(n=2.5, committed_bit=0), "n must be an integer, got 2.5"),
+    (lambda: SessionConfig(n=4, committed_bit=1.0), "committed_bit must be 0 or 1, got 1.0"),
+    (lambda: SessionConfig(n=4, committed_bit=0, noise_rate=None),
+     "noise_rate must be in [0, 1], got None"),
+    (lambda: DecisionPolicy(min_sift=2.5), "min_sift must be an integer, got 2.5"),
+    (lambda: commit([0, 1], 1.0), "bit must be 0 or 1, got 1.0"),
+), ids=("float-bits", "wide-ints", "int-256", "int-negative", "str-basis", "none-outcome",
+        "sweep-n", "sweep-trials", "config-n", "config-bit", "config-noise", "policy-min-sift",
+        "commit-bit"))
+def test_non_bits_and_non_integers_are_refused_by_value(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 

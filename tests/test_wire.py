@@ -249,6 +249,17 @@ def test_transcript_load_names_a_line_that_is_not_json(tmp_path):
             SessionTranscript.load(path)
 
 
+def test_transcript_load_refuses_a_repeated_field(tmp_path):
+    # json.loads would keep the last "role" and load a hello from alice.
+    line = b'{"seq":0,"dir":"bob->referee","type":"hello","role":"bob","format":2,"role":"alice"}'
+    with pytest.raises(WireProtocolError, match="^repeated field 'role'$"):
+        parse_message(b"{" + line[line.index(b'"type"'):])
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(line + b"\n")
+    with pytest.raises(ValueError, match="^transcript line 1: repeated field 'role'$"):
+        SessionTranscript.load(path)
+
+
 def test_transcript_ordering_checker():
     good = SessionTranscript()
     for mtype in ("prepare", "measure", "outcomes", "commit", "unveil", "decision"):
