@@ -25,11 +25,19 @@ from .stats import binomial_ci
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [_item(v, int, "an integer") for v in text.split(",") if v.strip()]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_item(v, float, "a number") for v in text.split(",") if v.strip()]
+
+
+def _item(text: str, kind: type, rule: str) -> int | float:
+    """One item of a list flag as ``kind``; a bad one is refused by value."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not {rule}") from None
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:

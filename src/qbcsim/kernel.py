@@ -9,15 +9,15 @@ A trial makes the draws of ``run_commit_phase`` followed by
 ``bob_preunveil_guess`` or ``alice_rebind_attack`` and ``score_and_decide``,
 in the same order on the same substreams, so its counts equal theirs.  It
 skips the per-trial dataclasses and their validation (``SweepSpec`` or
-``SessionConfig`` validates the inputs once), and the generators that
-would draw nothing: COMMITTED_BIT when the bit is given, ERROR when no
-position is masked, ADVERSARY except for random-lies above 0.  Trials run
-in blocks of ``BLOCK_TRIALS`` of the seeds (a uint64 array, such as a
-cell's ``rng.trial_seeds``, or any iterable of ints); each block seeds
-every substream it can draw in one vectorised pass
-(``rng.SubstreamBatch``), with the same states as ``rng.substream``, and
-takes its committed bits and preunveil tie coins from it
-(``SubstreamBatch.coins``).
+``SessionConfig`` validates the inputs once).  Trials run in blocks of
+``BLOCK_TRIALS`` of the seeds (a uint64 array, such as a cell's
+``rng.trial_seeds``, or any iterable of ints); each block hashes the state
+words of all six labels in one vectorised pass (``rng.SubstreamBatch``),
+with the same states as ``rng.substream``, and takes its committed bits and
+preunveil tie coins from it (``SubstreamBatch.coins``).  No generator that
+would draw nothing is built or read: COMMITTED_BIT when the bit is given,
+ERROR when no position is masked, ADVERSARY outside preunveil and the lies
+that draw.
 
 Each protocol rule is one stage that takes one session's (n,) row or a
 chunk's (b x n) rows and validates nothing, and the role functions, the
@@ -231,19 +231,12 @@ def _chunks(seeds, n, error_fraction, noise_rate, mode, strategy, policy, bit=No
     stages.  In ``preunveil`` the verdicts are the guesses and the sifted
     fields None."""
     k = masked_count(error_fraction, n)
-    labels = [streams.PREPARE, streams.BASES, streams.MEASURE]
-    if bit is None:
-        labels.append(streams.COMMITTED_BIT)
-    if k:
-        labels.append(streams.ERROR)
-    if mode == "preunveil" or (mode == "binding" and strategy.draws):
-        labels.append(streams.ADVERSARY)
     chunk = max(1, CHUNK_ELEMENTS // max(n, 1))
     if not isinstance(seeds, np.ndarray):
         seeds = np.fromiter(seeds, np.uint64)
     for begin in range(0, len(seeds), BLOCK_TRIALS):
         block = seeds[begin:begin + BLOCK_TRIALS]
-        substreams = streams.SubstreamBatch(block, labels)
+        substreams = streams.SubstreamBatch(block)
         bits = (substreams.coins(streams.COMMITTED_BIT) if bit is None
                 else np.full(len(block), bit, dtype=np.uint8))
         ties = substreams.coins(streams.ADVERSARY) if mode == "preunveil" else None

@@ -27,40 +27,41 @@ rules are checked beside ``check_seed``, each in one place: a count
 
 ``substream`` is the reference path, and ``derive_seed`` the reference for
 ``trial_seeds``, which derives a cell's trial seeds in one vectorised pass.
-``SubstreamBatch`` builds the same generators for a block of trials at once.
-Both compute ``SeedSequence``'s words with ``seed_state_words``, which can be
-vectorised because the hash constants evolve by multiplication alone,
-independently of the data: for a 64-bit seed (two entropy words, padded
-with zeros to the 4-word pool) and its spawn-key words the whole hash is
-one fixed sequence of uint32 xor/multiply/shift steps, applied
-element-wise.  The pool depends on the seed alone and each spawn-key word is
-mixed into it afterwards, so a pool is hashed once and the key words
-broadcast over it: a cell's pool once for all its trials, each trial's once
-for its six labels.  The batch hands the state words to ``PCG64`` through a
-seed-sequence object that returns them.
+``SubstreamBatch`` seeds the same generators, every label's, for a block of
+trials at once.  Both compute ``SeedSequence``'s words with
+``seed_state_words``, which can be vectorised because the hash constants
+evolve by multiplication alone, independently of the data: for a 64-bit seed
+(two entropy words, padded with zeros to the 4-word pool) and its spawn-key
+words the whole hash is one fixed sequence of uint32 xor/multiply/shift
+steps, applied element-wise.  The pool depends on the seed alone and each
+spawn-key word is mixed into it afterwards, so a pool is hashed once and the
+key words broadcast over it: a cell's pool once for all its trials, each
+trial's once for its six labels.  The batch hands the state words to
+``PCG64`` through a seed-sequence object that returns them.
 
-Every rule that reads a session's draws off its substreams' raw PCG64
-64-bit outputs is in this module, and the raw outputs are all it reads,
-which numpy keeps stable across releases (NEP 19) where it does not keep
-``Generator`` methods' streams.  Every stream but ERROR is drawn as numpy's
-``Generator`` draws on the substream.  ``raw_outputs`` computes a fresh
-generator's first raw outputs from its seeding words (PCG64's seeding, its
-LCG steps and its XSL-RR output, in uint64 limbs); ``SubstreamBatch.raw``
-uses it for a block of trials up to ``RAW_OUTPUTS_CROSSOVER`` outputs per
-generator, and above it each trial's generator fills its row.  ``integers``
-on a power-of-two range returns the top bits of successive 32-bit halves
-(``top_bits``): the states, bases and coins (``uniform_codes``) and a fresh
-generator's first coin (``SubstreamBatch.coins``).  ``random() < rate`` is a
-raw-word comparison (``noise_threshold``): the noise and the random-lies
-schedule.  The ERROR stream's rule (since contract 2): ``read_mask`` marks
-the k positions with the smallest 32-bit keys among the first n halves and
-reads the coins from the halves that follow, on one session's words
-(``protocol.inject_errors``) or a chunk's (``SubstreamBatch.masks``), and
-hands back the marked rows as the mask; under contract 1 it was
-``choice(n, k, replace=False)`` and ``integers(0, 2, k)``.
-``tests/test_rng.py`` pins the seeding to numpy's ``SeedSequence`` and the
-batch to ``substream``, the channel, protocol and kernel tests pin the
-readers to ``Generator`` and the mask to a plain-Python reference.
+Every rule that reads a session's draws off its substreams' raw PCG64 64-bit
+outputs is in this module, and the raw outputs are all it reads, which numpy
+keeps stable across releases (NEP 19) where it does not keep ``Generator``
+methods' streams.  Every stream but ERROR is drawn as numpy's ``Generator``
+draws on the substream.  ``raw_outputs`` computes a fresh generator's first
+raw outputs from its seeding words (PCG64's seeding, its LCG steps and its
+XSL-RR output, in one carry chain of 32-bit partial products);
+``SubstreamBatch.raw`` uses it for a block of trials up to
+``RAW_OUTPUTS_CROSSOVER`` outputs per generator, and above it each trial's
+generator fills its row.  ``integers`` on a power-of-two range returns the
+top bits of successive 32-bit halves (``top_bits``): the states, bases and
+coins (``uniform_codes``) and a fresh generator's first coin
+(``SubstreamBatch.coins``).  ``random() < rate`` is a raw-word comparison
+(``noise_threshold``): the noise and the random-lies schedule.  The ERROR
+stream's rule (since contract 2): ``read_mask`` marks the k positions with
+the smallest 32-bit keys among the first n halves and reads the coins from
+the halves that follow, on one session's words (``protocol.inject_errors``)
+or a chunk's (``SubstreamBatch.masks``), and hands back the marked rows as
+the mask; under contract 1 it was ``choice(n, k, replace=False)`` and
+``integers(0, 2, k)``.  ``tests/test_rng.py`` pins the seeding to numpy's
+``SeedSequence`` and the batch to ``substream``, the channel, protocol and
+kernel tests pin the readers to ``Generator`` and the mask to a plain-Python
+reference.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ STREAM_CONTRACT = 3
 #: Trials per piece of ``trial_seeds``.
 _SEED_PIECE = 2**16
 
-# Substream labels used by a protocol session: fixed spawn-key words.  In
-# wire mode they are split across processes: the sender keeps PREPARE, the
-# committer keeps BASES and ERROR, and the channel owner (the referee) keeps
-# MEASURE.
-PREPARE, BASES, MEASURE, ERROR, ADVERSARY, COMMITTED_BIT = range(6)
+#: Substream labels used by a protocol session: fixed spawn-key words.  In
+#: wire mode they are split across processes: the sender keeps PREPARE, the
+#: committer keeps BASES and ERROR, and the channel owner (the referee) keeps
+#: MEASURE.
+LABELS = PREPARE, BASES, MEASURE, ERROR, ADVERSARY, COMMITTED_BIT = tuple(range(6))
 
 
 def check_seed(name: str, seed) -> None:
@@ -205,22 +206,6 @@ _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 _LOW32, _U1, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (_MASK32, 1, 32, 58, 63, 64))
 
 
-def _mul_hi(a: np.ndarray, b0, b1) -> np.ndarray:
-    """The high 64 bits of the 128-bit products a * b, by 32-bit limbs, for
-    b = b1 * 2**32 + b0 given as its limbs."""
-    a0, a1 = a & _LOW32, a >> _U32
-    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
-    carry = (low >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
-
-
-def _mul_128(hi: np.ndarray, lo: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * c modulo 2**128, as (hi, lo) uint64 limbs, for c given as
-    ``_limbs`` gives it."""
-    c_hi, c_lo, c_lo0, c_lo1 = c
-    return _mul_hi(lo, c_lo0, c_lo1) + hi * c_lo + lo * c_hi, lo * c_lo
-
-
 def _limbs(values: list[int]) -> tuple[np.ndarray, ...]:
     """128-bit ints as uint64 arrays: high half, low half, and the low and
     high 32 bits of the low half."""
@@ -253,17 +238,31 @@ def raw_outputs(words: np.ndarray, count: int) -> np.ndarray:
     stepped once.  Output t steps t more times and reads XSL-RR: the high
     half xor the low half, rotated right by the top 6 bits.  So the state
     read is (inc + seed state) * M**(t + 1) + inc * (1 + M + ... + M**t),
-    modulo 2**128: two products per output by per-column constants.
+    modulo 2**128, by per-column constants, in one carry chain of 32-bit
+    partial products.  With a1:a0 the 32-bit limbs of the low half of inc +
+    seed state, b1:b0 those of inc, and p1:p0, q1:q0 those of the two
+    constants: bits 0-31 sum the low halves of a0 * p0 and b0 * q0; bits
+    32-63 their high halves, that carry, and the low halves of the four
+    cross products a0 * p1, a1 * p0, b0 * q1 and b1 * q0; the high half
+    their high halves, that carry, and the six products that land in it
+    whole.  No partial sum reaches 2**36.
     """
     seed_hi, seed_lo, seq_hi, seq_lo = (w[:, None] for w in words.T)
     inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
     start_lo = inc_lo + seed_lo
     start_hi = inc_hi + seed_hi + (start_lo < inc_lo)
-    powers, sums = _output_multipliers(count)
-    a_hi, a_lo = _mul_128(start_hi, start_lo, powers)
-    b_hi, b_lo = _mul_128(inc_hi, inc_lo, sums)
-    lo = a_lo + b_lo
-    hi = a_hi + b_hi + (lo < a_lo)
+    (p_hi, p_lo, p0, p1), (q_hi, q_lo, q0, q1) = _output_multipliers(count)
+    a0, a1, b0, b1 = start_lo & _LOW32, start_lo >> _U32, inc_lo & _LOW32, inc_lo >> _U32
+    low_a, low_b = a0 * p0, b0 * q0
+    bits0 = (low_a & _LOW32) + (low_b & _LOW32)
+    bits32 = (low_a >> _U32) + (low_b >> _U32) + (bits0 >> _U32)
+    hi = a1 * p1 + b1 * q1 + start_hi * p_lo + start_lo * p_hi + inc_hi * q_lo + inc_lo * q_hi
+    for x, y in ((a0, p1), (a1, p0), (b0, q1), (b1, q0)):  # one cross product at a time
+        cross = x * y
+        bits32 += cross & _LOW32
+        hi += cross >> _U32
+    hi += bits32 >> _U32
+    lo = bits32 << _U32 | bits0 & _LOW32
     folded, rot = hi ^ lo, hi >> _U58
     return folded >> rot | folded << ((_U64 - rot) & _U63)
 
@@ -350,11 +349,6 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _pcg64(words: np.ndarray) -> np.random.PCG64:
-    """A PCG64 seeded from its precomputed state words."""
-    return np.random.PCG64(_StateWords(words))
-
-
 #: Raw outputs per generator above which building each generator and reading
 #: them is faster than ``raw_outputs`` (CHANGES.md has the timings).
 RAW_OUTPUTS_CROSSOVER = 64
@@ -367,32 +361,38 @@ class SubstreamBatch:
     """The substreams of a block of trials, seeded in one vectorised pass.
 
     The generator of trial t and ``label`` has the state of
-    ``substream(masters[t], label)``, for ``label`` in ``labels``: each
-    master's pool is hashed once up front and the label words broadcast
-    over it (``seed_state_words``).  The batch hands out their raw outputs.
+    ``substream(masters[t], label)``, for every label of ``LABELS``: each
+    master's pool is hashed once up front and the six label words broadcast
+    over it (``seed_state_words``).  The batch hands out their raw outputs
+    and builds no generator for a stream that is not read.
     """
 
-    def __init__(self, masters: Sequence[int], labels: Sequence[int]):
-        self._row = {label: i for i, label in enumerate(labels)}
-        # Each master's pool once, the (labels x 1) label words broadcast over it.
+    def __init__(self, masters: Sequence[int]):
+        # Each master's pool once, the (labels x 1) label words broadcast over
+        # it: ``_words[label]`` holds the block's (trials x 4) state words.
         self._words = seed_state_words(np.asarray(masters, dtype=np.uint64),
-                                       [np.array(labels, dtype=np.uint32)[:, None]])
+                                       [np.array(LABELS, dtype=np.uint32)[:, None]])
 
     def raw(self, label: int, count: int, trials: slice = slice(None)) -> np.ndarray:
         """``substream(masters[t], label).bit_generator.random_raw(count)``
         for every t in ``trials``, as a (trials x count) uint64 array.  Up to
         ``RAW_OUTPUTS_CROSSOVER`` words the rows are computed from the state
         words (``raw_outputs``), with no generator built; above it each
-        trial's generator fills its row of the array."""
-        words = self._words[self._row[label], trials]
+        trial's generator fills its row of the array, seeded through one
+        ``_StateWords`` whose words each trial's row replaces.  ``PCG64``
+        reads them as it is built, off the row's buffer, so a row must be a
+        C-contiguous view (``_words`` is): a strided one seeds a wrong state
+        without an error."""
+        words = self._words[label, trials]
         if count <= RAW_OUTPUTS_CROSSOVER:
             # In pieces whose temporaries stay small enough to be cached.
             rows = max(1, _PIECE_WORDS // max(count, 1))
             return np.concatenate([raw_outputs(words[i:i + rows], count)
                                    for i in range(0, len(words), rows)])
         raw = np.empty((len(words), count), dtype=np.uint64)
-        for out, row in zip(raw, words):
-            out[:] = _pcg64(row).random_raw(count)
+        seed = _StateWords(words)
+        for out, seed.words in zip(raw, words):
+            out[:] = np.random.PCG64(seed).random_raw(count)
         return raw
 
     def coins(self, label: int) -> np.ndarray:

@@ -293,20 +293,24 @@ class SessionTranscript:
 
         Lines end at "\\n" alone: a logged party line may hold other line
         breaks, such as "\\r" between tokens or U+2028 inside a string.  Each
-        line is decoded as ``parse_message`` decodes a wire line, so one that
-        repeats a field name is refused by line number and field.
+        line begins with its seq, the entry's index, and its dir,
+        "sender->recipient", and is decoded and validated as ``parse_message``
+        does a wire line: a line that breaks a rule, such as one whose message
+        the referee would refuse (a repeated field name, an unknown type, a
+        bad payload), is a ``ValueError`` naming the line number and the rule.
         """
         transcript = cls()
         for number, line in enumerate(Path(path).read_bytes().split(b"\n"), 1):
             if not line.strip():
                 continue
             head = _WRITTEN_HEAD.match(line)
-            if head is None:
-                raise ValueError(f"transcript line {number} does not begin with its seq and dir")
+            if head is None or int(head[1]) != len(transcript.entries):  # seq is the index
+                raise ValueError(f"transcript line {number} does not begin with its seq and dir "
+                                 f"(seq {len(transcript.entries)}, dir sender->recipient)")
             wire = b"{" + line[head.end():]
             try:
-                message = _DECODER.decode(wire.decode("utf-8"))
-            except WireProtocolError as exc:  # a repeated field, as parse_message refuses it
+                message = validate_message(_DECODER.decode(wire.decode("utf-8")))
+            except WireProtocolError as exc:  # as parse_message refuses a wire line
                 raise ValueError(f"transcript line {number}: {exc}") from exc
             except (ValueError, RecursionError) as exc:  # as in parse_message
                 raise ValueError(f"transcript line {number} is not valid JSON: {exc}") from exc
@@ -316,4 +320,4 @@ class SessionTranscript:
 
 
 #: The start ``SessionTranscript.write`` gives each line, before the wire line's fields.
-_WRITTEN_HEAD = re.compile(rb'\{"seq":(\d+),"dir":"([^"\\]*)",')
+_WRITTEN_HEAD = re.compile(rb'\{"seq":(\d+),"dir":"([^"\\]*->[^"\\]*)",')

@@ -208,7 +208,7 @@ def test_rebind_lie_on_a_block_equals_each_row_and_each_session(p, n):
     seeds = [streams.derive_seed(87, n, t) for t in range(24)]
     bases = streams.substream(87, streams.BASES, n).integers(0, 2, size=(len(seeds), n),
                                                        dtype=np.uint8)
-    raw = streams.SubstreamBatch(seeds, [streams.ADVERSARY]).raw(streams.ADVERSARY, n)
+    raw = streams.SubstreamBatch(seeds).raw(streams.ADVERSARY, n)
     strategy = RebindStrategy.random_lies(p)
     block = strategy.lie(bases, raw)
     for seed, row_bases, row_raw, row_lies in zip(seeds, bases, raw, block):

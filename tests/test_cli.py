@@ -123,6 +123,15 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_list_flags_name_the_bad_item(capsys, tmp_path):
+    sweep = ["sweep", "--out", str(tmp_path / "r.csv")]
+    for n_list, error_list, message in (("16,2.5", "0", "--n-list: '2.5' is not an integer"),
+                                        ("16", "0, x", "--error-list: 'x' is not a number")):
+        assert cli_main([*sweep, "--n-list", n_list, "--error-list", error_list]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {message}\n") and "_list" not in err
+
+
 def test_runtime_errors_exit_one(capsys, tmp_path):
     code = cli_main(["simulate", "--n", "4", "--bit", "0",
                      "--error-fraction", "1.5"])

@@ -243,13 +243,12 @@ def test_a_row_runs_each_stage_as_its_row_of_a_block():
     # Every stage on a block's (b x n) rows, against the stage on each (n,)
     # row, read off that row's own substreams: both bits, both error modes,
     # with and without noise.  Every row ties at n = 0, and some at n = 1.
-    labels = [streams.PREPARE, streams.BASES, streams.MEASURE, streams.ERROR]
     bits, ties = np.arange(8, dtype=np.uint8) % 2, np.arange(8, dtype=np.uint8) // 2 % 2
     error_modes, ties_seen = set(), set()
     for cell, (n, e, noise) in enumerate(product(KERNEL_GRID_N, KERNEL_GRID_E, (0.0, 0.1))):
         k = masked_count(e, n)
         seeds = [streams.derive_seed(3141, cell, t) for t in range(len(bits))]
-        batch = streams.SubstreamBatch(seeds, labels)
+        batch = streams.SubstreamBatch(seeds)
         codes = streams.top_bits(batch.raw(streams.PREPARE, (n + 1) // 2), n, 2)
         sent_bases, sent_bits = split_states(codes)
         bases = streams.top_bits(batch.raw(streams.BASES, (n + 1) // 2), n, 1)
@@ -299,7 +298,7 @@ def test_chunk_masks_equal_read_mask_on_each_trials_words(n, k):
     # Each chunk row's marked row and coins, in both modes, against read_mask
     # on that trial's own ERROR words; a chunk that starts inside the block, too.
     seeds = [streams.derive_seed(n, k, t) for t in range(24)]
-    batch = streams.SubstreamBatch(seeds, [streams.ERROR])
+    batch = streams.SubstreamBatch(seeds)
     for mode, trials in product(ERROR_MODES, (slice(0, 24), slice(5, 12))):
         b = trials.stop - trials.start
         marked, coins = batch.masks(trials, n, k, mode)
@@ -336,7 +335,7 @@ def test_masks_tied_at_the_kth_key_go_to_the_lower_positions():
         marked, coins = read_mask(raw, 256, k, "randomize")
         assert np.flatnonzero(marked).tolist() == want and coins.tolist() == want_coins, seed
         chunk = [streams.derive_seed(99, 0), seed, streams.derive_seed(99, 1)]
-        batch = streams.SubstreamBatch(chunk, [streams.ERROR])
+        batch = streams.SubstreamBatch(chunk)
         for mode in ERROR_MODES:
             marked, coins = batch.masks(slice(0, 3), 256, k, mode)
             assert np.flatnonzero(marked[1]).tolist() == want, (seed, mode)
@@ -385,7 +384,7 @@ def test_mask_subsets_are_uniform():
     # words, against the uniform law.
     n, k, rows = 6, 3, 200_000
     seeds = list(streams.trial_seeds((6, 3), rows))
-    marked, _coins = streams.SubstreamBatch(seeds, [streams.ERROR]).masks(
+    marked, _coins = streams.SubstreamBatch(seeds).masks(
         slice(0, rows), n, k, "randomize")
     subsets = marked @ (1 << np.arange(n))
     counts = np.bincount(subsets, minlength=2**n)[[sum(1 << i for i in c)
@@ -416,6 +415,31 @@ def test_kernel_committed_bit_is_generator_integers():
         assert tallies == Counter({Decision.BIT1 if bit else Decision.BIT0: 1}), seed
         bits[bit] += 1
     assert bits[0] and bits[1]
+
+
+@pytest.mark.parametrize("mode,strategy,e,drawn", (
+    ("honest", None, 0.0, ()),
+    ("honest", None, 0.5, (streams.ERROR,)),
+    ("preunveil", None, 0.0, (streams.ADVERSARY,)),
+    ("binding", "flip-all-bases", 0.0, ()),
+    ("binding", "random-lies:0", 0.0, ()),
+    ("binding", "random-lies:0.5", 0.0, (streams.ADVERSARY,)),
+))
+def test_the_kernel_reads_only_the_streams_a_cell_draws(mode, strategy, e, drawn, monkeypatch):
+    # Every label is seeded, so an unread stream is seen only by its reads:
+    # the coins, the masks and the stages all read through SubstreamBatch.raw.
+    read, raw = set(), streams.SubstreamBatch.raw
+    def recording(self, label, *args):
+        read.add(label)
+        return raw(self, label, *args)
+    monkeypatch.setattr(streams.SubstreamBatch, "raw", recording)
+    stages = {streams.PREPARE, streams.BASES, streams.MEASURE}
+    run_trials(range(40), 16, e, 0.0, mode, strategy and RebindStrategy.parse(strategy))
+    assert read == stages | {streams.COMMITTED_BIT, *drawn}
+    if mode == "honest":
+        read.clear()
+        run_sessions(range(40), 16, e, 0.0, bit=1)
+        assert read == stages | {*drawn}
 
 
 #: SHA-256 of the CSV report of each sweep below, under stream contract 3

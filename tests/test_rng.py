@@ -105,7 +105,7 @@ def test_seed_state_words_equal_seed_sequence():
 def test_substream_batch_equals_substream():
     # The batch's raw words read as the generator's integers and doubles.
     masters = _masters()
-    batch = streams.SubstreamBatch(masters, LABELS)
+    batch = streams.SubstreamBatch(masters)
     for label in LABELS:
         raw = batch.raw(label, 8)
         for t, master in enumerate(masters):
@@ -119,7 +119,7 @@ def test_substream_batch_raw_equals_random_raw():
     # Counts on both sides of the crossover: computed, then filled per trial,
     # up to the 2048 words a stream reads at n = 4096.
     masters = _masters()
-    batch = streams.SubstreamBatch(masters, LABELS)
+    batch = streams.SubstreamBatch(masters)
     crossover = streams.RAW_OUTPUTS_CROSSOVER
     for count in (0, 1, 2, crossover, crossover + 1, 2048):
         for label in LABELS:
@@ -129,6 +129,23 @@ def test_substream_batch_raw_equals_random_raw():
             assert got.dtype == np.uint64
             assert np.array_equal(got, np.array(want, dtype=np.uint64)), (count, label)
             assert np.array_equal(batch.raw(label, count, slice(3, 7)), got[3:7])
+
+
+#: State words that push ``raw_outputs``' partial sums to their bounds:
+#: all-ones words, zeros, 2**63, 32-bit all-ones limbs, and all-ones and
+#: zero words mixed.
+CARRY_EDGE_WORDS = np.array([[2**64 - 1] * 4, [0] * 4, [2**63] * 4, [2**32 - 1] * 4,
+                             [2**64 - 1 - (2**32 - 1)] * 4, [2**64 - 1, 0, 2**64 - 1, 0],
+                             [0, 2**64 - 1, 0, 2**64 - 1], [2**64 - 1, 2**64 - 1, 0, 0],
+                             [0, 0, 2**64 - 1, 2**64 - 1]], dtype=np.uint64)
+
+
+def test_raw_outputs_equal_random_raw_on_carry_edge_words():
+    for count in range(streams.RAW_OUTPUTS_CROSSOVER + 2):
+        got = streams.raw_outputs(CARRY_EDGE_WORDS, count)
+        for row, words in zip(got, CARRY_EDGE_WORDS):
+            want = np.random.PCG64(streams._StateWords(words)).random_raw(count)
+            assert np.array_equal(row, want), (count, words.tolist())
 
 
 def test_trial_seeds_equal_derive_seed():

@@ -224,6 +224,7 @@ def test_transcript_write_and_load(tmp_path):
     b'{"seq": 1, "dir": "bob->referee", "type": "hello", "role": "bob"}',
     b'{"type":"hello","role":"bob"}',
     b'[1, 2]',
+    b'{"seq":1,"dir":"bob","type":"hello","role":"bob"}',  # an entry's recipient would raise
 ])
 def test_transcript_load_refuses_a_line_it_did_not_write(tmp_path, second):
     path = tmp_path / "t.jsonl"
@@ -258,6 +259,21 @@ def test_transcript_load_refuses_a_repeated_field(tmp_path):
     path.write_bytes(line + b"\n")
     with pytest.raises(ValueError, match="^transcript line 1: repeated field 'role'$"):
         SessionTranscript.load(path)
+
+
+def test_transcript_load_validates_each_message_and_its_seq(tmp_path):
+    # Without validation the first file loaded as two entries in protocol order.
+    path = tmp_path / "t.jsonl"
+    commit = b'{"seq":0,"dir":"alice->referee","type":"commit","bits":'
+    bogus = b'"dir":"bob->referee","type":"bogus"}'
+    head = r" does not begin with its seq and dir \(seq 1, dir sender->recipient\)"
+    cases = ((b'"x9"}', b'{"seq":0,', ": commit bits must be a string of digits 0-1", 1),
+             (b'"01"}', b'{"seq":0,', head, 2),
+             (b'"01"}', b'{"seq":1,', ": unknown message type 'bogus'", 2))
+    for bits, seq, rule, number in cases:
+        path.write_bytes(commit + bits + b"\n" + seq + bogus + b"\n")
+        with pytest.raises(ValueError, match=f"^transcript line {number}{rule}$"):
+            SessionTranscript.load(path)
 
 
 def test_transcript_ordering_checker():
